@@ -155,6 +155,7 @@ func BenchmarkNetworkForward(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(net.Close)
 	batch := tensor.New(16, 1, 12, 12)
 	rng := rand.New(rand.NewSource(3))
 	for i := range batch.Data() {
@@ -177,6 +178,7 @@ func BenchmarkForwardArenaSteady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(net.Close)
 	batch := tensor.New(16, 1, 12, 12)
 	rng := rand.New(rand.NewSource(3))
 	for i := range batch.Data() {
@@ -244,6 +246,7 @@ func BenchmarkFullTrainerStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(net.Close)
 	tr := capsnet.NewFullTrainer(net, 0.1)
 	rng := rand.New(rand.NewSource(5))
 	batch := tensor.New(20, 1, 12, 12)
@@ -286,6 +289,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(net.Close)
 	rng := rand.New(rand.NewSource(3))
 	img := make([]float32, net.ImageLen())
 	for i := range img {

@@ -62,6 +62,7 @@ func main() {
 			panic(err)
 		}
 	}
+	defer net.Close()
 	fmt.Printf("CapsNet: %dx%d input → %d conv ch → %d primary caps (%dD) → %d class caps (%dD), %d routing iterations\n",
 		cfg.InputH, cfg.InputW, cfg.ConvChannels, net.NumPrimaryCaps(), cfg.PrimaryDim,
 		cfg.Classes, cfg.DigitDim, cfg.RoutingIterations)

@@ -113,6 +113,7 @@ func main() {
 	if err != nil {
 		fatal("loading network", err)
 	}
+	defer network.Close()
 	mathOps, err := routingMath(*mathName)
 	if err != nil {
 		fatal("selecting routing math", err)

@@ -26,6 +26,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer caps.Close()
 	capsTr := capsnet.NewFullTrainer(caps, 0.5)
 	cnn, err := capsnet.NewCNN(capsnet.TinyCNNConfig(classes))
 	if err != nil {

@@ -30,6 +30,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer net.Close()
 
 	fmt.Println("training capsule classifier on synthetic cytology slides...")
 	tr := capsnet.NewTrainer(net, 1.0)

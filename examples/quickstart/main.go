@@ -21,6 +21,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer net.Close()
 	out := net.Forward(ds.Images, capsnet.ExactMath{})
 	fmt.Println("capsule lengths of the first image (one per class):")
 	for j, l := range out.Lengths.Data()[:4] {

@@ -47,6 +47,7 @@ func main() {
 		}
 		acc := capsnet.Evaluate(net, test.Images, test.Labels, capsnet.ExactMath{})
 		fmt.Printf("  %d iterations: accuracy %.1f%%\n", iters, 100*acc)
+		net.Close()
 	}
 
 	fmt.Println("\nrouting-iteration sweep (architectural, Caps-SV1/2/3):")

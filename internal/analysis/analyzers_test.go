@@ -53,7 +53,7 @@ func TestGuardedby(t *testing.T) {
 func TestGoroleak(t *testing.T) {
 	t.Parallel()
 	analysistest.Run(t, analysis.Goroleak,
-		"goroleak/internal/cluster", "goroleak/internal/other")
+		"goroleak/internal/cluster", "goroleak/internal/capsnet", "goroleak/internal/other")
 }
 
 func TestTimerleak(t *testing.T) {

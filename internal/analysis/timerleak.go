@@ -18,9 +18,10 @@ import (
 //
 //  1. time.After never appears inside a for/range loop, anywhere.
 //  2. In the concurrency packages (internal/serve, internal/cluster,
-//     internal/loadgen, internal/obs), time.After never appears at
-//     all: use time.NewTimer with a deferred Stop (or a reused timer
-//     with a drain-safe Reset) so abandoned waits release the timer.
+//     internal/loadgen, internal/obs, internal/capsnet), time.After
+//     never appears at all: use time.NewTimer with a deferred Stop (or
+//     a reused timer with a drain-safe Reset) so abandoned waits
+//     release the timer.
 //  3. time.Tick never appears outside tests.
 //  4. Every time.NewTimer/time.NewTicker assigned to a local must
 //     reach Stop() on all paths, mirroring releasecheck's flow-light
@@ -41,7 +42,7 @@ var Timerleak = &Analyzer{
 // concurrencyPkgs are the trailing-segment patterns of the long-lived
 // concurrency packages under the strictest timer and goroutine
 // lifetime rules; goroleak scopes to the same set.
-var concurrencyPkgs = []string{"internal/serve", "internal/cluster", "internal/loadgen", "internal/obs"}
+var concurrencyPkgs = []string{"internal/serve", "internal/cluster", "internal/loadgen", "internal/obs", "internal/capsnet"}
 
 func inConcurrencyPkg(pass *Pass) bool {
 	pkgPath := strings.TrimSuffix(pass.Pkg.Path(), "_test")

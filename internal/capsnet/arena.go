@@ -86,9 +86,11 @@ func (j *chunkJob) run() {
 // bounded by the worker count, which is the point.
 type workerPool struct {
 	jobs chan *chunkJob
+	wg   sync.WaitGroup
 }
 
 func (p *workerPool) work() {
+	defer p.wg.Done()
 	for j := range p.jobs {
 		j.run()
 	}
@@ -97,20 +99,40 @@ func (p *workerPool) work() {
 // ensurePool makes sure the Network's pool exists and has at least
 // extra persistent workers (the dispatching goroutine itself runs
 // chunk 0 inline, so extra = workers-1). Called at scratch creation,
-// never on the hot path. The finalizer closes the jobs channel once
-// the Network becomes unreachable so pool goroutines never leak:
-// workers hold only the pool pointer, not the Network, and no forward
-// pass can be in flight on an unreachable Network.
+// never on the hot path. The workers live until Close.
 func (n *Network) ensurePool(extra int) {
 	n.poolMu.Lock()
 	defer n.poolMu.Unlock()
 	if n.pool == nil {
+		// The buffer lets a dispatcher hand over all its chunks and start
+		// on its own; when it is full the dispatcher only waits earlier
+		// for workers it is about to wait for anyway.
 		n.pool = &workerPool{jobs: make(chan *chunkJob, 64)}
-		runtime.SetFinalizer(n, func(n *Network) { close(n.pool.jobs) })
 	}
 	for n.poolSpawned < extra {
+		n.pool.wg.Add(1)
 		go n.pool.work()
 		n.poolSpawned++
+	}
+}
+
+// Close stops the Network's chunk workers and returns once they have
+// exited; whoever built the Network calls it when no forward pass is
+// running or will be started. It is idempotent. A forward pass on a
+// closed Network panics.
+func (n *Network) Close() {
+	n.scratchMu.Lock()
+	closed := n.closed
+	n.closed = true
+	n.scratchMu.Unlock()
+	if closed {
+		return
+	}
+	n.poolMu.Lock()
+	defer n.poolMu.Unlock()
+	if n.pool != nil {
+		close(n.pool.jobs)
+		n.pool.wg.Wait()
 	}
 }
 
@@ -329,10 +351,9 @@ func (s *scratch) convSample(w, k int) {
 	tensor.ReLU(feat)
 }
 
-// primSample runs the PrimaryCaps conv, capsule regrouping, and squash
-// for sample k straight into its u rows — the same regroup indexing
-// and exact-math squash as PrimaryCapsLayer.Forward, minus the copy
-// through an intermediate capsule tensor (values are identical).
+// primSample runs the PrimaryCaps conv for sample k into worker w's
+// raw buffer and regroups and squashes it straight into the sample's
+// u rows — the same kernel and epilogue as PrimaryCapsLayer.Forward.
 //
 //pimcaps:hotpath
 func (s *scratch) primSample(w, k int) {
@@ -341,22 +362,7 @@ func (s *scratch) primSample(w, k int) {
 	praw := s.praw[w]
 	tensor.Conv2DInto(praw, s.cols2[w], s.feats[k*s.convLen:(k+1)*s.convLen],
 		prim.Conv.Weights.Data(), prim.Conv.Bias, prim.Conv.Spec, n.convH, n.convW)
-	capsDim := prim.CapsDim
-	urow := s.u[k*s.nl*capsDim : (k+1)*s.nl*capsDim]
-	idx := 0
-	for c := 0; c < prim.Channels; c++ {
-		for y := 0; y < s.ph; y++ {
-			for x := 0; x < s.pw; x++ {
-				for d := 0; d < capsDim; d++ {
-					urow[idx*capsDim+d] = praw[(c*capsDim+d)*s.ph*s.pw+y*s.pw+x]
-				}
-				idx++
-			}
-		}
-	}
-	for i := 0; i < s.nl; i++ {
-		squashInto(ExactMath{}, urow[i*capsDim:(i+1)*capsDim], urow[i*capsDim:(i+1)*capsDim])
-	}
+	regroupSquash(s.u[k*s.nl*s.cl:(k+1)*s.nl*s.cl], praw, prim.Channels, prim.CapsDim, s.ph*s.pw)
 }
 
 //pimcaps:hotpath
@@ -519,6 +525,10 @@ func (s *scratch) routing(st StageTimer) {
 //pimcaps:hotpath
 func (n *Network) acquireScratch(nb int) *scratch {
 	n.scratchMu.Lock()
+	if n.closed {
+		n.scratchMu.Unlock()
+		panic("capsnet: forward pass on a closed Network")
+	}
 	var s *scratch
 	if k := len(n.scratchFree) - 1; k >= 0 {
 		s = n.scratchFree[k]

@@ -342,3 +342,33 @@ func TestRunChunksRepanics(t *testing.T) {
 	}
 	next.Release()
 }
+
+// TestCloseJoinsWorkersAndRejectsForward holds the pool's lifetime
+// contract: Close returns only once every chunk worker has reported
+// its exit, a second Close is a no-op, and a forward pass afterwards
+// fails by name instead of with the runtime's "send on closed channel".
+func TestCloseJoinsWorkersAndRejectsForward(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4) // spawn real pool workers
+	defer runtime.GOMAXPROCS(prev)
+	net, err := New(TinyConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := arenaTestImages(net, 4, 1)
+	net.ForwardBatch(images, ExactMath{}).Release()
+	net.poolMu.Lock()
+	spawned := net.poolSpawned
+	net.poolMu.Unlock()
+	if spawned != 3 {
+		t.Fatalf("pool spawned %d workers, want 3", spawned)
+	}
+	net.Close()
+	net.Close()
+	defer func() {
+		const want = "capsnet: forward pass on a closed Network"
+		if p := recover(); p != want {
+			t.Fatalf("forward after Close: recovered %v, want panic %q", p, want)
+		}
+	}()
+	net.ForwardBatch(images, ExactMath{})
+}

@@ -28,6 +28,7 @@ func ExampleNetwork_Forward() {
 	if err != nil {
 		panic(err)
 	}
+	defer net.Close()
 	batch := tensor.New(2, 1, 12, 12) // two blank 12×12 images
 	out := net.Forward(batch, capsnet.ExactMath{})
 	fmt.Println("predictions per image:", len(out.Predictions()))

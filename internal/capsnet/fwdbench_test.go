@@ -22,6 +22,7 @@ func serveBenchNet(b *testing.B) (*Network, [][]float32) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(net.Close)
 	rng := rand.New(rand.NewSource(3))
 	imgs := make([][]float32, 8)
 	for i := range imgs {

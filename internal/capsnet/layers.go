@@ -66,28 +66,29 @@ func (l *PrimaryCapsLayer) NumCaps(h, w int) int {
 // capsules.
 func (l *PrimaryCapsLayer) Forward(input *tensor.Tensor) *tensor.Tensor {
 	raw := tensor.Conv2D(input, l.Conv.Weights, l.Conv.Bias, l.Conv.Spec) // (ch·dim)×oh×ow
-	oh, ow := raw.Dim(1), raw.Dim(2)
-	n := l.Channels * oh * ow
-	out := tensor.New(n, l.CapsDim)
-	od := out.Data()
-	rd := raw.Data()
-	// Capsule (c, y, x) takes dimension d from channel c·CapsDim+d.
-	idx := 0
-	for c := 0; c < l.Channels; c++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				for d := 0; d < l.CapsDim; d++ {
-					od[idx*l.CapsDim+d] = rd[(c*l.CapsDim+d)*oh*ow+y*ow+x]
-				}
-				idx++
+	hw := raw.Dim(1) * raw.Dim(2)
+	out := tensor.New(l.Channels*hw, l.CapsDim)
+	regroupSquash(out.Data(), raw.Data(), l.Channels, l.CapsDim, hw)
+	return out
+}
+
+// regroupSquash is the PrimaryCaps epilogue: it regroups the raw
+// (channels·capsDim)×hw convolution output into channels·hw capsules of
+// capsDim contiguous values — capsule (c, p) takes dimension d from
+// feature map c·capsDim+d at position p — and squashes each in place
+// with exact math (PrimaryCaps runs on the host).
+//
+//pimcaps:hotpath
+func regroupSquash(caps, raw []float32, channels, capsDim, hw int) {
+	for c := 0; c < channels; c++ {
+		for p := 0; p < hw; p++ {
+			v := caps[(c*hw+p)*capsDim : (c*hw+p+1)*capsDim]
+			for d := range v {
+				v[d] = raw[(c*capsDim+d)*hw+p]
 			}
+			squashInto(ExactMath{}, v, v)
 		}
 	}
-	// Squash each capsule (exact math: PrimaryCaps runs on the host).
-	for i := 0; i < n; i++ {
-		squashInto(ExactMath{}, od[i*l.CapsDim:(i+1)*l.CapsDim], od[i*l.CapsDim:(i+1)*l.CapsDim])
-	}
-	return out
 }
 
 // CapsLayer is a capsule layer connected to its predecessor by the

@@ -158,13 +158,16 @@ type Network struct {
 	fallbacks atomic.Uint64
 
 	// Scratch-arena pool state (see arena.go): released scratches
-	// await reuse in scratchFree; pool holds the persistent chunk
-	// workers; the atomics feed the ArenaBytes / PartitionCounts
+	// await reuse in scratchFree; closed is set by Close and makes
+	// acquireScratch refuse the next pass; pool holds the persistent
+	// chunk workers; the atomics feed the ArenaBytes / PartitionCounts
 	// gauges serving exposes.
 	scratchMu sync.Mutex
 	//pimcaps:guardedby scratchMu
 	scratchFree []*scratch
-	poolMu      sync.Mutex
+	//pimcaps:guardedby scratchMu
+	closed bool
+	poolMu sync.Mutex
 	//pimcaps:guardedby poolMu
 	pool *workerPool
 	//pimcaps:guardedby poolMu

@@ -60,6 +60,7 @@ func trainProxy(b workload.Benchmark) accuracyRun {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s proxy config invalid: %v", b.Name, err))
 	}
+	defer net.Close()
 	tr := capsnet.NewTrainer(net, 1.0)
 	if b.NumH > 10 {
 		// Rebalance the margin loss for many classes (see

@@ -26,6 +26,7 @@ func testNetwork(t testing.TB, classes int) (*capsnet.Network, [][]float32) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	spec := dataset.Tiny(classes)
 	gen := dataset.NewGenerator(spec)
 	images := make([][]float32, 2*classes)
