@@ -166,6 +166,11 @@ type scratch struct {
 	nb   int
 	in   []float32
 	math RoutingMath
+	// dim is the routing run's resolved shard dimension and bstride
+	// its logit row stride per sample (0 when coefficients are shared);
+	// aggRange and agreeRange read them.
+	dim     Partition
+	bstride int
 	// aborted is set by routing when the Network's Cancel hook fired
 	// between iterations; forward reads it into Output.Aborted.
 	aborted bool
@@ -181,8 +186,7 @@ type scratch struct {
 	// the fields above at call time, so growing the buffers does not
 	// invalidate them).
 	convPrimFn, convFn, primFn, predFn func(w, lo, hi int)
-	aggBFn, aggHFn                     func(w, lo, hi int)
-	agreeBFn, agreeHFn, agreeSharedHFn func(w, lo, hi int)
+	softmaxFn, aggFn, agreeFn          func(w, lo, hi int)
 
 	// Chunk-dispatch plumbing: a job slot per worker, a buffered done
 	// channel sized for all of them, and a resettable panic cell.
@@ -225,11 +229,9 @@ func newScratch(n *Network, nb int) *scratch {
 	s.convFn = s.convRange
 	s.primFn = s.primRange
 	s.predFn = s.predRange
-	s.aggBFn = s.aggSamplesRange
-	s.aggHFn = s.aggCapsRange
-	s.agreeBFn = s.agreeSamplesRange
-	s.agreeHFn = s.agreeCapsRange
-	s.agreeSharedHFn = s.agreeSharedCapsRange
+	s.softmaxFn = s.softmaxRange
+	s.aggFn = s.aggRange
+	s.agreeFn = s.agreeRange
 	// A scratch whose Output is never released dies with that Output
 	// instead of returning to the pool; give its bytes back to the
 	// gauge when the collector reclaims it. Pooled scratches stay
@@ -389,32 +391,27 @@ func (s *scratch) primRange(w, lo, hi int) {
 
 //pimcaps:hotpath
 func (s *scratch) predRange(_, lo, hi int) {
-	predictionVectorsRange(s.u, s.net.Digit.Weights.Data(), s.preds, s.nb, s.nl, s.cl, s.nh, s.ch, lo, hi, true)
+	predictionVectorsRange(s.u, s.net.Digit.Weights.Data(), s.preds, s.nb, s.nl, s.cl, s.nh, s.ch, lo, hi)
+}
+
+// softmaxRange performs Eq. 5 for rows [lo, hi) of the flattened
+// logit matrix (nb·nl rows per-sample, the first nl when shared).
+//
+//pimcaps:hotpath
+func (s *scratch) softmaxRange(_, lo, hi int) {
+	softmaxRows(s.math, s.c[lo*s.nh:hi*s.nh], s.b[lo*s.nh:hi*s.nh], hi-lo, s.nh)
 }
 
 //pimcaps:hotpath
-func (s *scratch) aggSamplesRange(_, lo, hi int) {
-	aggregateSamplesRange(s.math, s.preds, s.c, s.s, s.v, s.nl, s.nh, s.ch, lo, hi)
+func (s *scratch) aggRange(_, lo, hi int) {
+	klo, khi, jlo, jhi := partitionRect(s.dim, s.nb, s.nh, lo, hi)
+	aggregateRange(s.math, s.preds, s.c, s.s, s.v, s.nl, s.nh, s.ch, klo, khi, jlo, jhi)
 }
 
 //pimcaps:hotpath
-func (s *scratch) aggCapsRange(_, lo, hi int) {
-	aggregateCapsRange(s.math, s.preds, s.c, s.s, s.v, s.nb, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) agreeSamplesRange(_, lo, hi int) {
-	agreementSamplesRange(s.preds, s.v, s.b, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) agreeCapsRange(_, lo, hi int) {
-	agreementCapsRange(s.preds, s.v, s.b, s.nb, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) agreeSharedCapsRange(_, lo, hi int) {
-	agreementSharedRange(s.preds, s.v, s.b[:s.nl*s.nh], s.nb, s.nl, s.nh, s.ch, lo, hi)
+func (s *scratch) agreeRange(_, lo, hi int) {
+	klo, khi, jlo, jhi := partitionRect(s.dim, s.nb, s.nh, lo, hi)
+	agreementRange(s.preds, s.v, s.b, s.bstride, s.nl, s.nh, s.ch, klo, khi, jlo, jhi)
 }
 
 // routing runs the dynamic-routing loop of DynamicRoutingTimed on the
@@ -447,7 +444,6 @@ func (s *scratch) routing(st StageTimer) {
 	cd := s.c[:nb*nl*nh]
 	sd := s.s[:nb*nh*ch]
 	clear(bd) // logits start at zero, as a fresh tensor would
-	sharedB := bd[:nl*nh]
 
 	dim := ChoosePartition(n.Partition, nb, nl, nh, ch, s.maxW)
 	if dim == PartitionB {
@@ -456,6 +452,14 @@ func (s *scratch) routing(st StageTimer) {
 		n.partH.Add(1)
 	}
 	endStage(beginStage(st, StageRoutingPartition, int(dim)))
+	shardN, softRows := nb, nb*nl
+	if dim == PartitionH {
+		shardN = nh
+	}
+	s.dim, s.bstride = dim, nl*nh
+	if mode == RouteBatchShared {
+		softRows, s.bstride = nl, 0
+	}
 
 	for it := 0; it < iterations; it++ {
 		// Cooperative cancellation: polled between iterations (including
@@ -469,25 +473,21 @@ func (s *scratch) routing(st StageTimer) {
 		iterEnd := beginStage(st, StageRoutingIteration, it)
 
 		end := beginStage(st, StageRoutingSoftmax, it)
-		if mode == RouteBatchShared {
-			softmaxRows(mathOps, cd[:nl*nh], sharedB, nl, nh)
-			for k := 1; k < nb; k++ {
-				copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
-			}
+		if it == 0 {
+			firstIterationCoefficients(mathOps, cd, bd, nh)
 		} else {
-			for k := 0; k < nb; k++ {
-				softmaxRows(mathOps, cd[k*nl*nh:(k+1)*nl*nh], bd[k*nl*nh:(k+1)*nl*nh], nl, nh)
+			s.runChunks(softRows, s.softmaxFn)
+			if mode == RouteBatchShared {
+				for k := 1; k < nb; k++ {
+					copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
+				}
 			}
 		}
 		endStage(end)
 
 		end = beginStage(st, StageRoutingAggregate, it)
 		clear(sd)
-		if dim == PartitionB {
-			s.runChunks(nb, s.aggBFn)
-		} else {
-			s.runChunks(nh, s.aggHFn)
-		}
+		s.runChunks(shardN, s.aggFn)
 		endStage(end)
 
 		if it == iterations-1 {
@@ -496,23 +496,17 @@ func (s *scratch) routing(st StageTimer) {
 		}
 
 		end = beginStage(st, StageRoutingAgreement, it)
-		if mode == RouteBatchShared {
-			if dim == PartitionB {
-				agreementSharedRange(s.preds, s.v, sharedB, nb, nl, nh, ch, 0, nh)
-			} else {
-				s.runChunks(nh, s.agreeSharedHFn)
-			}
-		} else if dim == PartitionB {
-			s.runChunks(nb, s.agreeBFn)
+		if mode == RouteBatchShared && dim == PartitionB {
+			agreementRange(s.preds, s.v, bd, 0, nl, nh, ch, 0, nb, 0, nh)
 		} else {
-			s.runChunks(nh, s.agreeHFn)
+			s.runChunks(shardN, s.agreeFn)
 		}
 		endStage(end)
 		endStage(iterEnd)
 	}
 	if mode == RouteBatchShared {
 		for k := 1; k < nb; k++ {
-			copy(bd[k*nl*nh:(k+1)*nl*nh], sharedB)
+			copy(bd[k*nl*nh:(k+1)*nl*nh], bd[:nl*nh])
 		}
 	}
 }

@@ -5,20 +5,23 @@ import (
 	"testing"
 )
 
-// serveBenchNet builds the routing-dominated model the serving
-// benchmarks use: a light conv front end feeding a large routed
-// capsule layer, matching the paper's §1 profile where the routing
-// procedure dominates inference time.
+// rp3872Config is the routing-dominated model the serving benchmarks
+// use (the repository benchmark's rp3872, L = 32·11·11 = 3872): a light
+// conv front end feeding a large routed capsule layer, matching the
+// paper's §1 profile where the routing procedure dominates inference
+// time.
+var rp3872Config = Config{
+	InputChannels: 1, InputH: 28, InputW: 28,
+	ConvChannels: 8, ConvKernel: 5, ConvStride: 1,
+	PrimaryChannels: 32, PrimaryDim: 8, PrimaryKernel: 3, PrimaryStride: 2,
+	Classes: 10, DigitDim: 16, RoutingIterations: 3,
+	Seed: 1,
+}
+
+// serveBenchNet builds rp3872Config and eight seeded images for it.
 func serveBenchNet(b *testing.B) (*Network, [][]float32) {
 	b.Helper()
-	cfg := Config{
-		InputChannels: 1, InputH: 28, InputW: 28,
-		ConvChannels: 8, ConvKernel: 5, ConvStride: 1,
-		PrimaryChannels: 32, PrimaryDim: 8, PrimaryKernel: 3, PrimaryStride: 2,
-		Classes: 10, DigitDim: 16, RoutingIterations: 3,
-		Seed: 1,
-	}
-	net, err := New(cfg)
+	net, err := New(rp3872Config)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,67 +3,41 @@ package capsnet
 // Range kernels for the routing procedure's three hot loops (Eq. 1
 // prediction vectors, Eq. 2+3 aggregation+squash, Eq. 4 agreement),
 // shared by the public DynamicRouting* entry points and the Network's
-// scratch-arena forward path. Each kernel is the verbatim loop body of
-// the original serial implementation restricted to a contiguous range
-// of its shard dimension, and every per-output-element accumulation
-// runs in the same order (d, then i or k ascending) regardless of how
-// the range is split — which is what keeps results bit-identical to
-// the serial loop under any B/H partitioning (see Partition).
+// scratch-arena forward path: one kernel per equation. Each works on a
+// contiguous range of its shard dimension — low-level capsules for
+// Eq. 1, a samples × high-level-capsules rectangle for the other two —
+// and every per-output-element accumulation runs in the same order (d,
+// then i or k ascending) however the range is split or tiled, which is
+// what keeps results bit-identical to a serial sample-at-a-time loop
+// under any B/H partitioning (see Partition) and any batch size.
 
-// aggregateSamplesRange performs Eq. 2 (s_j ← Σ_i c_ij·û_j|i) and
-// Eq. 3 (v_j ← squash(s_j)) for samples [klo, khi). sd must be
-// pre-zeroed for those samples. The multiply-accumulate loop ranges
-// over up with a capped sp slice: under this function's register
-// pressure a plain counted loop spills its induction variable to the
-// stack on every iteration, which costs ~45% on the whole kernel.
+// aggregateRange performs Eq. 2 (s_j ← Σ_i c_ij·û_j|i) and Eq. 3
+// (v_j ← squash(s_j)) for samples [klo, khi) × high-level capsules
+// [jlo, jhi): the B-partition passes a sample range and all capsules,
+// the H-partition all samples and a capsule range. sd must be
+// pre-zeroed for that rectangle. Per (k, j) the sum over i ascends
+// whatever the rectangle. The multiply-accumulate loop ranges over up
+// with a capped sp slice: under this function's register pressure a
+// plain counted loop spills its induction variable to the stack on
+// every iteration, which costs ~45% on the whole kernel. For the same
+// reason the rectangle's rows of c, û and s are sliced once per (k, i)
+// and indexed from 0: with the k and jlo offsets carried into the j
+// loop it ran 4.6 ms against 3.3–3.5 (rp3872, batch 8, one core).
 //
 //pimcaps:hotpath
-func aggregateSamplesRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nl, nh, ch, klo, khi int) {
+func aggregateRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nl, nh, ch, klo, khi, jlo, jhi int) {
 	for k := klo; k < khi; k++ {
-		base := k * nl * nh * ch
-		sbase := k * nh * ch
-		crow := cd[k*nl*nh : (k+1)*nl*nh]
+		srow := sd[(k*nh+jlo)*ch : (k*nh+jhi)*ch]
 		for i := 0; i < nl; i++ {
-			pbase := base + i*nh*ch
-			for j := 0; j < nh; j++ {
-				cij := crow[i*nh+j]
+			r := k*nl + i
+			cs := cd[r*nh+jlo : r*nh+jhi]
+			urow := pd[(r*nh+jlo)*ch : (r*nh+jhi)*ch]
+			for jj, cij := range cs {
 				if cij == 0 {
 					continue
 				}
-				up := pd[pbase+j*ch : pbase+(j+1)*ch]
-				sp := sd[sbase+j*ch : sbase+(j+1)*ch : sbase+(j+1)*ch]
-				for d, u := range up[:len(sp)] {
-					sp[d] += cij * u
-				}
-			}
-		}
-		for j := 0; j < nh; j++ {
-			off := (k*nh + j) * ch
-			squashInto(mathOps, vd[off:off+ch], sd[off:off+ch])
-		}
-	}
-}
-
-// aggregateCapsRange performs the same Eq. 2+3 math for high-level
-// capsules [jlo, jhi) across all nb samples: per (k, j) the sum over i
-// still ascends, so values are bit-identical to the sample-sharded
-// kernel.
-//
-//pimcaps:hotpath
-func aggregateCapsRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nb, nl, nh, ch, jlo, jhi int) {
-	for k := 0; k < nb; k++ {
-		base := k * nl * nh * ch
-		sbase := k * nh * ch
-		crow := cd[k*nl*nh : (k+1)*nl*nh]
-		for i := 0; i < nl; i++ {
-			pbase := base + i*nh*ch
-			for j := jlo; j < jhi; j++ {
-				cij := crow[i*nh+j]
-				if cij == 0 {
-					continue
-				}
-				up := pd[pbase+j*ch : pbase+(j+1)*ch]
-				sp := sd[sbase+j*ch : sbase+(j+1)*ch : sbase+(j+1)*ch]
+				up := urow[jj*ch : (jj+1)*ch]
+				sp := srow[jj*ch : (jj+1)*ch : (jj+1)*ch]
 				for d, u := range up[:len(sp)] {
 					sp[d] += cij * u
 				}
@@ -76,116 +50,195 @@ func aggregateCapsRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nb, nl, n
 	}
 }
 
-// agreementSamplesRange performs Eq. 4 (b_ij ← b_ij + û_j|i·v_j) into
-// per-sample logit rows for samples [klo, khi).
+// agreementRange performs Eq. 4 (b_ij ← b_ij + û_j|i·v_j) for samples
+// [klo, khi) × high-level capsules [jlo, jhi). Sample k's logits are
+// the nl×nh matrix at bd[k*bstride:]: bstride = nl·nh gives every
+// sample its own rows, where each (k, i, j) entry receives exactly one
+// increment and any rectangle is as good as another; bstride = 0 is
+// the batch-shared matrix of Alg. 1, whose Σ_k must ascend per entry —
+// so its callers pass all samples and split on capsules only.
 //
 //pimcaps:hotpath
-func agreementSamplesRange(pd, vd, bd []float32, nl, nh, ch, klo, khi int) {
+func agreementRange(pd, vd, bd []float32, bstride, nl, nh, ch, klo, khi, jlo, jhi int) {
 	for k := klo; k < khi; k++ {
 		base := k * nl * nh * ch
 		vbase := k * nh * ch
-		brow := bd[k*nl*nh : (k+1)*nl*nh]
-		for i := 0; i < nl; i++ {
-			pbase := base + i*nh*ch
-			for j := 0; j < nh; j++ {
-				up := pd[pbase+j*ch : pbase+(j+1)*ch]
-				vp := vd[vbase+j*ch : vbase+(j+1)*ch]
-				var dot float32
-				for d := 0; d < ch; d++ {
-					dot += up[d] * vp[d]
-				}
-				brow[i*nh+j] += dot
-			}
-		}
-	}
-}
-
-// agreementCapsRange performs Eq. 4 into per-sample logit rows for
-// high-level capsules [jlo, jhi) across all nb samples. Each (k, i, j)
-// entry receives exactly one increment, so the shard split cannot
-// change any value.
-//
-//pimcaps:hotpath
-func agreementCapsRange(pd, vd, bd []float32, nb, nl, nh, ch, jlo, jhi int) {
-	for k := 0; k < nb; k++ {
-		base := k * nl * nh * ch
-		vbase := k * nh * ch
-		brow := bd[k*nl*nh : (k+1)*nl*nh]
+		brow := bd[k*bstride : k*bstride+nl*nh]
 		for i := 0; i < nl; i++ {
 			pbase := base + i*nh*ch
 			for j := jlo; j < jhi; j++ {
 				up := pd[pbase+j*ch : pbase+(j+1)*ch]
 				vp := vd[vbase+j*ch : vbase+(j+1)*ch]
 				var dot float32
-				for d := 0; d < ch; d++ {
-					dot += up[d] * vp[d]
+				for d, u := range up[:len(vp)] {
+					dot += u * vp[d]
 				}
 				brow[i*nh+j] += dot
-			}
-		}
-	}
-}
-
-// agreementSharedRange performs the batch-shared Eq. 4 (Alg. 1's Σ_k
-// over the whole input set) for capsules [jlo, jhi): every (i, j)
-// logit in the range accumulates its per-sample dots with k ascending,
-// exactly the order of the original serial loop, so sharding on H
-// preserves bit-identity even though all workers share one logit
-// matrix (their (i, j) ranges are disjoint).
-//
-//pimcaps:hotpath
-func agreementSharedRange(pd, vd, sharedB []float32, nb, nl, nh, ch, jlo, jhi int) {
-	for k := 0; k < nb; k++ {
-		base := k * nl * nh * ch
-		vbase := k * nh * ch
-		for i := 0; i < nl; i++ {
-			pbase := base + i*nh*ch
-			for j := jlo; j < jhi; j++ {
-				up := pd[pbase+j*ch : pbase+(j+1)*ch]
-				vp := vd[vbase+j*ch : vbase+(j+1)*ch]
-				var dot float32
-				for d := 0; d < ch; d++ {
-					dot += up[d] * vp[d]
-				}
-				sharedB[i*nh+j] += dot
 			}
 		}
 	}
 }
 
 // predictionVectorsRange computes Eq. 1 (û_j|i^k = u_i^k × W_ij) for
-// low-level capsules [lo, hi). zeroDst zeroes the range's output rows
-// first, for destinations that are reused arena buffers; pass false
-// when od is freshly allocated (the clear is a measurable memclr at
-// MNIST scale, so the fresh-tensor path must not pay it twice). The
-// weight row for each (i, j, d) streams across the whole batch (k
-// innermost), the W_ij data reuse that makes micro-batched serving
-// cheaper per request; per output element the accumulation over d
-// ascends, so results are bit-identical to a sample-at-a-time loop.
+// low-level capsules [lo, hi), storing every output element of those
+// capsules' rows (od need not be cleared first).
+//
+// Per capsule i the nh cl×ch blocks W_ij (8×16 in every model this
+// repository ships: 5 KB per capsule, L1-resident) are walked once per
+// pair of samples: the W_ij reuse across the input set that makes
+// micro-batched serving cheaper per request, the L-dimension row of
+// the paper's Table 2. Tiling only
+// changes which outputs are computed together: every output element is
+// its own sum over d ascending from +0, so the result does not depend
+// on the batch size, on whether a sample was paired, or on where an
+// element falls in a tile.
+//
+// A u row holding an exact zero goes through predictionRowSkipZero
+// instead. For finite weights the two agree bit for bit (a sum that
+// starts at +0 is never −0, so adding ±0 leaves it unchanged), but a
+// skipped term also ignores a non-finite weight, and the fault
+// campaign's flipped weights must keep poisoning exactly the outputs
+// they always did.
 //
 //pimcaps:hotpath
-func predictionVectorsRange(ud, wd, od []float32, nb, nl, cl, nh, ch, lo, hi int, zeroDst bool) {
+func predictionVectorsRange(ud, wd, od []float32, nb, nl, cl, nh, ch, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if zeroDst {
-			for k := 0; k < nb; k++ {
-				clear(od[(k*nl+i)*nh*ch : (k*nl+i+1)*nh*ch])
+		wi := wd[i*nh*cl*ch : (i+1)*nh*cl*ch]
+		k := 0
+		for ; k+2 <= nb; k += 2 {
+			u0 := ud[(k*nl+i)*cl : (k*nl+i+1)*cl]
+			u1 := ud[((k+1)*nl+i)*cl : ((k+1)*nl+i+1)*cl]
+			o0 := od[(k*nl+i)*nh*ch : (k*nl+i+1)*nh*ch]
+			o1 := od[((k+1)*nl+i)*nh*ch : ((k+1)*nl+i+1)*nh*ch]
+			if hasZero(u0) || hasZero(u1) {
+				predictionRowSkipZero(u0, wi, o0, ch)
+				predictionRowSkipZero(u1, wi, o1, ch)
+				continue
+			}
+			predictionRowPair(u0, u1, wi, o0, o1, ch)
+		}
+		if k < nb {
+			u0 := ud[(k*nl+i)*cl : (k*nl+i+1)*cl]
+			o0 := od[(k*nl+i)*nh*ch : (k*nl+i+1)*nh*ch]
+			if hasZero(u0) {
+				predictionRowSkipZero(u0, wi, o0, ch)
+			} else {
+				predictionRow(u0, wi, o0, ch)
 			}
 		}
-		wbase := i * nh * cl * ch
-		for j := 0; j < nh; j++ {
-			wm := wd[wbase+j*cl*ch : wbase+(j+1)*cl*ch]
-			for d := 0; d < cl; d++ {
-				wrow := wm[d*ch : (d+1)*ch]
-				for k := 0; k < nb; k++ {
-					uvd := ud[(k*nl+i)*cl+d]
-					if uvd == 0 {
-						continue
-					}
-					ov := od[((k*nl+i)*nh+j)*ch : ((k*nl+i)*nh+j+1)*ch]
-					for e := 0; e < ch; e++ {
-						ov[e] += uvd * wrow[e]
-					}
-				}
+	}
+}
+
+//pimcaps:hotpath
+func hasZero(xs []float32) bool {
+	for _, v := range xs {
+		if v == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// predictionRowPair is predictionVectorsRange's register tile: for two
+// samples' u rows and one capsule's weights w (nh blocks of
+// len(u0)×ch) it computes both output rows, 2 samples × 3 outputs at a
+// time, so a step over d loads 5 values for 6 multiply-adds and the
+// six sums are independent chains. Six is the most this compiler keeps
+// in registers (see tensor.dot2x3). The ch%3 outputs left over take a
+// 2×1 tile.
+//
+//pimcaps:hotpath
+func predictionRowPair(u0, u1, w, o0, o1 []float32, ch int) {
+	cl := len(u0)
+	u1 = u1[:cl]
+	for base, wbase := 0, 0; base < len(o0); base, wbase = base+ch, wbase+cl*ch {
+		wm := w[wbase : wbase+cl*ch]
+		p0 := o0[base : base+ch]
+		p1 := o1[base : base+ch]
+		e := 0
+		for ; e+3 <= ch; e += 3 {
+			var s00, s01, s02, s10, s11, s12 float32
+			off := e
+			for d, a0 := range u0 {
+				a1 := u1[d]
+				x := wm[off : off+3 : off+3]
+				s00 += a0 * x[0]
+				s10 += a1 * x[0]
+				s01 += a0 * x[1]
+				s11 += a1 * x[1]
+				s02 += a0 * x[2]
+				s12 += a1 * x[2]
+				off += ch
+			}
+			p0[e], p0[e+1], p0[e+2] = s00, s01, s02
+			p1[e], p1[e+1], p1[e+2] = s10, s11, s12
+		}
+		for ; e < ch; e++ {
+			var s0, s1 float32
+			off := e
+			for d, a0 := range u0 {
+				x := wm[off]
+				s0 += a0 * x
+				s1 += u1[d] * x
+				off += ch
+			}
+			p0[e], p1[e] = s0, s1
+		}
+	}
+}
+
+// predictionRow is the odd sample's edge of the tile: one sample × 4
+// outputs, each summed in the same order.
+//
+//pimcaps:hotpath
+func predictionRow(u0, w, o0 []float32, ch int) {
+	cl := len(u0)
+	for base, wbase := 0, 0; base < len(o0); base, wbase = base+ch, wbase+cl*ch {
+		wm := w[wbase : wbase+cl*ch]
+		p0 := o0[base : base+ch]
+		e := 0
+		for ; e+4 <= ch; e += 4 {
+			var s0, s1, s2, s3 float32
+			off := e
+			for _, a0 := range u0 {
+				x := wm[off : off+4 : off+4]
+				s0 += a0 * x[0]
+				s1 += a0 * x[1]
+				s2 += a0 * x[2]
+				s3 += a0 * x[3]
+				off += ch
+			}
+			p0[e], p0[e+1], p0[e+2], p0[e+3] = s0, s1, s2, s3
+		}
+		for ; e < ch; e++ {
+			var s0 float32
+			off := e
+			for _, a0 := range u0 {
+				s0 += a0 * wm[off]
+				off += ch
+			}
+			p0[e] = s0
+		}
+	}
+}
+
+// predictionRowSkipZero computes one sample's output row the way the
+// whole kernel used to: accumulate into the cleared row with d
+// ascending, skipping the terms whose u entry is exactly zero.
+//
+//pimcaps:hotpath
+func predictionRowSkipZero(u0, w, o0 []float32, ch int) {
+	cl := len(u0)
+	clear(o0)
+	for base, wbase := 0, 0; base < len(o0); base, wbase = base+ch, wbase+cl*ch {
+		ov := o0[base : base+ch]
+		for d, a0 := range u0 {
+			if a0 == 0 {
+				continue
+			}
+			wrow := w[wbase+d*ch : wbase+(d+1)*ch]
+			for e, x := range wrow {
+				ov[e] += a0 * x
 			}
 		}
 	}

@@ -105,6 +105,21 @@ func softmaxRows(mathOps RoutingMath, c, b []float32, nl, nh int) {
 	}
 }
 
+// firstIterationCoefficients performs Eq. 5 for the first routing
+// iteration, where bd — the logits — is still all zero: every row of
+// cd is the same, so one row is computed and replicated. That row is
+// softmaxRows' own output on zero logits, whatever bits the math in
+// use gives it (PE math without recovery does not return 1/H), not a
+// constant.
+//
+//pimcaps:hotpath
+func firstIterationCoefficients(mathOps RoutingMath, cd, bd []float32, nh int) {
+	softmaxRows(mathOps, cd[:nh], bd[:nh], 1, nh)
+	for n := nh; n < len(cd); n *= 2 {
+		copy(cd[n:], cd[:n])
+	}
+}
+
 // squashInto applies Eq. 3 with the given math, writing into dst
 // (which may alias src): v = (|s|²/(1+|s|²))·(s/|s|), evaluated as
 // |s|²·recip(1+|s|²)·invsqrt(|s|²)·s.

@@ -90,3 +90,13 @@ func ChoosePartition(p Partition, nb, nl, nh, ch, workers int) Partition {
 	}
 	return PartitionH
 }
+
+// partitionRect maps chunk [lo, hi) of the shard dimension dim
+// (resolved: PartitionB or PartitionH) to the (samples × high-level
+// capsules) rectangle the aggregate and agreement kernels take.
+func partitionRect(dim Partition, nb, nh, lo, hi int) (klo, khi, jlo, jhi int) {
+	if dim == PartitionB {
+		return lo, hi, 0, nh
+	}
+	return 0, nb, lo, hi
+}

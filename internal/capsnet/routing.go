@@ -96,9 +96,6 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 	pd := preds.Data()
 	bd, cd, vd, sd := b.Data(), c.Data(), v.Data(), s.Data()
 
-	// sharedB aliases sample 0's logits when coefficients are shared.
-	sharedB := bd[:nl*nh]
-
 	// Pick the shard dimension once per routing run with the paper's
 	// execution-score model and surface it as a zero-duration marker
 	// stage (iteration = the chosen Partition value) so stage traces
@@ -106,19 +103,34 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 	dim := ChoosePartition(PartitionAuto, nb, nl, nh, ch, runtime.GOMAXPROCS(0))
 	endStage(beginStage(timer, StageRoutingPartition, int(dim)))
 
+	// shardN is the extent of the chosen shard dimension; softRows the
+	// rows Eq. 5 computes (the shared matrix is sample 0's).
+	shardN, softRows, bstride := nb, nb*nl, nl*nh
+	if dim == PartitionH {
+		shardN = nh
+	}
+	if mode == RouteBatchShared {
+		softRows, bstride = nl, 0
+	}
+	workers := maxWorkers(shardN)
+
 	for it := 0; it < iterations; it++ {
 		iterEnd := beginStage(timer, StageRoutingIteration, it)
 
-		// Step 4/6: routing coefficients from agreement logits.
+		// Step 4/6: routing coefficients from agreement logits. Rows are
+		// independent, so they chunk over the workers whatever the shard
+		// dimension is.
 		end := beginStage(timer, StageRoutingSoftmax, it)
-		if mode == RouteBatchShared {
-			softmaxRows(mathOps, cd[:nl*nh], sharedB, nl, nh)
-			for k := 1; k < nb; k++ {
-				copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
-			}
+		if it == 0 {
+			firstIterationCoefficients(mathOps, cd, bd, nh)
 		} else {
-			for k := 0; k < nb; k++ {
-				softmaxRows(mathOps, cd[k*nl*nh:(k+1)*nl*nh], bd[k*nl*nh:(k+1)*nl*nh], nl, nh)
+			parallelChunks(softRows, maxWorkers(softRows), func(_, lo, hi int) {
+				softmaxRows(mathOps, cd[lo*nh:hi*nh], bd[lo*nh:hi*nh], hi-lo, nh)
+			})
+			if mode == RouteBatchShared {
+				for k := 1; k < nb; k++ {
+					copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
+				}
 			}
 		}
 		endStage(end)
@@ -130,15 +142,10 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 		// the serial loop — see kernels.go).
 		end = beginStage(timer, StageRoutingAggregate, it)
 		clear(sd)
-		if dim == PartitionB {
-			parallelChunks(nb, maxWorkers(nb), func(_, lo, hi int) {
-				aggregateSamplesRange(mathOps, pd, cd, sd, vd, nl, nh, ch, lo, hi)
-			})
-		} else {
-			parallelChunks(nh, maxWorkers(nh), func(_, lo, hi int) {
-				aggregateCapsRange(mathOps, pd, cd, sd, vd, nb, nl, nh, ch, lo, hi)
-			})
-		}
+		parallelChunks(shardN, workers, func(_, lo, hi int) {
+			klo, khi, jlo, jhi := partitionRect(dim, nb, nh, lo, hi)
+			aggregateRange(mathOps, pd, cd, sd, vd, nl, nh, ch, klo, khi, jlo, jhi)
+		})
 		endStage(end)
 
 		if it == iterations-1 {
@@ -153,21 +160,12 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 		// and shards the disjoint (i, j) entries under PartitionH with
 		// k ascending per entry — bit-identical either way.
 		end = beginStage(timer, StageRoutingAgreement, it)
-		if mode == RouteBatchShared {
-			if dim == PartitionB {
-				agreementSharedRange(pd, vd, sharedB, nb, nl, nh, ch, 0, nh)
-			} else {
-				parallelChunks(nh, maxWorkers(nh), func(_, lo, hi int) {
-					agreementSharedRange(pd, vd, sharedB, nb, nl, nh, ch, lo, hi)
-				})
-			}
-		} else if dim == PartitionB {
-			parallelChunks(nb, maxWorkers(nb), func(_, lo, hi int) {
-				agreementSamplesRange(pd, vd, bd, nl, nh, ch, lo, hi)
-			})
+		if mode == RouteBatchShared && dim == PartitionB {
+			agreementRange(pd, vd, bd, 0, nl, nh, ch, 0, nb, 0, nh)
 		} else {
-			parallelChunks(nh, maxWorkers(nh), func(_, lo, hi int) {
-				agreementCapsRange(pd, vd, bd, nb, nl, nh, ch, lo, hi)
+			parallelChunks(shardN, workers, func(_, lo, hi int) {
+				klo, khi, jlo, jhi := partitionRect(dim, nb, nh, lo, hi)
+				agreementRange(pd, vd, bd, bstride, nl, nh, ch, klo, khi, jlo, jhi)
 			})
 		}
 		endStage(end)
@@ -175,7 +173,7 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 	}
 	if mode == RouteBatchShared {
 		for k := 1; k < nb; k++ {
-			copy(bd[k*nl*nh:(k+1)*nl*nh], sharedB)
+			copy(bd[k*nl*nh:(k+1)*nl*nh], bd[:nl*nh])
 		}
 	}
 	return RoutingResult{V: v, C: c, B: b}
@@ -198,16 +196,11 @@ func PredictionVectors(u, w *tensor.Tensor) *tensor.Tensor {
 	nh, ch := w.Dim(1), w.Dim(3)
 	out := tensor.New(nb, nl, nh, ch)
 	ud, wd, od := u.Data(), w.Data(), out.Data()
-	// Shard contiguously over the L capsules and keep the batch loop
-	// innermost: each weight row is then streamed once per batch
-	// instead of once per sample, which is the data reuse that makes
-	// micro-batched serving cheaper per request (the paper's W_ij
-	// reuse across the input set, the L-dimension row of Table 2). Per
-	// sample the accumulation order over d is unchanged, so results
-	// stay bit-identical to the sample-at-a-time loop, and each (k, i)
-	// output row is written by exactly one worker.
+	// Shard contiguously over the L capsules: each (k, i) output row is
+	// written by exactly one worker, and a worker walks W_ij once per
+	// pair of samples rather than once per sample (see kernels.go).
 	parallelChunks(nl, maxWorkers(nl), func(_, lo, hi int) {
-		predictionVectorsRange(ud, wd, od, nb, nl, cl, nh, ch, lo, hi, false)
+		predictionVectorsRange(ud, wd, od, nb, nl, cl, nh, ch, lo, hi)
 	})
 	return out
 }
