@@ -8,7 +8,7 @@
 # run against SLO_BASELINE.json.
 
 GO      ?= go
-BENCHES  = $(GO) test -bench=. -benchtime=5x -benchmem -count=6 -run '^$$' .
+BENCHES  = $(GO) test -bench=. -benchtime=5x -benchmem -count=6 -run '^$$' . ./internal/tensor ./internal/capsnet
 
 # One reference operating point shared by baseline and gate so both
 # always measure the same schedule (slogate rejects mismatches).

@@ -28,8 +28,11 @@ import (
 const Tolerance = 0.10
 
 // DefaultHot lists the hot-path benchmarks the gate enforces: the
-// routing and forward kernels the scratch-arena work targets, plus
-// the end-to-end serving throughput they feed.
+// routing and forward kernels the scratch-arena work targets, the
+// end-to-end serving throughput they feed, and the one-core kernel
+// benchmarks of internal/tensor and internal/capsnet on the repository
+// benchmark's shapes — long enough at -benchtime=5x for 10% to mean
+// something, and failing on any allocation.
 var DefaultHot = []string{
 	"BenchmarkDynamicRoutingMNIST",
 	"BenchmarkDynamicRoutingPEMath",
@@ -38,6 +41,18 @@ var DefaultHot = []string{
 	"BenchmarkForwardArenaSteady",
 	"BenchmarkServeThroughput/batch1",
 	"BenchmarkServeThroughput/microbatch8",
+	"BenchmarkConv2DInto/mn1_conv",
+	"BenchmarkConv2DInto/mn1_primary",
+	"BenchmarkConv2DInto/cv288_primary",
+	"BenchmarkConv2DInto/rp3872_primary",
+	"BenchmarkConv2DInto/cv288_conv",
+	"BenchmarkConv2DInto/rp3872_conv",
+	"BenchmarkPredictionVectorsRange/rp3872/nb1",
+	"BenchmarkPredictionVectorsRange/rp3872/nb8",
+	"BenchmarkPredictionVectorsRange/mn1/nb1",
+	"BenchmarkPredictionVectorsRange/mn1/nb8",
+	"BenchmarkPredictionVectorsRange/cv288/nb1",
+	"BenchmarkPredictionVectorsRange/cv288/nb8",
 }
 
 // Stat holds one benchmark's condensed metrics.

@@ -1,5 +1,7 @@
 package capsnet
 
+import "fmt"
+
 // Range kernels for the routing procedure's three hot loops (Eq. 1
 // prediction vectors, Eq. 2+3 aggregation+squash, Eq. 4 agreement),
 // shared by the public DynamicRouting* entry points and the Network's
@@ -10,13 +12,23 @@ package capsnet
 // then i or k ascending) however the range is split or tiled, which is
 // what keeps results bit-identical to a serial sample-at-a-time loop
 // under any B/H partitioning (see Partition) and any batch size.
+//
+// Eq. 1 and Eq. 2 each have two bodies: the Go loops in this file and,
+// where the CPU has AVX2 and ch is a multiple of 8, packed micro-kernels
+// (kernels_amd64.s) whose vector lanes are the ch contiguous output
+// elements — the same independent sums, one rounded multiply and one
+// rounded add per term, so either body gives the same bits. The
+// wrappers here check every length first and hand a kernel exactly the
+// region it may touch.
 
 // aggregateRange performs Eq. 2 (s_j ← Σ_i c_ij·û_j|i) and Eq. 3
 // (v_j ← squash(s_j)) for samples [klo, khi) × high-level capsules
 // [jlo, jhi): the B-partition passes a sample range and all capsules,
 // the H-partition all samples and a capsule range. sd must be
 // pre-zeroed for that rectangle. Per (k, j) the sum over i ascends
-// whatever the rectangle. The multiply-accumulate loop ranges over up
+// whatever the rectangle, and a term whose c_ij is ±0 is skipped, in
+// the Go loop and in aggregateRows (one sample's multiply-accumulate on
+// the packed path) alike. The Go multiply-accumulate loop ranges over up
 // with a capped sp slice: under this function's register pressure a
 // plain counted loop spills its induction variable to the stack on
 // every iteration, which costs ~45% on the whole kernel. For the same
@@ -26,20 +38,28 @@ package capsnet
 //
 //pimcaps:hotpath
 func aggregateRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nl, nh, ch, klo, khi, jlo, jhi int) {
+	checkAggregate(len(pd), len(cd), len(sd), len(vd), nl, nh, ch, klo, khi, jlo, jhi)
+	usePacked := packed && ch > 0 && ch%8 == 0 && nl > 0 && jlo < jhi
 	for k := klo; k < khi; k++ {
 		srow := sd[(k*nh+jlo)*ch : (k*nh+jhi)*ch]
-		for i := 0; i < nl; i++ {
-			r := k*nl + i
-			cs := cd[r*nh+jlo : r*nh+jhi]
-			urow := pd[(r*nh+jlo)*ch : (r*nh+jhi)*ch]
-			for jj, cij := range cs {
-				if cij == 0 {
-					continue
-				}
-				up := urow[jj*ch : (jj+1)*ch]
-				sp := srow[jj*ch : (jj+1)*ch : (jj+1)*ch]
-				for d, u := range up[:len(sp)] {
-					sp[d] += cij * u
+		if usePacked {
+			first, last := k*nl, k*nl+nl-1
+			aggregateRows(srow, cd[first*nh+jlo:last*nh+jhi], pd[(first*nh+jlo)*ch:(last*nh+jhi)*ch],
+				nl, jhi-jlo, ch, nh, nh*ch)
+		} else {
+			for i := 0; i < nl; i++ {
+				r := k*nl + i
+				cs := cd[r*nh+jlo : r*nh+jhi]
+				urow := pd[(r*nh+jlo)*ch : (r*nh+jhi)*ch]
+				for jj, cij := range cs {
+					if cij == 0 {
+						continue
+					}
+					up := urow[jj*ch : (jj+1)*ch]
+					sp := srow[jj*ch : (jj+1)*ch : (jj+1)*ch]
+					for d, u := range up[:len(sp)] {
+						sp[d] += cij * u
+					}
 				}
 			}
 		}
@@ -47,6 +67,26 @@ func aggregateRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nl, nh, ch, k
 			off := (k*nh + j) * ch
 			squashInto(mathOps, vd[off:off+ch], sd[off:off+ch])
 		}
+	}
+}
+
+// checkAggregate is aggregateRange's contract: the rectangle lies
+// inside nb × nh for the batch the buffers hold, and û (np floats), c
+// (nc) and s, v (ns, nv) reach its last sample.
+//
+//pimcaps:hotpath
+func checkAggregate(np, nc, ns, nv, nl, nh, ch, klo, khi, jlo, jhi int) {
+	if nl < 0 || nh < 0 || ch < 0 || klo < 0 || klo > khi || jlo < 0 || jlo > jhi || jhi > nh {
+		panic(fmt.Sprintf("capsnet: aggregateRange rectangle [%d,%d)×[%d,%d) outside L=%d H=%d CH=%d", klo, khi, jlo, jhi, nl, nh, ch))
+	}
+	if np < khi*nl*nh*ch {
+		panic(fmt.Sprintf("capsnet: aggregateRange û length %d, want ≥ %d", np, khi*nl*nh*ch))
+	}
+	if nc < khi*nl*nh {
+		panic(fmt.Sprintf("capsnet: aggregateRange c length %d, want ≥ %d", nc, khi*nl*nh))
+	}
+	if ns < khi*nh*ch || nv < khi*nh*ch {
+		panic(fmt.Sprintf("capsnet: aggregateRange s, v lengths %d, %d, want ≥ %d", ns, nv, khi*nh*ch))
 	}
 }
 
@@ -85,13 +125,14 @@ func agreementRange(pd, vd, bd []float32, bstride, nl, nh, ch, klo, khi, jlo, jh
 //
 // Per capsule i the nh cl×ch blocks W_ij (8×16 in every model this
 // repository ships: 5 KB per capsule, L1-resident) are walked once per
-// pair of samples: the W_ij reuse across the input set that makes
-// micro-batched serving cheaper per request, the L-dimension row of
-// the paper's Table 2. Tiling only
-// changes which outputs are computed together: every output element is
-// its own sum over d ascending from +0, so the result does not depend
-// on the batch size, on whether a sample was paired, or on where an
-// element falls in a tile.
+// group of samples — four on the packed path (predictionVectorsPacked),
+// a pair in the Go loop below: the W_ij reuse across the input set
+// that makes micro-batched serving cheaper per request, the
+// L-dimension row of the paper's Table 2. Tiling only changes which
+// outputs are computed together: every output element is its own sum
+// over d ascending from +0, so the result does not depend on the batch
+// size, on how a sample was grouped, on where an element falls in a
+// tile, or on which path ran.
 //
 // A u row holding an exact zero goes through predictionRowSkipZero
 // instead. For finite weights the two agree bit for bit (a sum that
@@ -102,6 +143,22 @@ func agreementRange(pd, vd, bd []float32, bstride, nl, nh, ch, klo, khi, jlo, jh
 //
 //pimcaps:hotpath
 func predictionVectorsRange(ud, wd, od []float32, nb, nl, cl, nh, ch, lo, hi int) {
+	if nb < 0 || cl < 0 || nh < 0 || ch < 0 || lo < 0 || lo > hi || hi > nl {
+		panic(fmt.Sprintf("capsnet: predictionVectorsRange capsules [%d,%d) outside B=%d L=%d CL=%d H=%d CH=%d", lo, hi, nb, nl, cl, nh, ch))
+	}
+	if len(ud) < nb*nl*cl {
+		panic(fmt.Sprintf("capsnet: predictionVectorsRange u length %d, want ≥ %d", len(ud), nb*nl*cl))
+	}
+	if len(wd) < hi*nh*cl*ch {
+		panic(fmt.Sprintf("capsnet: predictionVectorsRange W length %d, want ≥ %d", len(wd), hi*nh*cl*ch))
+	}
+	if len(od) < nb*nl*nh*ch {
+		panic(fmt.Sprintf("capsnet: predictionVectorsRange û length %d, want ≥ %d", len(od), nb*nl*nh*ch))
+	}
+	if packed && ch > 0 && ch%8 == 0 && cl > 0 && nh > 0 {
+		predictionVectorsPacked(ud, wd, od, nb, nl, cl, nh, ch, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		wi := wd[i*nh*cl*ch : (i+1)*nh*cl*ch]
 		k := 0
@@ -129,6 +186,44 @@ func predictionVectorsRange(ud, wd, od []float32, nb, nl, cl, nh, ch, lo, hi int
 	}
 }
 
+// predictionVectorsPacked is predictionVectorsRange on the packed
+// micro-kernels: per capsule, four samples at a time share one walk of
+// W_ij (predTile4), the nb%4 left over go singly (predTile1), and a u
+// row holding an exact zero still takes predictionRowSkipZero — with
+// it the rest of its group of four, singly.
+//
+//pimcaps:hotpath
+func predictionVectorsPacked(ud, wd, od []float32, nb, nl, cl, nh, ch, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		wi := wd[i*nh*cl*ch : (i+1)*nh*cl*ch]
+		k := 0
+		for ; k+4 <= nb; k += 4 {
+			first, last := k*nl+i, (k+3)*nl+i
+			us := ud[first*cl : (last+1)*cl]
+			if hasZero(us[:cl]) || hasZero(us[nl*cl:][:cl]) || hasZero(us[2*nl*cl:][:cl]) || hasZero(us[3*nl*cl:]) {
+				for r := first; r <= last; r += nl {
+					predictionRowPacked(ud[r*cl:(r+1)*cl], wi, od[r*nh*ch:(r+1)*nh*ch], nh, ch)
+				}
+				continue
+			}
+			predTile4(us, wi, od[first*nh*ch:(last+1)*nh*ch], nl*cl, nl*nh*ch, nh, cl, ch)
+		}
+		for ; k < nb; k++ {
+			r := k*nl + i
+			predictionRowPacked(ud[r*cl:(r+1)*cl], wi, od[r*nh*ch:(r+1)*nh*ch], nh, ch)
+		}
+	}
+}
+
+//pimcaps:hotpath
+func predictionRowPacked(u0, wi, o0 []float32, nh, ch int) {
+	if hasZero(u0) {
+		predictionRowSkipZero(u0, wi, o0, ch)
+		return
+	}
+	predTile1(u0, wi, o0, nh, len(u0), ch)
+}
+
 //pimcaps:hotpath
 func hasZero(xs []float32) bool {
 	for _, v := range xs {
@@ -144,8 +239,8 @@ func hasZero(xs []float32) bool {
 // len(u0)×ch) it computes both output rows, 2 samples × 3 outputs at a
 // time, so a step over d loads 5 values for 6 multiply-adds and the
 // six sums are independent chains. Six is the most this compiler keeps
-// in registers (see tensor.dot2x3). The ch%3 outputs left over take a
-// 2×1 tile.
+// in registers (see tensor.dot2x3); predTile4 advances 64. The ch%3
+// outputs left over take a 2×1 tile.
 //
 //pimcaps:hotpath
 func predictionRowPair(u0, u1, w, o0, o1 []float32, ch int) {

@@ -50,25 +50,28 @@ func sameBits(a, b []float32) (int, bool) {
 }
 
 // TestPredictionVectorsRangeTileEdgesBitIdentical walks every way an
-// output element can fall in predictionVectorsRange's tiles — paired
-// and odd samples, full and partial output tiles, ranges that start
-// past capsule 0 — plus the zero-entry fallback, against the naive
-// loop. The destination starts as NaN inside the range and as a
-// sentinel outside it: the kernel must store every element of the
-// range without reading it, and touch nothing else.
+// output element can fall in predictionVectorsRange's tiles, Go and
+// packed — samples in pairs, fours and left over, output widths that
+// are and are not whole vectors, ranges that start past capsule 0 —
+// plus the zero-entry fallback, against the naive loop. The
+// destination starts as NaN inside the range and as a sentinel outside
+// it, and u and W are carved out of NaN margins: the kernel must store
+// every element of the range without reading it, read nothing that
+// reaches a sum from outside u and W, and touch nothing else.
+// TestIdentitySuiteOnGoKernels runs it again with the packed path off.
 func TestPredictionVectorsRangeTileEdgesBitIdentical(t *testing.T) {
 	const nl = 5
 	const sentinel = float32(-12345)
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
 	ranges := [][2]int{{0, nl}, {1, 4}, {2, 3}, {3, nl}}
-	for _, nb := range []int{1, 2, 3, 8} {
+	for _, nb := range []int{1, 2, 3, 4, 5, 7, 8} {
 		for _, cl := range []int{1, 8} {
-			for _, ch := range []int{1, 3, 4, 16, 17} {
+			for _, ch := range []int{1, 3, 4, 8, 16, 17, 24} {
 				for _, nh := range []int{1, 10} {
 					rng := rand.New(rand.NewSource(int64(nb*1000 + cl*100 + ch*10 + nh)))
-					ud := make([]float32, nb*nl*cl)
-					wd := make([]float32, nl*nh*cl*ch)
+					ud, udOK := guarded(nb*nl*cl, nan)
+					wd, wdOK := guarded(nl*nh*cl*ch, nan)
 					for i := range ud {
 						ud[i] = rng.Float32() - 0.5
 					}
@@ -130,6 +133,9 @@ func TestPredictionVectorsRangeTileEdgesBitIdentical(t *testing.T) {
 							if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 								t.Fatalf("%s: element %d is %v, want finite", name, x, v)
 							}
+						}
+						if !udOK() || !wdOK() {
+							t.Fatalf("%s: wrote outside u (%v) or W (%v)", name, udOK(), wdOK())
 						}
 					}
 				}
@@ -293,5 +299,52 @@ func BenchmarkPredictionVectorsRange(b *testing.B) {
 				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
+	}
+}
+
+// BenchmarkAggregateRange times Eq. 2+3 alone — one routing
+// iteration's aggregate over a batch of 8, all capsules, one core — on
+// the same three digit-layer shapes, and reports GMAC/s next to the
+// GB/s of û it streams: the stage reads every prediction vector once
+// for one multiply-add each, so it is the memory side of the roofline
+// that bounds it, not BenchmarkPackedMulAddPeak.
+func BenchmarkAggregateRange(b *testing.B) {
+	const nb, nh, ch = 8, 10, 16
+	for _, sh := range []struct {
+		name string
+		nl   int
+	}{
+		{"rp3872", 3872},
+		{"mn1", 1152},
+		{"cv288", 288},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			pd := make([]float32, nb*sh.nl*nh*ch)
+			cd := make([]float32, nb*sh.nl*nh)
+			for i := range pd {
+				pd[i] = rng.Float32() - 0.5
+			}
+			for i := range cd {
+				cd[i] = rng.Float32() / nh
+			}
+			sd := make([]float32, nb*nh*ch)
+			vd := make([]float32, nb*nh*ch)
+			run := func() {
+				clear(sd)
+				aggregateRange(ExactMath{}, pd, cd, sd, vd, sh.nl, nh, ch, 0, nb, 0, nh)
+			}
+			if a := testing.AllocsPerRun(1, run); a != 0 {
+				b.Fatalf("aggregateRange allocates %v times per call, want 0", a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			macs := float64(len(pd))
+			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			b.ReportMetric(4*macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
 	}
 }

@@ -38,17 +38,9 @@ func (s ConvSpec) Validate() error {
 //
 //pimcaps:hotpath
 func Im2ColInto(cols, input []float32, spec ConvSpec, h, w int) {
+	checkIm2Col(cols, input, spec, h, w)
 	cin := spec.Cin
-	if len(input) != cin*h*w {
-		panic(fmt.Sprintf("tensor: Im2ColInto input length %d, want %d×%d×%d", len(input), cin, h, w))
-	}
 	oh, ow := spec.OutSize(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2ColInto kernel %d does not fit %dx%d input", spec.K, h, w))
-	}
-	if len(cols) != oh*ow*cin*spec.K*spec.K {
-		panic(fmt.Sprintf("tensor: Im2ColInto cols length %d, want %d", len(cols), oh*ow*cin*spec.K*spec.K))
-	}
 	row := 0
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -63,6 +55,71 @@ func Im2ColInto(cols, input []float32, spec ConvSpec, h, w int) {
 				}
 			}
 			row++
+		}
+	}
+}
+
+// checkIm2Col is the contract of both im2col layouts: the input is
+// Cin×h×w, the kernel fits it, and cols holds exactly the lowered
+// matrix.
+//
+//pimcaps:hotpath
+func checkIm2Col(cols, input []float32, spec ConvSpec, h, w int) {
+	cin := spec.Cin
+	if len(input) != cin*h*w {
+		panic(fmt.Sprintf("tensor: Im2ColInto input length %d, want %d×%d×%d", len(input), cin, h, w))
+	}
+	oh, ow := spec.OutSize(h, w)
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: Im2ColInto kernel %d does not fit %dx%d input", spec.K, h, w))
+	}
+	if len(cols) != oh*ow*cin*spec.K*spec.K {
+		panic(fmt.Sprintf("tensor: Im2ColInto cols length %d, want %d", len(cols), oh*ow*cin*spec.K*spec.K))
+	}
+}
+
+// im2colTransposedInto writes rows [j0, j1) of the transposed lowered
+// matrix: cols[j·n + r] is what Im2ColInto puts at cols[r·kk + j]. A
+// row is one kernel tap (c, ky, kx) at all n output positions, so
+// eight consecutive floats are eight output positions — the lanes of
+// the packed micro-kernel. At stride 1 an output row is a contiguous
+// run of the input.
+//
+//pimcaps:hotpath
+func im2colTransposedInto(cols, input []float32, spec ConvSpec, h, w, j0, j1 int) {
+	oh, ow := spec.OutSize(h, w)
+	n := oh * ow
+	k := spec.K
+	c, ky, kx := j0/(k*k), j0/k%k, j0%k
+	for j := j0; j < j1; j++ {
+		lowerTap(cols[j*n:(j+1)*n], input[c*h*w+ky*w+kx:], ow, spec.Stride, spec.Stride*w)
+		if kx++; kx == k {
+			kx = 0
+			if ky++; ky == k {
+				ky = 0
+				c++
+			}
+		}
+	}
+}
+
+// lowerTap fills one row of the transposed matrix: for every output
+// row, ow values of src taken stride apart, with src advancing step
+// floats from one output row to the next.
+//
+//pimcaps:hotpath
+func lowerTap(row, src []float32, ow, stride, step int) {
+	if stride == 1 {
+		for si := 0; len(row) > 0; row, si = row[ow:], si+step {
+			copy(row[:ow], src[si:si+ow])
+		}
+		return
+	}
+	for si := 0; len(row) > 0; row, si = row[ow:], si+step {
+		in := src[si : si+(ow-1)*stride+1]
+		out := row[:ow]
+		for ox := range out {
+			out[ox] = in[ox*stride]
 		}
 	}
 }
@@ -91,13 +148,14 @@ func Im2Col(input *Tensor, spec ConvSpec) *Tensor {
 // Cout×oh×ow result into dst. cols is the im2col scratch, length
 // (oh*ow)·(Cin·K·K). Every element of dst is overwritten.
 //
-// The product weights·colsᵀ is walked in register tiles of 2 output
-// channels × 3 output positions (dot2x3), with single dot products for
-// the n%3 positions and the odd channel left over. Tiling only changes
-// which outputs are computed together: every output is still its own
-// sum over j ascending from +0 with the bias added last, so the result
+// The product weights·colsᵀ is walked in register tiles: 8 output
+// channels × 8 output positions by the packed micro-kernel where the
+// CPU has one (convPacked), 2 × 3 in Go otherwise (convTiled). Tiling
+// only changes which outputs are computed together: every output is
+// still its own sum over j ascending from +0, one rounded multiply and
+// one rounded add per term, with the bias added last, so the result
 // does not depend on the tile shape, on where an output falls in a
-// tile, or on whether it was an edge.
+// tile, on whether it was an edge, or on which of the two paths ran.
 //
 //pimcaps:hotpath
 func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w int) {
@@ -113,9 +171,76 @@ func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w i
 	if bias != nil && len(bias) != spec.Cout {
 		panic(fmt.Sprintf("tensor: Conv2DInto bias length %d, want %d", len(bias), spec.Cout))
 	}
-	Im2ColInto(cols, input, spec, h, w)
+	if packed {
+		checkIm2Col(cols, input, spec, h, w)
+		convPacked(dst, cols, input, weights, spec, h, w)
+	} else {
+		Im2ColInto(cols, input, spec, h, w)
+		convTiled(dst, cols, weights, spec.Cout, n, kk)
+	}
+	for ch, b := range bias {
+		out := dst[ch*n : (ch+1)*n]
+		for r := range out {
+			out[r] += b
+		}
+	}
+}
+
+// convKC is the reduction block of convPacked. Measured on the 2-vCPU
+// Xeon dev host, one core, best of 3, GMAC/s for mn1's PrimaryCaps
+// (kk = 20736, n = 36) / cv288's (kk = 5184): 64 → 15.4 / 15.7,
+// 128 → 19.9 / 15.9, 256 → 19.4 / 17.0, 512 → 19.8 / 16.4,
+// 1024 → 20.0 / 15.6, unblocked → 7.4 / 12.1 — a plateau from 128 up,
+// and a cliff without the block: mn1's 3 MB of cols then streams from
+// L3 once per channel group.
+const convKC = 256
+
+// convPacked is the packed path of Conv2DInto: dst = weights·cols over
+// the transposed im2col matrix, 8 channels × 8 positions at a time.
+// The reduction runs in blocks of convKC taps so that a block of cols
+// (convKC·n floats, lowered just before it is used) and a channel
+// group's weights stay cache-resident while every tile of the block is
+// computed; between blocks the partial sums rest in dst itself, which
+// rounds nothing and keeps j ascending. The last n%8 positions are
+// masked lanes of the same tile, the last Cout%8 channels go one at a
+// time. Each kernel gets exactly the region it may touch, so a shape
+// the checks above missed panics here, not in the kernel.
+//
+//pimcaps:hotpath
+func convPacked(dst, cols, input, weights []float32, spec ConvSpec, h, w int) {
+	oh, ow := spec.OutSize(h, w)
+	n := oh * ow
+	kk := spec.Cin * spec.K * spec.K
+	for j0 := 0; j0 < kk; j0 += convKC {
+		kc := min(convKC, kk-j0)
+		im2colTransposedInto(cols, input, spec, h, w, j0, j0+kc)
+		co := 0
+		for ; co+8 <= spec.Cout; co += 8 {
+			for r := 0; r < n; r += 8 {
+				lanes := min(8, n-r)
+				convTile8x8(dst[co*n+r:(co+7)*n+r+lanes], weights[co*kk+j0:(co+7)*kk+j0+kc],
+					cols[j0*n+r:(j0+kc-1)*n+r+lanes], n, kk, kc, lanes, j0 == 0)
+			}
+		}
+		for ; co < spec.Cout; co++ {
+			for r := 0; r < n; r += 8 {
+				lanes := min(8, n-r)
+				convTile1x8(dst[co*n+r:co*n+r+lanes], weights[co*kk+j0:co*kk+j0+kc],
+					cols[j0*n+r:(j0+kc-1)*n+r+lanes], n, kc, lanes, j0 == 0)
+			}
+		}
+	}
+}
+
+// convTiled is the Go path of Conv2DInto, and the reference the packed
+// one is tested against: 2 output channels × 3 output positions
+// (dot2x3), with single dot products for the n%3 positions and the odd
+// channel left over.
+//
+//pimcaps:hotpath
+func convTiled(dst, cols, weights []float32, cout, n, kk int) {
 	co := 0
-	for ; co+2 <= spec.Cout; co += 2 {
+	for ; co+2 <= cout; co += 2 {
 		w0 := weights[co*kk : (co+1)*kk]
 		w1 := weights[(co+1)*kk : (co+2)*kk]
 		o0 := dst[co*n : (co+1)*n]
@@ -130,17 +255,11 @@ func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w i
 			o0[r], o1[r] = dot(w0, crow), dot(w1, crow)
 		}
 	}
-	if co < spec.Cout {
+	if co < cout {
 		wrow := weights[co*kk : (co+1)*kk]
 		out := dst[co*n : (co+1)*n]
 		for r := range out {
 			out[r] = dot(wrow, cols[r*kk:(r+1)*kk])
-		}
-	}
-	for ch, b := range bias {
-		out := dst[ch*n : (ch+1)*n]
-		for r := range out {
-			out[r] += b
 		}
 	}
 }
@@ -154,7 +273,9 @@ func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w i
 // sinks a loop body's final adds below all of its multiplies, so N
 // sums and N products are live together and 2N must fit the 15
 // allocatable XMM registers. The 8-sum tiles (4×2, 2×4) spill three
-// values a step and run 30% slower than this one.
+// values a step and run 30% slower than this one. That is the limit of
+// the Go path only: convTile8x8 advances 64 sums a step, and this tile
+// is what it is tested against.
 //
 //pimcaps:hotpath
 func dot2x3(w0, w1, c0, c1, c2 []float32) (s00, s01, s02, s10, s11, s12 float32) {

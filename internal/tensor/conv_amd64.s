@@ -1,0 +1,226 @@
+#include "textflag.h"
+
+// Packed micro-kernels of Conv2DInto (see conv.go). A vector lane is
+// one output position, so every lane is one of the Go tile's
+// independent sums: VMULPS then VADDPS (never FMA), j ascending, the
+// running sum as the add's first source. Each output therefore goes
+// through exactly the rounded operations dot2x3 gives it.
+
+// laneMask<> + 4·(8−lanes) is a VMASKMOVPS mask with the first `lanes`
+// lanes set.
+DATA laneMask<>+0(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+8(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+16(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+24(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+32(SB)/8, $0
+DATA laneMask<>+40(SB)/8, $0
+DATA laneMask<>+48(SB)/8, $0
+DATA laneMask<>+56(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA|NOPTR, $64
+
+// func cpuHasAVX2() bool
+//
+// CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1–2 (the OS saves XMM and YMM
+// state), CPUID.7.0:EBX AVX2.
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	MOVL $0, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+no:
+	RET
+
+// One reduction step of channel row `mem` into accumulator `acc`:
+// broadcast the weight, multiply by the 8 positions in Y8, add.
+#define MULADD(mem, acc) \
+	VBROADCASTSS mem, Y9 \
+	VMULPS       Y9, Y8, Y9 \
+	VADDPS       Y9, acc, acc
+
+// Eight channel rows at BX+{0,1,2}·SI, R8+{0,1,2}·SI, R9+{0,1}·SI.
+#define STEP8 \
+	MULADD((BX), Y0) \
+	MULADD((BX)(SI*1), Y1) \
+	MULADD((BX)(SI*2), Y2) \
+	MULADD((R8), Y3) \
+	MULADD((R8)(SI*1), Y4) \
+	MULADD((R8)(SI*2), Y5) \
+	MULADD((R9), Y6) \
+	MULADD((R9)(SI*1), Y7) \
+	ADDQ $4, BX \
+	ADDQ $4, R8 \
+	ADDQ $4, R9 \
+	ADDQ DX, CX
+
+// func convTile8x8(acc, w, cols []float32, n, kk, kc, lanes int, first bool)
+//
+// acc[c·n + p] (+)= Σ_{j<kc} w[c·kk + j] · cols[j·n + p] for channels
+// c < 8 and positions p < lanes ≤ 8. first starts the sums at +0
+// instead of loading them. Lanes ≥ `lanes` are neither loaded nor
+// stored.
+TEXT ·convTile8x8(SB), NOSPLIT, $0-105
+	MOVQ acc_base+0(FP), AX
+	MOVQ w_base+24(FP), BX
+	MOVQ cols_base+48(FP), CX
+	MOVQ n+72(FP), DX
+	MOVQ kk+80(FP), SI
+	MOVQ kc+88(FP), DI
+	MOVQ lanes+96(FP), R10
+	SHLQ $2, DX
+	SHLQ $2, SI
+	LEAQ (SI)(SI*2), R11
+	LEAQ (BX)(R11*1), R8
+	LEAQ (R8)(R11*1), R9
+	LEAQ (DX)(DX*2), R11             // 3 acc rows
+
+	LEAQ laneMask<>(SB), R12
+	NEGQ R10
+	VMOVDQU 32(R12)(R10*4), Y10
+
+	MOVBLZX first+104(FP), R12
+	TESTQ   R12, R12
+	JZ      load8
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	JMP     run8
+
+load8:
+	LEAQ       (AX)(R11*1), R12
+	VMASKMOVPS (AX), Y10, Y0
+	VMASKMOVPS (AX)(DX*1), Y10, Y1
+	VMASKMOVPS (AX)(DX*2), Y10, Y2
+	VMASKMOVPS (R12), Y10, Y3
+	VMASKMOVPS (R12)(DX*1), Y10, Y4
+	VMASKMOVPS (R12)(DX*2), Y10, Y5
+	LEAQ       (R12)(R11*1), R12
+	VMASKMOVPS (R12), Y10, Y6
+	VMASKMOVPS (R12)(DX*1), Y10, Y7
+
+run8:
+	CMPQ R10, $-8
+	JNE  edge8
+
+full8:
+	VMOVUPS (CX), Y8
+	STEP8
+	DECQ    DI
+	JNZ     full8
+	JMP     store8
+
+edge8:
+	VMASKMOVPS (CX), Y10, Y8
+	STEP8
+	DECQ       DI
+	JNZ        edge8
+
+store8:
+	LEAQ       (AX)(R11*1), R12
+	VMASKMOVPS Y0, Y10, (AX)
+	VMASKMOVPS Y1, Y10, (AX)(DX*1)
+	VMASKMOVPS Y2, Y10, (AX)(DX*2)
+	VMASKMOVPS Y3, Y10, (R12)
+	VMASKMOVPS Y4, Y10, (R12)(DX*1)
+	VMASKMOVPS Y5, Y10, (R12)(DX*2)
+	LEAQ       (R12)(R11*1), R12
+	VMASKMOVPS Y6, Y10, (R12)
+	VMASKMOVPS Y7, Y10, (R12)(DX*1)
+	VZEROUPPER
+	RET
+
+// func convTile1x8(acc, w, cols []float32, n, kc, lanes int, first bool)
+//
+// The Cout%8 edge: convTile8x8 for a single channel.
+TEXT ·convTile1x8(SB), NOSPLIT, $0-97
+	MOVQ acc_base+0(FP), AX
+	MOVQ w_base+24(FP), BX
+	MOVQ cols_base+48(FP), CX
+	MOVQ n+72(FP), DX
+	MOVQ kc+80(FP), DI
+	MOVQ lanes+88(FP), R10
+	SHLQ $2, DX
+
+	LEAQ laneMask<>(SB), R12
+	NEGQ R10
+	VMOVDQU 32(R12)(R10*4), Y10
+
+	VXORPS  Y0, Y0, Y0
+	MOVBLZX first+96(FP), R12
+	TESTQ   R12, R12
+	JNZ     loop1
+	VMASKMOVPS (AX), Y10, Y0
+
+loop1:
+	VMASKMOVPS (CX), Y10, Y8
+	MULADD((BX), Y0)
+	ADDQ $4, BX
+	ADDQ DX, CX
+	DECQ DI
+	JNZ  loop1
+
+	VMASKMOVPS Y0, Y10, (AX)
+	VZEROUPPER
+	RET
+
+// func packedMulAddPeak(steps int)
+//
+// What convTile8x8's arithmetic costs with nothing to load: steps ×
+// (8 VMULPS + 8 VADDPS) on register operands, the eight sums
+// independent. BenchmarkPackedMulAddPeak reports it as this core's
+// packed non-fused ceiling.
+TEXT ·packedMulAddPeak(SB), NOSPLIT, $0-8
+	MOVQ steps+0(FP), DI
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+
+peak:
+	VMULPS Y9, Y8, Y10
+	VADDPS Y10, Y0, Y0
+	VMULPS Y9, Y8, Y11
+	VADDPS Y11, Y1, Y1
+	VMULPS Y9, Y8, Y12
+	VADDPS Y12, Y2, Y2
+	VMULPS Y9, Y8, Y13
+	VADDPS Y13, Y3, Y3
+	VMULPS Y9, Y8, Y10
+	VADDPS Y10, Y4, Y4
+	VMULPS Y9, Y8, Y11
+	VADDPS Y11, Y5, Y5
+	VMULPS Y9, Y8, Y12
+	VADDPS Y12, Y6, Y6
+	VMULPS Y9, Y8, Y13
+	VADDPS Y13, Y7, Y7
+	DECQ   DI
+	JNZ    peak
+	VZEROUPPER
+	RET

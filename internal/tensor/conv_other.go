@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package tensor
+
+// packed is never set off amd64: Conv2DInto always takes the Go tile.
+var packed = false
+
+func convTile8x8(acc, w, cols []float32, n, kk, kc, lanes int, first bool) {
+	panic("tensor: packed convolution kernel called off amd64")
+}
+
+func convTile1x8(acc, w, cols []float32, n, kc, lanes int, first bool) {
+	panic("tensor: packed convolution kernel called off amd64")
+}

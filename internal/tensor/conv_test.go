@@ -55,10 +55,11 @@ func TestConv2DIntoTileEdgesBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkConv2DInto times the one dense kernel on the four front-end
-// shapes the repository benchmark's models (bench/workloads.go) spend
-// their conv time in, and reports GMAC/s so a run reads directly
-// against the benchmark's host.fma_gmacs scalar ceiling.
+// BenchmarkConv2DInto times the one dense kernel on the six front-end
+// shapes of the repository benchmark's models (bench/workloads.go) and
+// reports GMAC/s, so a run reads directly against this core's two
+// ceilings: the benchmark's scalar host.fma_gmacs and the packed
+// BenchmarkPackedMulAddPeak.
 func BenchmarkConv2DInto(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -69,6 +70,8 @@ func BenchmarkConv2DInto(b *testing.B) {
 		{"mn1_primary", ConvSpec{Cin: 256, Cout: 256, K: 9, Stride: 2}, 20, 20},
 		{"cv288_primary", ConvSpec{Cin: 64, Cout: 64, K: 9, Stride: 2}, 20, 20},
 		{"rp3872_primary", ConvSpec{Cin: 8, Cout: 256, K: 3, Stride: 2}, 24, 24},
+		{"cv288_conv", ConvSpec{Cin: 1, Cout: 64, K: 9, Stride: 1}, 28, 28},
+		{"rp3872_conv", ConvSpec{Cin: 1, Cout: 8, K: 5, Stride: 1}, 28, 28},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
