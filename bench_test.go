@@ -10,16 +10,8 @@
 package pimcapsnet_bench
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/core"
@@ -28,7 +20,6 @@ import (
 	"pimcapsnet/internal/gpusim"
 	"pimcapsnet/internal/hmc"
 	"pimcapsnet/internal/pimexec"
-	"pimcapsnet/internal/serve"
 	"pimcapsnet/internal/tensor"
 	"pimcapsnet/internal/workload"
 )
@@ -260,103 +251,5 @@ func BenchmarkFullTrainerStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.TrainBatch(batch, labels)
-	}
-}
-
-// --- serving-path benchmarks ---
-
-// BenchmarkServeThroughput compares serving throughput with
-// micro-batching disabled (max-batch 1) and enabled (max-batch 8) on
-// Caps-MN1-sized inputs (28×28×1), with 16 concurrent HTTP clients.
-// The model mirrors the paper's §1 bottleneck profile — a light conv
-// front end feeding a large routed capsule layer, so the routing
-// procedure dominates inference as it does for the paper's GPU
-// baseline (74.6%) — which is the regime where sharing a forward pass
-// across requests pays. This is the serving-path perf baseline for
-// future PRs: the req/s metric of the microbatch8 case should stay
-// measurably above batch1 (batched PredictionVectors streams the W_ij
-// tensor once per batch instead of once per request; on multi-core
-// hosts parallelFor additionally fans the batch out over GOMAXPROCS).
-func BenchmarkServeThroughput(b *testing.B) {
-	cfg := capsnet.Config{
-		InputChannels: 1, InputH: 28, InputW: 28,
-		ConvChannels: 8, ConvKernel: 5, ConvStride: 1,
-		PrimaryChannels: 32, PrimaryDim: 8, PrimaryKernel: 3, PrimaryStride: 2,
-		Classes: 10, DigitDim: 16, RoutingIterations: 3,
-		Seed: 1,
-	}
-	net, err := capsnet.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(net.Close)
-	rng := rand.New(rand.NewSource(3))
-	img := make([]float32, net.ImageLen())
-	for i := range img {
-		img[i] = float32(rng.Float64())
-	}
-	body, err := json.Marshal(serve.ClassifyRequest{Image: img})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	const clients = 16
-	for _, mode := range []struct {
-		name     string
-		maxBatch int
-	}{
-		{"batch1", 1},
-		{"microbatch8", 8},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			srv, err := serve.New(net, capsnet.ExactMath{}, serve.Config{
-				MaxBatch: mode.maxBatch,
-				// Generous fill window so saturated batches actually
-				// reach MaxBatch; with eager clients the batch fills
-				// long before the timer fires.
-				MaxDelay:       20 * time.Millisecond,
-				QueueSize:      1024,
-				RequestTimeout: time.Minute,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			// The default transport keeps only two idle connections
-			// per host; with 16 concurrent clients that means constant
-			// TCP churn, which drowns the signal on small runs.
-			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
-			b.ResetTimer()
-			work := make(chan struct{}, b.N)
-			for i := 0; i < b.N; i++ {
-				work <- struct{}{}
-			}
-			close(work)
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for range work {
-						resp, err := client.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK {
-							b.Errorf("status %d", resp.StatusCode)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			ts.Close()
-			srv.Close(context.Background())
-		})
 	}
 }

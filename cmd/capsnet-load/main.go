@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -354,29 +355,11 @@ func scrapeStages(client *http.Client, url string) map[string]float64 {
 		return nil
 	}
 	defer resp.Body.Close()
-	var sb strings.Builder
-	if _, err := ioCopy(&sb, resp); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return nil
 	}
-	return loadgen.ParseStageSums(sb.String())
-}
-
-// ioCopy reads the response body (split out so scrapeStages stays
-// small).
-func ioCopy(sb *strings.Builder, resp *http.Response) (int64, error) {
-	buf := make([]byte, 32*1024)
-	var n int64
-	for {
-		k, err := resp.Body.Read(buf)
-		sb.Write(buf[:k])
-		n += int64(k)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return n, nil
-			}
-			return n, err
-		}
-	}
+	return loadgen.ParseStageSums(string(body))
 }
 
 // printStages renders the Figure-3 correlation table.

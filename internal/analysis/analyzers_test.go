@@ -36,7 +36,7 @@ func TestFloateqcheck(t *testing.T) {
 
 func TestPaniccheck(t *testing.T) {
 	t.Parallel()
-	analysistest.Run(t, analysis.Paniccheck, "paniccheck")
+	analysistest.Run(t, analysis.Paniccheck, "paniccheck", "paniccheck/kept")
 }
 
 func TestCtxcheck(t *testing.T) {

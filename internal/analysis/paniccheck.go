@@ -9,16 +9,16 @@ import (
 // process, which is exactly what the fault-injection campaign guards
 // against. Two rules:
 //
-//  1. Function literals handed to parallelFor, parallelChunks, or
-//     runChunks must not call panic directly. Worker bodies signal
+//  1. Function literals handed to runChunks, capsnet's one chunk
+//     dispatcher, must not call panic directly. Worker bodies signal
 //     failure by writing results the caller validates; panics that do
 //     occur (index errors, injected faults) are the wrapper's job.
-//  2. The dispatchers themselves — functions named parallelFor or
-//     parallelChunks, and the chunkJob.run method the persistent pool
-//     executes — must keep a deferred recover() wrapper, so worker
-//     panics are captured and re-raised on the calling goroutine.
-//     Deleting the wrapper would turn a poisoned batch into a process
-//     crash and is the regression this rule exists to block.
+//  2. The chunkJob.run method every chunk of a dispatch executes
+//     through — inline or on a pool worker — must keep a deferred
+//     recover() wrapper, so worker panics are captured and re-raised
+//     on the calling goroutine. Deleting the wrapper would turn a
+//     poisoned batch into a process crash and is the regression this
+//     rule exists to block.
 //
 // Test files are exempt: the robustness tests panic inside worker
 // bodies on purpose to prove rule 2's wrapper works.
@@ -31,17 +31,13 @@ var Paniccheck = &Analyzer{
 // dispatcherFuncs names the functions rule 2 protects: receiver type
 // name (empty for plain functions) and function name.
 var dispatcherFuncs = []struct{ recv, name string }{
-	{"", "parallelFor"},
-	{"", "parallelChunks"},
 	{"chunkJob", "run"},
 }
 
 // workerTakers names the call targets whose function-literal arguments
 // are worker bodies (rule 1).
 var workerTakers = map[string]bool{
-	"parallelFor":    true,
-	"parallelChunks": true,
-	"runChunks":      true,
+	"runChunks": true,
 }
 
 func runPaniccheck(pass *Pass) error {

@@ -1,54 +1,37 @@
 // Package paniccheck holds the goldens for the worker-pool panic
 // analyzer: rule 1 (no direct panic in worker bodies) and rule 2
-// (dispatchers keep their recover-and-repanic wrapper).
+// (the dispatcher keeps its recover-and-repanic wrapper; the sibling
+// package kept holds the clean declaration).
 package paniccheck
-
-// parallelFor keeps the deferred recover wrapper rule 2 requires, so
-// its declaration is clean.
-func parallelFor(n int, fn func(lo, hi int)) {
-	defer func() {
-		if p := recover(); p != nil {
-			panic(p)
-		}
-	}()
-	fn(0, n)
-}
-
-// parallelChunks dropped its wrapper: rule 2 flags the declaration.
-func parallelChunks(n int, fn func(worker, lo, hi int)) { // want `parallelChunks must keep its deferred recover-and-repanic wrapper`
-	fn(0, 0, n)
-}
 
 type chunkJob struct{}
 
+// run dropped its wrapper: rule 2 flags the declaration.
 func (j *chunkJob) run() { // want `run must keep its deferred recover-and-repanic wrapper`
 }
 
-// runChunks is a worker-taker for rule 1 but, unlike the real pool's
-// chunkJob.run, not itself a protected dispatcher.
+// runChunks is the worker-taker of rule 1; the wrapper rule 2 protects
+// lives in chunkJob.run, so its own declaration is not checked.
 func runChunks(n int, fn func(worker, lo, hi int)) {
 	fn(0, 0, n)
 }
 
 func callers(n int) {
-	parallelFor(n, func(lo, hi int) {
-		panic("boom") // want `worker body passed to parallelFor calls panic directly`
-	})
-	parallelFor(n, func(lo, hi int) {
-		_ = lo + hi
-	})
-	parallelChunks(n, func(w, lo, hi int) {
-		if w < 0 {
-			panic("bad worker") // want `worker body passed to parallelChunks calls panic directly`
-		}
-	})
 	runChunks(n, func(w, lo, hi int) {
 		panic("chunk") // want `worker body passed to runChunks calls panic directly`
+	})
+	runChunks(n, func(w, lo, hi int) {
+		_ = lo + hi
+	})
+	runChunks(n, func(w, lo, hi int) {
+		if w < 0 {
+			panic("bad worker") // want `worker body passed to runChunks calls panic directly`
+		}
 	})
 }
 
 func suppressedPanic(n int) {
-	parallelFor(n, func(lo, hi int) {
+	runChunks(n, func(w, lo, hi int) {
 		//lint:ignore pimcaps/paniccheck this golden documents a justified direct panic
 		panic("documented")
 	})

@@ -5,7 +5,7 @@ package paniccheck
 // draws no finding.
 
 func testHelperPanics(n int) {
-	parallelFor(n, func(lo, hi int) {
+	runChunks(n, func(w, lo, hi int) {
 		panic("tests may panic in workers on purpose")
 	})
 }

@@ -28,9 +28,8 @@ import (
 const Tolerance = 0.10
 
 // DefaultHot lists the hot-path benchmarks the gate enforces: the
-// routing and forward kernels the scratch-arena work targets, the
-// end-to-end serving throughput they feed, and the one-core kernel
-// benchmarks of internal/tensor and internal/capsnet on the repository
+// routing and forward kernels the scratch-arena work targets and the
+// one-core kernel benchmarks of internal/tensor and internal/capsnet on the repository
 // benchmark's shapes — long enough at -benchtime=5x for 10% to mean
 // something, and failing on any allocation.
 var DefaultHot = []string{
@@ -39,8 +38,6 @@ var DefaultHot = []string{
 	"BenchmarkPredictionVectors",
 	"BenchmarkNetworkForward",
 	"BenchmarkForwardArenaSteady",
-	"BenchmarkServeThroughput/batch1",
-	"BenchmarkServeThroughput/microbatch8",
 	"BenchmarkConv2DInto/mn1_conv",
 	"BenchmarkConv2DInto/mn1_primary",
 	"BenchmarkConv2DInto/cv288_primary",

@@ -309,9 +309,9 @@ func TestReleaseIdempotent(t *testing.T) {
 	}
 }
 
-// TestRunChunksRepanics checks the pooled chunk dispatcher re-raises a
-// kernel panic on the caller, matching parallelChunks semantics, and
-// that the scratch remains usable afterwards.
+// TestRunChunksRepanics checks a kernel panic inside a forward pass's
+// dispatch is re-raised on the caller and that the scratch remains
+// usable afterwards.
 func TestRunChunksRepanics(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

@@ -122,29 +122,34 @@ func (t *FullTrainer) TrainBatch(batch *tensor.Tensor, labels []int) (loss float
 
 	numL := net.NumPrimaryCaps()
 	cl, nc, dd := cfg.PrimaryDim, cfg.Classes, cfg.DigitDim
-	imgLen := cfg.InputC()
-	_ = imgLen
+
+	// One pool of chunk workers serves every dispatch of the step and is
+	// joined before it returns.
+	d := openChunker()
+	defer d.pool.close()
 
 	// ---- forward, retaining intermediates ----
 	imgSize := cfg.InputChannels * cfg.InputH * cfg.InputW
 	convOuts := make([]*tensor.Tensor, nb) // post-ReLU conv features
 	rawCaps := make([]*tensor.Tensor, nb)  // pre-squash primary capsule vectors (numL×cl)
 	u := tensor.New(nb, numL, cl)
-	parallelFor(nb, func(k int) {
-		img := tensor.FromSlice(batch.Data()[k*imgSize:(k+1)*imgSize], cfg.InputChannels, cfg.InputH, cfg.InputW)
-		feat := net.Conv.Forward(img)
-		convOuts[k] = feat
-		raw := tensor.Conv2D(feat, net.Primary.Conv.Weights, net.Primary.Conv.Bias, net.Primary.Conv.Spec)
-		caps := regroupPrimary(raw, net.Primary) // numL×cl, pre-squash
-		rawCaps[k] = caps
-		dst := u.Data()[k*numL*cl : (k+1)*numL*cl]
-		for i := 0; i < numL; i++ {
-			squashInto(mathOps, dst[i*cl:(i+1)*cl], caps.Data()[i*cl:(i+1)*cl])
+	d.runChunks(nb, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			img := tensor.FromSlice(batch.Data()[k*imgSize:(k+1)*imgSize], cfg.InputChannels, cfg.InputH, cfg.InputW)
+			feat := net.Conv.Forward(img)
+			convOuts[k] = feat
+			raw := tensor.Conv2D(feat, net.Primary.Conv.Weights, net.Primary.Conv.Bias, net.Primary.Conv.Spec)
+			caps := regroupPrimary(raw, net.Primary) // numL×cl, pre-squash
+			rawCaps[k] = caps
+			dst := u.Data()[k*numL*cl : (k+1)*numL*cl]
+			for i := 0; i < numL; i++ {
+				squashInto(mathOps, dst[i*cl:(i+1)*cl], caps.Data()[i*cl:(i+1)*cl])
+			}
 		}
 	})
-	preds := PredictionVectors(u, net.Digit.Weights)
-	routing := DynamicRoutingMode(preds, net.Digit.Iterations, mathOps, net.Digit.Mode)
-	v := routing.V
+	preds := predictionVectors(d, u, net.Digit.Weights)
+	routed := dynamicRouting(d, preds, net.Digit.Iterations, mathOps, net.Digit.Mode, nil)
+	v := routed.V
 
 	lengths := tensor.New(nb, nc)
 	for k := 0; k < nb; k++ {
@@ -235,7 +240,7 @@ func (t *FullTrainer) TrainBatch(batch *tensor.Tensor, labels []int) (loss float
 	// Recompute s_j^k = Σ_i c_ij û_ij, then dS via squash Jacobian,
 	// dÛ = c·dS, dW_ij += u ⊗ dÛ, dU = W·dÛ.
 	dU := tensor.New(nb, numL, cl)
-	cd := routing.C.Data()
+	cd := routed.C.Data()
 	pd := preds.Data()
 	wd := net.Digit.Weights.Data()
 	dwd := dWd.Data()
@@ -296,7 +301,7 @@ func (t *FullTrainer) TrainBatch(batch *tensor.Tensor, labels []int) (loss float
 
 	// ---- primary caps + conv backward (per sample, worker-local
 	// gradient buffers merged deterministically in worker order) ----
-	workers := maxWorkers(nb)
+	workers := min(d.workers, nb)
 	w1bufs := make([]*tensor.Tensor, workers)
 	b1bufs := make([][]float32, workers)
 	w2bufs := make([]*tensor.Tensor, workers)
@@ -307,7 +312,7 @@ func (t *FullTrainer) TrainBatch(batch *tensor.Tensor, labels []int) (loss float
 		w2bufs[w] = tensor.New(net.Primary.Conv.Weights.Shape()...)
 		b2bufs[w] = make([]float32, len(net.Primary.Conv.Bias))
 	}
-	used := parallelChunks(nb, workers, func(w, lo, hi int) {
+	used := d.runChunks(nb, func(w, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			// Through the primary squash.
 			dRawCaps := tensor.New(numL, cl)
@@ -444,6 +449,3 @@ func applyUpdate(w, dw []float32, step float32) {
 }
 
 func applyUpdateSlice(w, dw []float32, step float32) { applyUpdate(w, dw, step) }
-
-// InputC is a small helper returning the flattened image length.
-func (c Config) InputC() int { return c.InputChannels * c.InputH * c.InputW }

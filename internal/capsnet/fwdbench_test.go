@@ -52,7 +52,7 @@ func BenchmarkForwardSequential8(b *testing.B) {
 // BenchmarkForwardMicroBatch8 runs the same eight requests as one
 // micro-batch: PredictionVectors streams the routing weight tensor
 // once per batch instead of once per request, and on multi-core hosts
-// parallelFor fans the batch out over GOMAXPROCS.
+// the chunk workers split the batch between them.
 func BenchmarkForwardMicroBatch8(b *testing.B) {
 	net, imgs := serveBenchNet(b)
 	b.ResetTimer()

@@ -110,3 +110,66 @@ func TestFiniteGuardZeroOverheadPath(t *testing.T) {
 		t.Fatalf("fallback counter %d on the clean path", net.RoutingFallbacks())
 	}
 }
+
+// TestFiniteGuardFallbackKeepsIterationLimit: the exact-math repair
+// runs the pass it repairs. Under brownout (IterationLimit below the
+// configured count) a repaired sample gets the clipped count its
+// batch-mates got, so its capsules and coefficients are the bits of an
+// ExactMath pass under the same limit.
+func TestFiniteGuardFallbackKeepsIterationLimit(t *testing.T) {
+	net, err := New(TinyConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	net.IterationLimit = func() int { return 1 }
+	batch := testBatch(t, net, 3)
+
+	exact := net.Forward(batch, ExactMath{}) // never released: keeps its buffers
+	got := net.Forward(batch, nanExpMath{})
+	defer got.Release()
+	if len(got.ExactFallbacks) != 3 || len(got.NonFinite) != 0 {
+		t.Fatalf("fallbacks %v, non-finite %v, want all 3 samples repaired", got.ExactFallbacks, got.NonFinite)
+	}
+	for name, pair := range map[string][2]*tensor.Tensor{
+		"V": {got.Routing.V, exact.Routing.V},
+		"C": {got.Routing.C, exact.Routing.C},
+	} {
+		for i, v := range pair[1].Data() {
+			if math.Float32bits(v) != math.Float32bits(pair[0].Data()[i]) {
+				t.Fatalf("%s[%d]: repaired %v != exact pass under the same limit %v", name, i, pair[0].Data()[i], v)
+			}
+		}
+	}
+}
+
+// TestFiniteGuardFallbackAllocFree: the repair reuses the pass's own û
+// and routing buffers, so a pass that takes it allocates only the
+// ExactFallbacks slice it reports.
+func TestFiniteGuardFallbackAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	net, err := New(TinyConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	images := arenaTestImages(net, 1, 3)
+	mathOps := RoutingMath(nanExpMath{})
+	for i := 0; i < 2; i++ {
+		net.ForwardBatch(images, mathOps).Release()
+	}
+	repaired := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		out := net.ForwardBatch(images, mathOps)
+		repaired += len(out.ExactFallbacks)
+		out.Release()
+	})
+	if repaired != 11 { // AllocsPerRun's warm-up call plus ten measured
+		t.Fatalf("%d passes took the fallback, want 11", repaired)
+	}
+	if allocs != 1 {
+		t.Fatalf("a pass that takes the fallback allocated %.1f times, want 1 (the ExactFallbacks append)", allocs)
+	}
+}

@@ -3,9 +3,9 @@ package capsnet
 import "fmt"
 
 // Range kernels for the routing procedure's three hot loops (Eq. 1
-// prediction vectors, Eq. 2+3 aggregation+squash, Eq. 4 agreement),
-// shared by the public DynamicRouting* entry points and the Network's
-// scratch-arena forward path: one kernel per equation. Each works on a
+// prediction vectors, Eq. 2+3 aggregation+squash, Eq. 4 agreement):
+// one kernel per equation, called from the one routing loop
+// (routing.go) and the Eq. 1 dispatches. Each works on a
 // contiguous range of its shard dimension — low-level capsules for
 // Eq. 1, a samples × high-level-capsules rectangle for the other two —
 // and every per-output-element accumulation runs in the same order (d,

@@ -126,22 +126,13 @@ func NewCapsLayer(numIn, dimIn, numOut, dimOut, iterations int, rng *rand.Rand) 
 // functions. It returns the routing result, whose V field is the layer
 // output.
 func (l *CapsLayer) Forward(u *tensor.Tensor, mathOps RoutingMath) RoutingResult {
-	return l.ForwardTimed(u, mathOps, nil)
-}
-
-// ForwardTimed is Forward with per-stage observation: the
-// prediction-vector computation and every dynamic-routing iteration
-// (with its softmax / aggregate+squash / agreement sub-phases) are
-// reported to timer. A nil timer is the untimed fast path; results
-// are identical either way.
-func (l *CapsLayer) ForwardTimed(u *tensor.Tensor, mathOps RoutingMath, timer StageTimer) RoutingResult {
 	if u.Rank() != 3 || u.Dim(1) != l.NumIn || u.Dim(2) != l.DimIn {
 		panic(fmt.Sprintf("capsnet: CapsLayer input %v, want B×%d×%d", u.Shape(), l.NumIn, l.DimIn))
 	}
-	end := beginStage(timer, StagePredictionVectors, -1)
-	preds := PredictionVectors(u, l.Weights)
-	endStage(end)
-	return DynamicRoutingTimed(preds, l.Iterations, mathOps, l.Mode, timer)
+	d := openChunker()
+	defer d.pool.close()
+	preds := predictionVectors(d, u, l.Weights)
+	return dynamicRouting(d, preds, l.Iterations, mathOps, l.Mode, nil)
 }
 
 // FCLayer is a fully-connected layer with a selectable activation,

@@ -136,11 +136,8 @@ type Network struct {
 	// point the serving layer's per-stage histograms and request
 	// traces hang off without this package importing the observability
 	// layer. nil — the default — costs one pointer check per stage
-	// site, and the forward pass takes an identical code path except
-	// that conv and primary-caps work is timed as two batch-wide
-	// stages instead of fused per sample (results are bit-identical
-	// either way: per-sample work is independent and ordered the
-	// same). Timed results are bit-identical to untimed ones.
+	// site; the forward pass takes the same code path either way, so
+	// timed results are bit-identical to untimed ones.
 	Stages StageTimer
 
 	// Partition pins the dimension the routing workload is sharded on
@@ -273,41 +270,50 @@ func (n *Network) Forward(batch *tensor.Tensor, mathOps RoutingMath) *Output {
 	return n.forward(scr, mathOps)
 }
 
+// routingIterations is the Digit layer's iteration count for one pass.
+// The brownout override can only shed iterations (floor 1), never add
+// them; with the hook nil the count is the configured one.
+func (n *Network) routingIterations() int {
+	iterations := n.Digit.Iterations
+	if lim := n.IterationLimit; lim != nil {
+		if k := lim(); k < iterations {
+			iterations = max(k, 1)
+		}
+	}
+	return iterations
+}
+
 // forward is the scratch-arena forward core shared by Forward and
 // ForwardBatch: the input images are already bound at scr.in and every
-// intermediate lives in scr's arena. The computation — per-sample
-// conv/primary-caps work, Eq. 1 prediction vectors, the routing loop,
-// the finite guard, the ‖v_j‖ lengths — is stage-for-stage the one the
-// pre-arena path ran, with identical loop nests and accumulation
-// orders, so outputs are bit-identical; only buffer ownership changed.
+// intermediate lives in scr's arena. Conv and PrimaryCaps each run as
+// one batch-wide dispatch, then Eq. 1, the routing loop, the finite
+// guard and the ‖v_j‖ lengths; per-sample work is independent and every
+// accumulation order fixed, so outputs do not depend on batch size,
+// partition or worker count.
 func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	scr.math = mathOps
 	scr.bind()
 	nb := scr.nb
 	st := n.Stages
-	if st == nil {
-		// Untimed fast path: conv and primary caps fused per sample.
-		scr.runChunks(nb, scr.convPrimFn)
-	} else {
-		// Timed path: the same per-sample computations, split into two
-		// batch-wide stages so conv and primary-caps time can be
-		// attributed separately. Each sample's work and accumulation
-		// order are unchanged, so outputs stay bit-identical to the
-		// fused loop (TestStageTimerPreservesOutputs holds this).
-		end := beginStage(st, StageConv, -1)
-		scr.runChunks(nb, scr.convFn)
-		endStage(end)
-		end = beginStage(st, StagePrimaryCaps, -1)
-		scr.runChunks(nb, scr.primFn)
-		endStage(end)
-	}
+	end := beginStage(st, StageConv, -1)
+	scr.runChunks(nb, scr.convFn)
+	endStage(end)
+	end = beginStage(st, StagePrimaryCaps, -1)
+	scr.runChunks(nb, scr.primFn)
+	endStage(end)
 	if hook := n.RoutingInputHook; hook != nil {
 		hook(scr.uT.Data())
 	}
-	end := beginStage(st, StagePredictionVectors, -1)
+	end = beginStage(st, StagePredictionVectors, -1)
 	scr.runChunks(n.Digit.NumIn, scr.predFn)
 	endStage(end)
-	scr.routing(st)
+	iterations := n.routingIterations()
+	aborted := scr.routing.run(scr.chunker, n.Digit.Mode, iterations, n.Partition, n.Cancel, st)
+	if scr.dim == PartitionB {
+		n.partB.Add(1)
+	} else {
+		n.partH.Add(1)
+	}
 	out := &scr.out
 	out.Capsules = scr.vT
 	out.Lengths = scr.lengthsT
@@ -315,16 +321,16 @@ func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	out.Primary = scr.uT
 	out.ExactFallbacks = nil
 	out.NonFinite = nil
-	out.Aborted = scr.aborted
+	out.Aborted = aborted
 	out.scr = scr
-	if scr.aborted {
+	if aborted {
 		// Cooperative abort: the caller only wants the arena back, so
 		// the finite guard and length computation — work on partial
 		// routing state — are skipped entirely.
 		return out
 	}
 	end = beginStage(st, StageFiniteGuard, -1)
-	n.finiteGuard(scr.uT, out, mathOps)
+	n.finiteGuard(scr, out, iterations)
 	endStage(end)
 	end = beginStage(st, StageLengths, -1)
 	nc, dd := n.Config.Classes, n.Config.DigitDim
@@ -350,48 +356,31 @@ func allFinite(xs []float32) bool {
 }
 
 // finiteGuard is the routing-level degradation ladder: after the
-// digit layer ran with mathOps, any sample whose output capsules are
-// non-finite (the bit-trick approximations of internal/fp32 saturate
-// to 0/±Inf and can amplify to NaN) has its routing re-run with
-// ExactMath — the host-precision path — and the fallback counted.
-// Samples still non-finite after the exact re-run (corrupt inputs,
-// flipped weights) are reported in out.NonFinite so the serving layer
-// can fail them individually instead of crashing or emitting NaN.
-func (n *Network) finiteGuard(u *tensor.Tensor, out *Output, mathOps RoutingMath) {
-	nb := u.Dim(0)
-	rowV := n.Digit.NumOut * n.Digit.DimOut
-	vd := out.Routing.V.Data()
-	_, exact := mathOps.(ExactMath)
-	for k := 0; k < nb; k++ {
-		if allFinite(vd[k*rowV : (k+1)*rowV]) {
+// routing loop ran with the pass's math, any sample whose output
+// capsules are non-finite (the bit-trick approximations of
+// internal/fp32 saturate to 0/±Inf and can amplify to NaN) has its
+// routing re-run with ExactMath — the host-precision path, for the
+// pass's own iteration count — and the fallback counted. Samples still
+// non-finite after the exact re-run (corrupt inputs, flipped weights)
+// are reported in out.NonFinite so the serving layer can fail them
+// individually instead of crashing or emitting NaN.
+func (n *Network) finiteGuard(scr *scratch, out *Output, iterations int) {
+	rowV := scr.nh * scr.ch
+	_, exact := scr.math.(ExactMath)
+	for k := 0; k < scr.nb; k++ {
+		if allFinite(scr.v[k*rowV : (k+1)*rowV]) {
 			continue
 		}
 		if !exact {
-			n.rerouteSample(u, &out.Routing, k)
+			scr.rerouteSample(k, iterations)
 			n.fallbacks.Add(1)
 			out.ExactFallbacks = append(out.ExactFallbacks, k)
-			if allFinite(vd[k*rowV : (k+1)*rowV]) {
+			if allFinite(scr.v[k*rowV : (k+1)*rowV]) {
 				continue
 			}
 		}
 		out.NonFinite = append(out.NonFinite, k)
 	}
-}
-
-// rerouteSample re-runs the digit layer's routing for batch element k
-// alone with ExactMath, splicing the recovered capsules, coefficients
-// and logits back into res. Under RoutePerSample this reproduces
-// exactly what a full exact-math batch pass would compute for that
-// sample.
-func (n *Network) rerouteSample(u *tensor.Tensor, res *RoutingResult, k int) {
-	numL, dimIn := n.Digit.NumIn, n.Digit.DimIn
-	uk := tensor.FromSlice(u.Data()[k*numL*dimIn:(k+1)*numL*dimIn], 1, numL, dimIn)
-	rk := n.Digit.Forward(uk, ExactMath{})
-	rowV := n.Digit.NumOut * n.Digit.DimOut
-	rowC := numL * n.Digit.NumOut
-	copy(res.V.Data()[k*rowV:(k+1)*rowV], rk.V.Data())
-	copy(res.C.Data()[k*rowC:(k+1)*rowC], rk.C.Data())
-	copy(res.B.Data()[k*rowC:(k+1)*rowC], rk.B.Data())
 }
 
 // Reconstruct runs the decoder on the capsules of batch element k,

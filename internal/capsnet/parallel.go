@@ -5,142 +5,177 @@ import (
 	"sync"
 )
 
-// panicBox captures the first panic raised by a pool of workers so
-// the caller goroutine can re-raise it after the pool drains. Without
-// this, a panic inside a worker goroutine kills the whole process —
-// no recover() on the serving path can reach it — which is exactly
-// the failure mode the fault-injection campaign exercises.
-type panicBox struct {
-	once sync.Once
-	val  any
+// This file is the package's one chunk dispatcher: a workerPool of
+// goroutines fed pointers to pre-allocated job slots, and the chunker
+// through which one caller splits an index range over it. A Network
+// owns a pool until Close and every scratch dispatches into it; a
+// caller without a Network (the public routing entry points, the
+// trainer) opens a pool around a single call and joins it before
+// returning. Either way a dispatch allocates nothing and spawns
+// nothing.
+
+// panicCell captures the first panic raised by a set of chunk workers
+// so the dispatching goroutine can re-raise it after all chunks
+// complete. Without it a panic inside a worker goroutine kills the
+// whole process — no recover() on the serving path can reach it —
+// which is exactly the failure mode the fault-injection campaign
+// exercises. It is resettable, so one cell serves every dispatch of a
+// chunker.
+type panicCell struct {
+	mu sync.Mutex
+	//pimcaps:guardedby mu
+	val any
+	//pimcaps:guardedby mu
+	set bool
 }
 
-// capture records p if it is the first panic seen.
-func (b *panicBox) capture(p any) {
-	b.once.Do(func() { b.val = p })
+func (c *panicCell) reset() {
+	c.mu.Lock()
+	c.val, c.set = nil, false
+	c.mu.Unlock()
 }
 
-// repanic re-raises the captured panic, if any, on the calling
-// goroutine. Call it only after the worker WaitGroup has drained (the
-// Wait provides the happens-before edge for reading val).
-func (b *panicBox) repanic() {
-	if b.val != nil {
-		panic(b.val)
+func (c *panicCell) capture(p any) {
+	c.mu.Lock()
+	if !c.set {
+		c.val, c.set = p, true
+	}
+	c.mu.Unlock()
+}
+
+// repanic re-raises the captured panic, if any. Call only after every
+// chunk's done signal has been received (the channel receives provide
+// the happens-before edge for reading val without the lock).
+func (c *panicCell) repanic() {
+	//lint:ignore pimcaps/guardedby the per-chunk done-channel receives happen-before this read, so the lock is unnecessary here
+	set, val := c.set, c.val
+	if set {
+		panic(val)
 	}
 }
 
-// parallelFor runs fn(k) for k in [0, n) across GOMAXPROCS workers.
-// Work items must write to disjoint state (every use in this package
-// writes per-sample slices), so results are identical to the serial
-// loop.
-//
-// If any fn panics, the panic is recovered on its worker, the pool
-// finishes the remaining items it can, and the first panic is
-// re-raised on the caller goroutine — so callers (and ultimately the
-// serve batcher) see the same control flow as a panicking serial
-// loop instead of a process crash.
-func parallelFor(n int, fn func(k int)) {
-	workers := runtime.GOMAXPROCS(0)
-	// Serial threshold: with fewer than two work items per worker
-	// (n < 2×GOMAXPROCS), goroutine launch + channel traffic costs
-	// more than the parallelism recovers and shows up as scheduler
-	// noise in capsnet_stage_seconds, so tiny fan-outs run inline.
-	// Callers already require fn to be order-independent (disjoint
-	// writes), so the serial loop computes identical results.
-	if workers <= 1 || n < 2*workers {
-		for k := 0; k < n; k++ {
-			fn(k)
+// chunkJob is one contiguous shard of a chunk dispatch. Jobs live in a
+// pre-allocated per-chunker array; only pointers to them travel
+// through the worker pool's channel, so dispatch allocates nothing.
+type chunkJob struct {
+	fn             func(worker, lo, hi int)
+	worker, lo, hi int
+	done           chan<- struct{}
+	box            *panicCell
+}
+
+// run executes the job, captures any panic into the job's cell, and
+// always signals done (the send is to a buffered channel sized for
+// the full worker count, so it never blocks).
+func (j *chunkJob) run() {
+	defer func() {
+		if p := recover(); p != nil {
+			j.box.capture(p)
 		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	// The channel is buffered for all n items and filled before any
-	// worker starts, so the dispatcher never serializes on a blocking
-	// per-item handoff in hot batched-forward loops; workers still pull
-	// items one at a time, keeping the dynamic load balancing.
-	next := make(chan int, n)
-	for k := 0; k < n; k++ {
-		next <- k
-	}
-	close(next)
-	var (
-		wg  sync.WaitGroup
-		box panicBox
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					box.capture(p)
-				}
-			}()
-			for k := range next {
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
-	box.repanic()
+		j.done <- struct{}{}
+	}()
+	j.fn(j.worker, j.lo, j.hi)
 }
 
-// parallelChunks splits [0, n) into one contiguous chunk per worker
-// and runs fn(worker, lo, hi) concurrently; workers receive distinct
-// worker indices so they can own private accumulation buffers that the
-// caller merges deterministically afterwards. Worker panics are
-// recovered and the first one re-raised on the caller goroutine, as
-// in parallelFor.
-func parallelChunks(n, workers int, fn func(worker, lo, hi int)) int {
-	if workers > n {
-		workers = n
+// workerPool is a set of chunk workers, launched once and fed jobs
+// through a channel. Concurrent dispatchers may share a pool — total
+// parallelism stays bounded by the worker count, which is the point.
+// Whoever opened the pool closes it.
+type workerPool struct {
+	jobs chan *chunkJob
+	wg   sync.WaitGroup
+}
+
+func newWorkerPool() *workerPool {
+	// The buffer lets a dispatcher hand over all its chunks and start
+	// on its own; when it is full the dispatcher only waits earlier
+	// for workers it is about to wait for anyway.
+	return &workerPool{jobs: make(chan *chunkJob, 64)}
+}
+
+// spawn adds k workers. A dispatcher runs chunk 0 itself, so a pool
+// needs one worker fewer than its widest chunker.
+func (p *workerPool) spawn(k int) {
+	for ; k > 0; k-- {
+		p.wg.Add(1)
+		go p.work()
 	}
+}
+
+func (p *workerPool) work() {
+	defer p.wg.Done()
+	for j := range p.jobs {
+		j.run()
+	}
+}
+
+// close stops the workers and returns once they have exited.
+func (p *workerPool) close() {
+	close(p.jobs)
+	p.wg.Wait()
+}
+
+// chunker is one caller's dispatch state over a pool: a job slot per
+// worker, a buffered done channel sized for all of them, and a
+// resettable panic cell. It serves one dispatch at a time.
+type chunker struct {
+	pool    *workerPool
+	workers int
+	jobs    []chunkJob
+	done    chan struct{}
+	box     panicCell
+}
+
+func newChunker(pool *workerPool, workers int) *chunker {
+	return &chunker{pool: pool, workers: workers, jobs: make([]chunkJob, workers), done: make(chan struct{}, workers)}
+}
+
+// openChunker returns a GOMAXPROCS-wide chunker over a pool of its
+// own, for a caller that has no Network to borrow one from. The caller
+// joins the workers with pool.close before it returns.
+func openChunker() *chunker {
+	workers := runtime.GOMAXPROCS(0)
+	pool := newWorkerPool()
+	pool.spawn(workers - 1)
+	return newChunker(pool, workers)
+}
+
+// runChunks splits [0, n) into one contiguous chunk per worker and
+// runs fn over them: chunk 0 inline on the calling goroutine, the rest
+// on the pool's workers. Workers receive distinct worker indices so
+// they can own private buffers the caller merges afterwards. A panic
+// in any chunk is captured, the remaining chunks finish, and the first
+// panic is re-raised on the caller — the control flow of a panicking
+// serial loop instead of a process crash. It returns the number of
+// chunks run.
+//
+//pimcaps:hotpath
+func (d *chunker) runChunks(n int, fn func(worker, lo, hi int)) int {
+	workers := min(d.workers, n)
 	if workers <= 1 {
 		fn(0, 0, n)
 		return 1
 	}
-	var (
-		wg  sync.WaitGroup
-		box panicBox
-	)
+	d.box.reset()
 	chunk := (n + workers - 1) / workers
 	used := 0
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
+		j := &d.jobs[used]
+		j.fn, j.worker, j.lo, j.hi, j.done, j.box = fn, w, lo, hi, d.done, &d.box
 		used++
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					box.capture(p)
-				}
-			}()
-			fn(w, lo, hi)
-		}(w, lo, hi)
 	}
-	wg.Wait()
-	box.repanic()
+	for i := 1; i < used; i++ {
+		d.pool.jobs <- &d.jobs[i]
+	}
+	d.jobs[0].run()
+	for i := 0; i < used; i++ {
+		<-d.done
+	}
+	d.box.repanic()
 	return used
-}
-
-// maxWorkers bounds worker-buffer allocation for chunked parallelism.
-func maxWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

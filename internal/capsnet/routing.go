@@ -2,7 +2,6 @@ package capsnet
 
 import (
 	"fmt"
-	"runtime"
 
 	"pimcapsnet/internal/tensor"
 )
@@ -82,6 +81,14 @@ func DynamicRoutingMode(preds *tensor.Tensor, iterations int, mathOps RoutingMat
 // of the per-phase timelines the HMC co-simulator emits. A nil timer
 // is the untimed fast path; results are identical either way.
 func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode, timer StageTimer) RoutingResult {
+	d := openChunker()
+	defer d.pool.close()
+	return dynamicRouting(d, preds, iterations, mathOps, mode, timer)
+}
+
+// dynamicRouting validates preds, allocates fresh Eq. 2–5 state for it
+// and runs the routing loop over d's workers.
+func dynamicRouting(d *chunker, preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode, timer StageTimer) RoutingResult {
 	if preds.Rank() != 4 {
 		panic(fmt.Sprintf("capsnet: DynamicRouting wants B×L×H×CH predictions, got %v", preds.Shape()))
 	}
@@ -92,41 +99,113 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 	b := tensor.New(nb, nl, nh)
 	c := tensor.New(nb, nl, nh)
 	v := tensor.New(nb, nh, ch)
-	s := tensor.New(nb, nh, ch)
-	pd := preds.Data()
-	bd, cd, vd, sd := b.Data(), c.Data(), v.Data(), s.Data()
+	r := &routing{
+		preds: preds.Data(), b: b.Data(), c: c.Data(), v: v.Data(), s: make([]float32, nb*nh*ch),
+		nb: nb, nl: nl, nh: nh, ch: ch, math: mathOps,
+	}
+	r.bindKernels()
+	r.run(d, mode, iterations, PartitionAuto, nil, timer)
+	return RoutingResult{V: v, C: c, B: b}
+}
 
-	// Pick the shard dimension once per routing run with the paper's
+// routing is the state of one run of Alg. 1 over precomputed
+// prediction vectors — û, the logits b, coefficients c, capsules v and
+// pre-squash sums s of Eqs. 2–5 — and the package's one routing loop
+// (run). The buffers may be longer than the run needs (a scratch sizes
+// them for its batch capacity); nb says how many samples they hold.
+type routing struct {
+	preds, b, c, v, s []float32
+	nb, nl, nh, ch    int
+	math              RoutingMath
+
+	// dim is the run's resolved shard dimension and bstride its logit
+	// row stride per sample (0 when coefficients are shared); run sets
+	// them, aggRange and agreeRange read them.
+	dim     Partition
+	bstride int
+
+	// The chunk kernels as method values, bound once by bindKernels:
+	// they read the fields above at call time, so rebinding the buffers
+	// between runs does not invalidate them and a dispatch allocates no
+	// closure.
+	softmaxFn, aggFn, agreeFn func(w, lo, hi int)
+}
+
+func (r *routing) bindKernels() {
+	r.softmaxFn = r.softmaxRange
+	r.aggFn = r.aggRange
+	r.agreeFn = r.agreeRange
+}
+
+// softmaxRange performs Eq. 5 for rows [lo, hi) of the flattened
+// logit matrix (nb·nl rows per-sample, the first nl when shared).
+//
+//pimcaps:hotpath
+func (r *routing) softmaxRange(_, lo, hi int) {
+	softmaxRows(r.math, r.c[lo*r.nh:hi*r.nh], r.b[lo*r.nh:hi*r.nh], hi-lo, r.nh)
+}
+
+//pimcaps:hotpath
+func (r *routing) aggRange(_, lo, hi int) {
+	klo, khi, jlo, jhi := partitionRect(r.dim, r.nb, r.nh, lo, hi)
+	aggregateRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, klo, khi, jlo, jhi)
+}
+
+//pimcaps:hotpath
+func (r *routing) agreeRange(_, lo, hi int) {
+	klo, khi, jlo, jhi := partitionRect(r.dim, r.nb, r.nh, lo, hi)
+	agreementRange(r.preds, r.v, r.b, r.bstride, r.nl, r.nh, r.ch, klo, khi, jlo, jhi)
+}
+
+// run executes iterations of the routing procedure over d's workers,
+// sharded on the dimension policy resolves to, and reports whether
+// cancel stopped it between iterations (the state is then partial).
+// Every accumulation order is independent of the shard dimension and
+// the worker count, so results are bit-identical to a serial loop.
+//
+//pimcaps:hotpath
+func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Partition, cancel CancelCheck, st StageTimer) (aborted bool) {
+	nb, nl, nh, ch := r.nb, r.nl, r.nh, r.ch
+	bd := r.b[:nb*nl*nh]
+	cd := r.c[:nb*nl*nh]
+	sd := r.s[:nb*nh*ch]
+	clear(bd) // logits start at zero, as a fresh tensor would
+
+	// Pick the shard dimension once per run with the paper's
 	// execution-score model and surface it as a zero-duration marker
 	// stage (iteration = the chosen Partition value) so stage traces
 	// record which way the workload was split.
-	dim := ChoosePartition(PartitionAuto, nb, nl, nh, ch, runtime.GOMAXPROCS(0))
-	endStage(beginStage(timer, StageRoutingPartition, int(dim)))
-
+	dim := ChoosePartition(policy, nb, nl, nh, ch, d.workers)
+	endStage(beginStage(st, StageRoutingPartition, int(dim)))
 	// shardN is the extent of the chosen shard dimension; softRows the
 	// rows Eq. 5 computes (the shared matrix is sample 0's).
-	shardN, softRows, bstride := nb, nb*nl, nl*nh
+	shardN, softRows := nb, nb*nl
 	if dim == PartitionH {
 		shardN = nh
 	}
+	r.dim, r.bstride = dim, nl*nh
 	if mode == RouteBatchShared {
-		softRows, bstride = nl, 0
+		softRows, r.bstride = nl, 0
 	}
-	workers := maxWorkers(shardN)
 
 	for it := 0; it < iterations; it++ {
-		iterEnd := beginStage(timer, StageRoutingIteration, it)
+		// Cooperative cancellation: polled between iterations (including
+		// before the first), so an all-expired batch stops burning the
+		// most expensive stage of the pass and the arena goes straight
+		// back to the pool via Release.
+		if cancel != nil && cancel() {
+			return true
+		}
+		iterEnd := beginStage(st, StageRoutingIteration, it)
 
 		// Step 4/6: routing coefficients from agreement logits. Rows are
 		// independent, so they chunk over the workers whatever the shard
 		// dimension is.
-		end := beginStage(timer, StageRoutingSoftmax, it)
+		end := beginStage(st, StageRoutingSoftmax, it)
 		if it == 0 {
-			firstIterationCoefficients(mathOps, cd, bd, nh)
+			firstIterationCoefficients(r.math, cd, bd, nh)
 		} else {
-			parallelChunks(softRows, maxWorkers(softRows), func(_, lo, hi int) {
-				softmaxRows(mathOps, cd[lo*nh:hi*nh], bd[lo*nh:hi*nh], hi-lo, nh)
-			})
+			d.runChunks(softRows, r.softmaxFn)
 			if mode == RouteBatchShared {
 				for k := 1; k < nb; k++ {
 					copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
@@ -137,15 +216,10 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 
 		// Step 5 (Eq. 2) + Step 6 (Eq. 3): weighted aggregation over L
 		// capsules and squash, sharded contiguously on the chosen
-		// dimension (workers write disjoint s/v regions and every
-		// accumulation order is unchanged, so results are identical to
-		// the serial loop — see kernels.go).
-		end = beginStage(timer, StageRoutingAggregate, it)
+		// dimension (workers write disjoint s/v regions — see kernels.go).
+		end = beginStage(st, StageRoutingAggregate, it)
 		clear(sd)
-		parallelChunks(shardN, workers, func(_, lo, hi int) {
-			klo, khi, jlo, jhi := partitionRect(dim, nb, nh, lo, hi)
-			aggregateRange(mathOps, pd, cd, sd, vd, nl, nh, ch, klo, khi, jlo, jhi)
-		})
+		d.runChunks(shardN, r.aggFn)
 		endStage(end)
 
 		if it == iterations-1 {
@@ -159,14 +233,11 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 		// B-sharding would reorder, so it runs serial under PartitionB
 		// and shards the disjoint (i, j) entries under PartitionH with
 		// k ascending per entry — bit-identical either way.
-		end = beginStage(timer, StageRoutingAgreement, it)
+		end = beginStage(st, StageRoutingAgreement, it)
 		if mode == RouteBatchShared && dim == PartitionB {
-			agreementRange(pd, vd, bd, 0, nl, nh, ch, 0, nb, 0, nh)
+			agreementRange(r.preds, r.v, bd, 0, nl, nh, ch, 0, nb, 0, nh)
 		} else {
-			parallelChunks(shardN, workers, func(_, lo, hi int) {
-				klo, khi, jlo, jhi := partitionRect(dim, nb, nh, lo, hi)
-				agreementRange(pd, vd, bd, bstride, nl, nh, ch, klo, khi, jlo, jhi)
-			})
+			d.runChunks(shardN, r.agreeFn)
 		}
 		endStage(end)
 		endStage(iterEnd)
@@ -176,13 +247,19 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 			copy(bd[k*nl*nh:(k+1)*nl*nh], bd[:nl*nh])
 		}
 	}
-	return RoutingResult{V: v, C: c, B: b}
+	return false
 }
 
 // PredictionVectors computes Eq. 1 for a batch: û_j|i^k = u_i^k × W_ij,
 // where u has shape B×L×CL and w has shape L×H×CL×CH. The result has
 // shape B×L×H×CH.
 func PredictionVectors(u, w *tensor.Tensor) *tensor.Tensor {
+	d := openChunker()
+	defer d.pool.close()
+	return predictionVectors(d, u, w)
+}
+
+func predictionVectors(d *chunker, u, w *tensor.Tensor) *tensor.Tensor {
 	if u.Rank() != 3 {
 		panic(fmt.Sprintf("capsnet: PredictionVectors wants B×L×CL input, got %v", u.Shape()))
 	}
@@ -199,7 +276,7 @@ func PredictionVectors(u, w *tensor.Tensor) *tensor.Tensor {
 	// Shard contiguously over the L capsules: each (k, i) output row is
 	// written by exactly one worker, and a worker walks W_ij once per
 	// pair of samples rather than once per sample (see kernels.go).
-	parallelChunks(nl, maxWorkers(nl), func(_, lo, hi int) {
+	d.runChunks(nl, func(_, lo, hi int) {
 		predictionVectorsRange(ud, wd, od, nb, nl, cl, nh, ch, lo, hi)
 	})
 	return out

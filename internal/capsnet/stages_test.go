@@ -86,9 +86,8 @@ func TestStageTimerSequence(t *testing.T) {
 }
 
 // TestStageTimerPreservesOutputs holds the load-bearing invariant of
-// the timed path: attaching a StageTimer (which switches conv/primary
-// to the split batch-wide loops) changes no output bit, for both
-// routing modes and both math implementations.
+// the timed path: attaching a StageTimer changes no output bit, for
+// both routing modes and both math implementations.
 func TestStageTimerPreservesOutputs(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		cfg := TinyConfig(4)
@@ -126,8 +125,8 @@ func TestStageTimerPreservesOutputs(t *testing.T) {
 	}
 }
 
-// TestUntimedForwardHasNoTimerCost double-checks the nil fast path
-// still works after the refactor (fused conv/primary loop).
+// TestUntimedForwardHasNoTimerCost double-checks a forward pass with
+// no StageTimer installed runs every stage site on the nil timer.
 func TestUntimedForwardHasNoTimerCost(t *testing.T) {
 	net, err := New(TinyConfig(3))
 	if err != nil {

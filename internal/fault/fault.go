@@ -232,7 +232,7 @@ func CorruptSliceHook(in *Injector, g *Gate, n int) SliceHook {
 
 // PanicSliceHook returns a SliceHook that panics with
 // ErrInjectedPanic while g is armed — the forced-panic injector for
-// parallelFor work functions reached through the forward pass.
+// code reached through the forward pass.
 func PanicSliceHook(g *Gate) SliceHook {
 	return func([]float32) {
 		if g.Fire() {

@@ -337,9 +337,9 @@ type runResult struct {
 //
 // The forward call runs on a child goroutine so the runner can
 // isolate two failure modes instead of letting them take the server
-// down: a panic anywhere under RunFunc (including re-panicked
-// parallelFor worker panics) fails only this batch's requests with
-// ErrBatchPanic, and a stall beyond Config.BatchDeadline is failed by
+// down: a panic anywhere under RunFunc (including a chunk worker's,
+// re-raised on the forward pass) fails only this batch's requests
+// with ErrBatchPanic, and a stall beyond Config.BatchDeadline is failed by
 // the watchdog with ErrBatchTimeout so the queue keeps draining. An
 // abandoned (timed-out) inference goroutine parks its late result in
 // the buffered channel and is garbage collected.

@@ -12,8 +12,8 @@
 // Network.Forward of the previous batch (stage two, one in-flight
 // batch executed by a dedicated runner goroutine), so steady-state
 // throughput is set by the slower of the two sides, as in
-// pipeline.TwoStage. Inside a batch, Forward fans the samples out
-// over GOMAXPROCS workers via capsnet's parallelFor.
+// pipeline.TwoStage. Inside a batch, Forward splits every stage over
+// the Network's GOMAXPROCS chunk workers.
 //
 // Everything is standard library only.
 package serve
