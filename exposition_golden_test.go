@@ -1,0 +1,275 @@
+package pimcapsnet_bench
+
+import (
+	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pimcapsnet/internal/cluster"
+	"pimcapsnet/internal/deadline"
+	"pimcapsnet/internal/serve"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the live writers")
+
+// The three goldens pin the wire format of /metrics (serve), /metrics
+// (router, with the SLO families) and /metrics/fleet: every series
+// with its label order and value text, driven by a fixed script under
+// an injected clock. Line order is not part of the contract (no reader
+// depends on it), so lines are compared sorted; the runtime gauges and
+// the build-info series vary by host and are pinned by name only.
+
+// goldenLines reduces an exposition to its sorted `series value`
+// lines.
+func goldenLines(text string) string {
+	var lines []string
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		name, _, _ := strings.Cut(line, "{")
+		name, _, _ = strings.Cut(name, " ")
+		if strings.HasPrefix(name, "capsnet_go_") || strings.HasSuffix(name, "_build_info") {
+			line = name
+		}
+		lines = append(lines, line)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+func checkGolden(t *testing.T, name, text string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	got := goldenLines(text)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s (rerun with -update-golden only for an intended wire change)\ngot:\n%s", name, path, got)
+	}
+}
+
+func get(t *testing.T, h http.Handler, path string) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("GET %s: Content-Type %q", path, ct)
+	}
+	return w.Body.String()
+}
+
+func TestServeMetricsGolden(t *testing.T) {
+	m := serve.NewMetrics()
+	m.QueueDepth = func() int { return 5 }
+	m.ArenaBytes = func() uint64 { return 23909824 }
+	m.PartitionCounts = func() (batch, hcaps uint64) { return 116, 114 }
+	m.BrownoutLevel = func() int { return 2 }
+	m.SetBrownoutLevels(3)
+
+	for i := 0; i < 12; i++ {
+		m.IncRequest()
+	}
+	for _, code := range []int{200, 200, 200, 200, 200, 200, 200, 400, 429, 429, 504, 418} {
+		m.IncResponse(code)
+	}
+	m.ObserveBatch(4, 3)
+	m.ObserveBatch(8, 3)
+	m.ObserveBatch(1, 2)
+	for _, s := range []float64{0, 0.0004, 0.003, 0.003, 0.04, 0.7, 12} {
+		m.Latency.Observe(s)
+	}
+	for _, s := range []float64{0.00001, 0.0002, 0.02} {
+		m.QueueWait.Observe(s)
+		m.ObserveStage(serve.StageQueueWait, s)
+	}
+	for _, s := range []float64{0.0003, 0.0006, 3} {
+		m.RoutingIteration.Observe(s)
+		m.ObserveStage("routing_iteration", s)
+	}
+	m.ObserveStage(serve.StageAdmission, 0.00005)
+	m.ObserveStage(serve.StageForward, 0.0161)
+	m.ObserveStage(serve.StageForward, 0.0174)
+	m.ObserveStage("conv", 0.0012)
+	m.IncTraces()
+	m.IncPanicRecovered()
+	m.IncPanicRecovered()
+	m.IncWatchdogBatch()
+	m.AddRoutingFallbacks(3)
+	m.IncCheckpointRejection()
+	m.IncBatchAborted()
+	m.IncDeadlineExpired()
+	m.IncBrownoutRequests(0, 9)
+	m.IncBrownoutRequests(2, 4)
+
+	checkGolden(t, "serve_metrics", get(t, m.Handler(), "/metrics"))
+}
+
+// stepClock is the injected router clock: it moves only when the
+// script (or a stub replica "taking" time) advances it.
+type stepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+type poolFunc func() []cluster.ReplicaInfo
+
+func (f poolFunc) Snapshot() []cluster.ReplicaInfo { return f() }
+
+// Two stub replicas' /metrics bodies: a counter, a labelled counter, an
+// escaped label value, a plain and a labelled histogram, and one family
+// only r0 has.
+const stubMetricsR0 = `capsnet_build_info{version="devel",go_version="go1.24.0"} 1
+capsnet_requests_total 10
+capsnet_responses_total{code="200"} 9
+capsnet_responses_total{code="429"} 1
+capsnet_arena_bytes 23909824
+capsnet_go_goroutines 14
+capsnet_note{text="a \"quoted\" \\ back\nslash"} 1
+capsnet_request_latency_seconds{quantile="0.5"} 0.0125
+capsnet_request_latency_seconds_bucket{le="0.025"} 8
+capsnet_request_latency_seconds_bucket{le="+Inf"} 10
+capsnet_request_latency_seconds_sum 0.4375
+capsnet_request_latency_seconds_count 10
+capsnet_request_latency_seconds_overflow_total 2
+capsnet_stage_seconds{stage="conv",quantile="0.5"} 0.0005
+capsnet_stage_seconds_bucket{stage="conv",le="0.001"} 3
+capsnet_stage_seconds_bucket{stage="conv",le="+Inf"} 3
+capsnet_stage_seconds_sum{stage="conv"} 0.0015
+capsnet_stage_seconds_count{stage="conv"} 3
+capsnet_stage_seconds_overflow_total{stage="conv"} 0
+capsnet_stage_seconds_bucket{stage="encode",le="0.001"} 1
+capsnet_stage_seconds_bucket{stage="encode",le="+Inf"} 1
+capsnet_stage_seconds_sum{stage="encode"} 2e-05
+capsnet_stage_seconds_count{stage="encode"} 1
+`
+
+const stubMetricsR1 = `capsnet_build_info{version="devel",go_version="go1.24.0"} 1
+capsnet_requests_total 12
+capsnet_responses_total{code="200"} 12
+capsnet_arena_bytes 23909824
+capsnet_go_goroutines 15
+capsnet_request_latency_seconds{quantile="0.5"} 0.02
+capsnet_request_latency_seconds_bucket{le="0.025"} 11
+capsnet_request_latency_seconds_bucket{le="+Inf"} 12
+capsnet_request_latency_seconds_sum 0.25
+capsnet_request_latency_seconds_count 12
+capsnet_request_latency_seconds_overflow_total 1
+capsnet_stage_seconds{stage="conv",quantile="0.5"} 0.0005
+capsnet_stage_seconds_bucket{stage="conv",le="0.001"} 4
+capsnet_stage_seconds_bucket{stage="conv",le="+Inf"} 5
+capsnet_stage_seconds_sum{stage="conv"} 0.0525
+capsnet_stage_seconds_count{stage="conv"} 5
+capsnet_stage_seconds_overflow_total{stage="conv"} 1
+`
+
+// scriptedRouter builds a dispatcher over two stub replicas and runs
+// the fixed script: routed requests whose replica "takes" a scripted
+// time on the injected clock, one expired on arrival, a two-minute gap
+// so the 1m and 10m SLO windows differ, then direct counter bumps for
+// the families the script's happy paths do not reach.
+func scriptedRouter(t *testing.T) *cluster.Dispatcher {
+	t.Helper()
+	clk := &stepClock{now: time.Unix(1_700_000_000, 0)}
+	var took atomic.Int64 // what the next classify costs on clk, in ms
+	stub := func(metrics string) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/classify", func(w http.ResponseWriter, r *http.Request) {
+			clk.Advance(time.Duration(took.Load()) * time.Millisecond)
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"class":1,"probs":[0.1,0.8,0.1],"poses":null,"batch":1}`)
+		})
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, metrics)
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	r0, r1 := stub(stubMetricsR0), stub(stubMetricsR1)
+	pool := poolFunc(func() []cluster.ReplicaInfo {
+		return []cluster.ReplicaInfo{
+			{Name: "r0", URL: r0.URL, Ready: true, Restarts: 2, Load: cluster.Load{QueueDepth: 3, Inflight: 1}},
+			{Name: "r1", URL: r1.URL, Ready: true, Load: cluster.Load{QueueDepth: 2, Inflight: 2}},
+			{Name: "r2", Restarts: 7},
+		}
+	})
+	metrics := cluster.NewMetrics()
+	metrics.Snapshot = pool.Snapshot
+	d, err := cluster.NewDispatcher(cluster.DispatcherConfig{
+		Pool: pool, Metrics: metrics, Clock: clk.Now, HedgeDelay: -1, SLOTarget: 0.99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classify := func(body string, hdr http.Header, want int) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify", strings.NewReader(body))
+		for k, v := range hdr {
+			req.Header[k] = v
+		}
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, req)
+		if w.Code != want {
+			t.Fatalf("classify %s: status %d, want %d", body, w.Code, want)
+		}
+	}
+	for i, ms := range []int64{2, 7, 30, 400, 12000} {
+		took.Store(ms)
+		classify(`{"image":[0.`+strings.Repeat("3", i+1)+`]}`, nil, http.StatusOK)
+	}
+	expired := http.Header{}
+	deadline.Set(expired, clk.Now().Add(-time.Second))
+	classify(`{"image":[0.9]}`, expired, http.StatusGatewayTimeout)
+	clk.Advance(2 * time.Minute)
+	took.Store(60)
+	classify(`{"image":[0.5]}`, nil, http.StatusOK)
+
+	m := d.Metrics()
+	m.IncRetry()
+	m.IncRetry()
+	m.IncHedge()
+	m.IncHedgeSkipped()
+	m.IncHedgeSkipped()
+	m.IncHedgeSkipped()
+	m.IncReplicaRequest("r1", "error")
+	m.IncReplicaRequest("r0", "corrupt")
+	return d
+}
+
+func TestRouterMetricsGolden(t *testing.T) {
+	checkGolden(t, "router_metrics", get(t, scriptedRouter(t).Handler(), "/metrics"))
+}
+
+func TestFleetMetricsGolden(t *testing.T) {
+	checkGolden(t, "fleet_metrics", get(t, scriptedRouter(t).Handler(), "/metrics/fleet"))
+}
