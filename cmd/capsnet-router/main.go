@@ -15,11 +15,12 @@
 //	GET  /v1/replicas   fleet snapshot: URLs, PIDs, restarts, load
 //	GET  /healthz       router process liveness
 //	GET  /readyz        503 until at least one replica is ready
-//	GET  /metrics       router_replica_requests_total{replica,code},
-//	                    router_retries_total, router_hedges_total,
-//	                    per-replica ready/restart/load gauges, latency,
-//	                    rolling SLO gauges (availability, p99, burn rate)
-//	GET  /metrics/fleet every replica's /metrics re-exported with a
+//	GET  /metrics       the cluster.Metrics registry as text:
+//	                    router_replica_requests_total{replica,code}, retry /
+//	                    hedge / deadline counters, the latency histogram and,
+//	                    collected at scrape time, per-replica ready/restart/load
+//	                    gauges and the SLO gauges (availability, p99, burn rate)
+//	GET  /metrics/fleet every replica's /metrics re-exported with a leading
 //	                    {replica} label plus exactly merged histograms
 //	GET  /debug/requests/trace   router-side request timelines (Chrome trace JSON)
 //	GET  /debug/requests/flight  tail-sampled flight recorder (5xx, 504, slow)
@@ -119,15 +120,12 @@ func main() {
 	}
 	wrCancel()
 
-	metrics := cluster.NewMetrics()
-	metrics.Snapshot = mgr.Snapshot
 	disp, err := cluster.NewDispatcher(cluster.DispatcherConfig{
 		Pool: mgr,
 		Placer: cluster.Placer{
 			Scorer:      distribute.Scorer{Alpha: *alpha, Beta: *beta},
 			MovePenalty: *movePenalty,
 		},
-		Metrics:             metrics,
 		Logger:              logger,
 		MaxAttempts:         *retries,
 		HedgeDelay:          *hedgeDelay,

@@ -11,8 +11,9 @@
 //	GET  /v1/model              input geometry and routing config
 //	GET  /healthz               process liveness (always 200)
 //	GET  /readyz                traffic readiness (503 while draining)
-//	GET  /metrics               text exposition: request/latency/batch/stage histograms,
-//	                            queue-wait and routing-iteration histograms, runtime gauges
+//	GET  /metrics               the serve.Metrics registry as text: request, batch, robustness
+//	                            and brownout counters, queue/arena/brownout gauges, latency,
+//	                            batch-size and per-stage histograms, runtime gauges
 //	GET  /debug/requests/trace  sampled request timelines as Chrome trace JSON
 //	                            (?last=N; ?trace=<id>[&format=spans] for one request)
 //	GET  /debug/requests/flight tail-sampled flight recorder: bad requests (5xx, slow,

@@ -40,9 +40,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,6 +49,7 @@ import (
 	"pimcapsnet/internal/dataset"
 	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/loadgen"
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
 	"pimcapsnet/internal/workload"
 )
@@ -131,8 +130,9 @@ func main() {
 	}
 	defer resp.Body.Close()
 	text, _ := io.ReadAll(resp.Body)
+	samples := obs.ParsePromText(text)
 	if *target == "router" {
-		printRouterSummary(string(text))
+		printRouterSummary(samples)
 		if *fleet {
 			fleetResp, err := client.Get(*addr + "/metrics/fleet")
 			if err != nil {
@@ -141,23 +141,20 @@ func main() {
 			}
 			fleetText, _ := io.ReadAll(fleetResp.Body)
 			fleetResp.Body.Close()
-			printFleetSummary(string(fleetText))
+			printFleetSummary(obs.ParsePromText(fleetText))
 		}
 		return
 	}
 	fmt.Println("\nserver /metrics (batching + latency):")
-	for _, line := range strings.Split(string(text), "\n") {
-		if strings.HasPrefix(line, "capsnet_batch") ||
-			strings.HasPrefix(line, "capsnet_request_latency_seconds{") ||
-			strings.HasPrefix(line, "capsnet_queue_depth") ||
-			strings.HasPrefix(line, "capsnet_routing_iterations_total") ||
-			strings.HasPrefix(line, "capsnet_brownout_level") ||
-			strings.HasPrefix(line, "capsnet_batch_aborted_total") ||
-			strings.HasPrefix(line, "capsnet_deadline_expired_total") {
-			fmt.Println("  " + line)
+	printSamples(samples, func(s obs.PromSample) bool {
+		switch s.Name {
+		case "capsnet_request_latency_seconds", "capsnet_queue_depth", "capsnet_routing_iterations_total",
+			"capsnet_brownout_level", "capsnet_deadline_expired_total":
+			return true
 		}
-	}
-	printStageBreakdown(string(text), *target)
+		return strings.HasPrefix(s.Name, "capsnet_batch")
+	})
+	printStageBreakdown(samples, *target)
 }
 
 // fireClosedLoop drives the default worker-pool load: c goroutines,
@@ -244,56 +241,72 @@ func fireOpenLoop(client *http.Client, addr string, bodies [][]byte, rate float6
 	fmt.Println("  " + res.String())
 }
 
+// printSamples prints the exposition lines keep selects.
+func printSamples(samples obs.PromSamples, keep func(obs.PromSample) bool) {
+	for _, s := range samples {
+		if keep(s) {
+			fmt.Println("  " + s.String())
+		}
+	}
+}
+
 // printRouterSummary renders the router tier's view of the load: how
 // placement spread requests over the replicas, and what faults cost
 // (retries, hedges) instead of the single-replica stage breakdown.
-func printRouterSummary(metrics string) {
+func printRouterSummary(samples obs.PromSamples) {
 	fmt.Println("\nrouter /metrics (tier hit: router — placement, retries, hedges):")
-	reqRe := regexp.MustCompile(`^router_replica_requests_total\{replica="([^"]+)",code="([^"]+)"\} (\d+)$`)
-	type key struct{ replica, code string }
-	counts := make(map[key]uint64)
-	var replicas, codes []string
-	seenR, seenC := map[string]bool{}, map[string]bool{}
-	for _, line := range strings.Split(metrics, "\n") {
-		if m := reqRe.FindStringSubmatch(line); m != nil {
-			v, _ := strconv.ParseUint(m[3], 10, 64)
-			counts[key{m[1], m[2]}] = v
-			if !seenR[m[1]] {
-				seenR[m[1]] = true
-				replicas = append(replicas, m[1])
-			}
-			if !seenC[m[2]] {
-				seenC[m[2]] = true
-				codes = append(codes, m[2])
-			}
-			continue
+	printSamples(samples, func(s obs.PromSample) bool {
+		switch s.Name {
+		case "router_retries_total", "router_hedges_total", "router_hedges_skipped_total",
+			"router_deadline_exhausted_total", "router_replica_restarts_total",
+			"router_request_latency_seconds_count", "router_request_latency_seconds_sum":
+			return true
 		}
-		if strings.HasPrefix(line, "router_retries_total") ||
-			strings.HasPrefix(line, "router_hedges_total") ||
-			strings.HasPrefix(line, "router_hedges_skipped_total") ||
-			strings.HasPrefix(line, "router_deadline_exhausted_total") ||
-			strings.HasPrefix(line, "router_replica_restarts_total") ||
-			strings.HasPrefix(line, "router_request_latency_seconds_count") ||
-			strings.HasPrefix(line, "router_request_latency_seconds_sum") ||
-			strings.HasPrefix(line, "router_slo_") {
-			fmt.Println("  " + line)
-		}
-	}
-	sort.Strings(replicas)
-	sort.Strings(codes)
+		return strings.HasPrefix(s.Name, "router_slo_")
+	})
+	reqs := samples.Family("router_replica_requests_total")
+	replicas, codes := labelValues(reqs, "replica"), labelValues(reqs, "code")
 	if len(replicas) == 0 {
 		return
 	}
 	fmt.Println("\nper-replica request distribution (router_replica_requests_total):")
+	printReplicaTable(replicas, codes, 8, func(replica string, col int) (float64, bool) {
+		v, _ := reqs.Value("router_replica_requests_total", "replica", replica, "code", codes[col])
+		return v, true
+	})
+}
+
+// labelValues returns the distinct values one label takes across a
+// family, sorted.
+func labelValues(family obs.PromSamples, key string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, s := range family {
+		if v := s.Label(key); v != "" && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// printReplicaTable prints one row per replica and one column per
+// header; a cell without a value prints as "-".
+func printReplicaTable(replicas, headers []string, width int, cell func(replica string, col int) (float64, bool)) {
 	fmt.Printf("  %-10s", "replica")
-	for _, c := range codes {
-		fmt.Printf(" %8s", c)
+	for _, h := range headers {
+		fmt.Printf(" %*s", width, h)
 	}
 	fmt.Println()
 	for _, r := range replicas {
 		fmt.Printf("  %-10s", r)
-		for _, c := range codes {
-			fmt.Printf(" %8d", counts[key{r, c}])
+		for col := range headers {
+			if v, ok := cell(r, col); ok {
+				fmt.Printf(" %*.0f", width, v)
+			} else {
+				fmt.Printf(" %*s", width, "-")
+			}
 		}
 		fmt.Println()
 	}
@@ -303,141 +316,71 @@ func printRouterSummary(metrics string) {
 // merged cross-replica latency histogram, the scrape bookkeeping, and
 // a per-replica health table with the degradation columns (brownout
 // level, aborted batches, expired deadlines) next to the traffic ones.
-func printFleetSummary(metrics string) {
+func printFleetSummary(samples obs.PromSamples) {
 	fmt.Println("\nfleet /metrics/fleet (merged across replicas):")
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, "router_fleet_") ||
-			strings.HasPrefix(line, "capsnet_request_latency_seconds_sum ") ||
-			strings.HasPrefix(line, "capsnet_request_latency_seconds_count ") ||
-			strings.HasPrefix(line, "capsnet_request_latency_seconds_overflow_total ") {
-			fmt.Println("  " + line)
+	printSamples(samples, func(s obs.PromSample) bool {
+		switch s.Name {
+		case "capsnet_request_latency_seconds_sum", "capsnet_request_latency_seconds_count",
+			"capsnet_request_latency_seconds_overflow_total":
+			return len(s.Labels) == 0
 		}
-	}
+		return strings.HasPrefix(s.Name, "router_fleet_")
+	})
 
 	// Per-replica health table from the {replica}-labelled re-export.
-	cols := []struct{ family, header string }{
-		{"capsnet_requests_total", "requests"},
-		{"capsnet_batches_total", "batches"},
-		{"capsnet_brownout_level", "brownout"},
-		{"capsnet_batch_aborted_total", "aborted"},
-		{"capsnet_deadline_expired_total", "expired"},
-	}
-	repRe := regexp.MustCompile(`^(\w+)\{replica="([^"]+)"\} (\S+)$`)
-	values := make(map[string]map[string]string) // replica → family → value
-	var replicas []string
-	for _, line := range strings.Split(metrics, "\n") {
-		m := repRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		if values[m[2]] == nil {
-			values[m[2]] = make(map[string]string)
-			replicas = append(replicas, m[2])
-		}
-		values[m[2]][m[1]] = m[3]
-	}
+	families := []string{"capsnet_requests_total", "capsnet_batches_total", "capsnet_brownout_level",
+		"capsnet_batch_aborted_total", "capsnet_deadline_expired_total"}
+	headers := []string{"requests", "batches", "brownout", "aborted", "expired"}
+	replicas := labelValues(samples.Family(families[0]), "replica")
 	if len(replicas) == 0 {
 		fmt.Println("\nno per-replica samples in the fleet exposition (all scrapes failed?)")
 		return
 	}
-	sort.Strings(replicas)
 	fmt.Println("\nper-replica health (re-exported replica /metrics):")
-	fmt.Printf("  %-10s", "replica")
-	for _, c := range cols {
-		fmt.Printf(" %9s", c.header)
-	}
-	fmt.Println()
-	for _, r := range replicas {
-		fmt.Printf("  %-10s", r)
-		for _, c := range cols {
-			v := values[r][c.family]
-			if v == "" {
-				v = "-"
-			}
-			fmt.Printf(" %9s", v)
-		}
-		fmt.Println()
-	}
+	printReplicaTable(replicas, headers, 9, func(replica string, col int) (float64, bool) {
+		return samples.Value(families[col], "replica", replica)
+	})
 }
 
-// stageStat is one capsnet_stage_seconds family parsed from the
-// exposition.
+// stageStat is one capsnet_stage_seconds{stage} histogram.
 type stageStat struct {
-	name       string
-	count      uint64
-	sum        float64
-	p50, p99   float64
-	totalShare float64
+	name          string
+	count         float64
+	sum, p50, p99 float64
 }
 
 // printStageBreakdown renders the per-stage latency table from the
 // capsnet_stage_seconds histograms — where a served request's time
 // actually goes, the production counterpart of the paper's Figure 3
 // execution-time breakdown.
-func printStageBreakdown(metrics, tier string) {
-	stages := parseStageStats(metrics)
+func printStageBreakdown(samples obs.PromSamples, tier string) {
+	var stages []stageStat
+	var total float64
+	for _, s := range samples.Family("capsnet_stage_seconds_sum") {
+		st := stageStat{name: s.Label("stage")}
+		st.sum, _ = s.Float()
+		st.count, _ = samples.Value("capsnet_stage_seconds_count", "stage", st.name)
+		st.p50, _ = samples.Value("capsnet_stage_seconds", "stage", st.name, "quantile", "0.5")
+		st.p99, _ = samples.Value("capsnet_stage_seconds", "stage", st.name, "quantile", "0.99")
+		stages = append(stages, st)
+		total += st.sum
+	}
 	if len(stages) == 0 {
 		fmt.Println("\nno stage histograms yet (is the server older than the observability layer?)")
 		return
-	}
-	var total float64
-	for _, s := range stages {
-		total += s.sum
-	}
-	for i := range stages {
-		if total > 0 {
-			stages[i].totalShare = 100 * stages[i].sum / total
-		}
 	}
 	sort.Slice(stages, func(i, j int) bool { return stages[i].sum > stages[j].sum })
 
 	fmt.Printf("\nper-stage latency breakdown (capsnet_stage_seconds, tier hit: %s):\n", tier)
 	fmt.Printf("  %-24s %8s %12s %10s %10s %7s\n", "stage", "count", "total", "p50", "p99", "share")
 	for _, s := range stages {
-		fmt.Printf("  %-24s %8d %12s %10s %10s %6.1f%%\n",
-			s.name, s.count, fmtSeconds(s.sum), fmtSeconds(s.p50), fmtSeconds(s.p99), s.totalShare)
-	}
-}
-
-// parseStageStats extracts count/sum/quantiles for every stage label
-// from the Prometheus text exposition.
-func parseStageStats(metrics string) []stageStat {
-	byStage := make(map[string]*stageStat)
-	get := func(stage string) *stageStat {
-		s, ok := byStage[stage]
-		if !ok {
-			s = &stageStat{name: stage}
-			byStage[stage] = s
+		share := 0.0
+		if total > 0 {
+			share = 100 * s.sum / total
 		}
-		return s
+		fmt.Printf("  %-24s %8.0f %12s %10s %10s %6.1f%%\n",
+			s.name, s.count, fmtSeconds(s.sum), fmtSeconds(s.p50), fmtSeconds(s.p99), share)
 	}
-	stageRe := regexp.MustCompile(`^capsnet_stage_seconds(_sum|_count)?\{stage="([^"]+)"(?:,quantile="([^"]+)")?\} (\S+)$`)
-	for _, line := range strings.Split(metrics, "\n") {
-		m := stageRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[4], 64)
-		if err != nil {
-			continue
-		}
-		s := get(m[2])
-		switch {
-		case m[1] == "_count":
-			s.count = uint64(v)
-		case m[1] == "_sum":
-			s.sum = v
-		case m[3] == "0.5":
-			s.p50 = v
-		case m[3] == "0.99":
-			s.p99 = v
-		}
-	}
-	out := make([]stageStat, 0, len(byStage))
-	for _, s := range byStage {
-		out = append(out, *s)
-	}
-	return out
 }
 
 // fmtSeconds renders a duration in the most readable unit.

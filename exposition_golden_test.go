@@ -16,6 +16,7 @@ import (
 
 	"pimcapsnet/internal/cluster"
 	"pimcapsnet/internal/deadline"
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
 )
 
@@ -32,11 +33,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden 
 // lines.
 func goldenLines(text string) string {
 	var lines []string
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		name, _, _ := strings.Cut(line, "{")
-		name, _, _ = strings.Cut(name, " ")
-		if strings.HasPrefix(name, "capsnet_go_") || strings.HasSuffix(name, "_build_info") {
-			line = name
+	for _, s := range obs.ParsePromText([]byte(text)) {
+		line := s.String()
+		if strings.HasPrefix(s.Name, "capsnet_go_") || strings.HasSuffix(s.Name, "_build_info") {
+			line = s.Name
 		}
 		lines = append(lines, line)
 	}
@@ -82,42 +82,39 @@ func TestServeMetricsGolden(t *testing.T) {
 	m.ArenaBytes = func() uint64 { return 23909824 }
 	m.PartitionCounts = func() (batch, hcaps uint64) { return 116, 114 }
 	m.BrownoutLevel = func() int { return 2 }
-	m.SetBrownoutLevels(3)
+	m.BrownoutRequests.With("1")
 
-	for i := 0; i < 12; i++ {
-		m.IncRequest()
-	}
+	m.Requests.Add(12)
 	for _, code := range []int{200, 200, 200, 200, 200, 200, 200, 400, 429, 429, 504, 418} {
 		m.IncResponse(code)
 	}
-	m.ObserveBatch(4, 3)
-	m.ObserveBatch(8, 3)
-	m.ObserveBatch(1, 2)
+	for _, batch := range [][2]uint64{{4, 3}, {8, 3}, {1, 2}} {
+		m.Batches.Inc()
+		m.BatchSize.Observe(float64(batch[0]))
+		m.RoutingIterations.Add(batch[1])
+	}
 	for _, s := range []float64{0, 0.0004, 0.003, 0.003, 0.04, 0.7, 12} {
 		m.Latency.Observe(s)
 	}
 	for _, s := range []float64{0.00001, 0.0002, 0.02} {
-		m.QueueWait.Observe(s)
-		m.ObserveStage(serve.StageQueueWait, s)
+		m.Stages.With(serve.StageQueueWait).Observe(s)
 	}
 	for _, s := range []float64{0.0003, 0.0006, 3} {
-		m.RoutingIteration.Observe(s)
-		m.ObserveStage("routing_iteration", s)
+		m.Stages.With("routing_iteration").Observe(s)
 	}
-	m.ObserveStage(serve.StageAdmission, 0.00005)
-	m.ObserveStage(serve.StageForward, 0.0161)
-	m.ObserveStage(serve.StageForward, 0.0174)
-	m.ObserveStage("conv", 0.0012)
-	m.IncTraces()
-	m.IncPanicRecovered()
-	m.IncPanicRecovered()
-	m.IncWatchdogBatch()
-	m.AddRoutingFallbacks(3)
-	m.IncCheckpointRejection()
-	m.IncBatchAborted()
-	m.IncDeadlineExpired()
-	m.IncBrownoutRequests(0, 9)
-	m.IncBrownoutRequests(2, 4)
+	m.Stages.With(serve.StageAdmission).Observe(0.00005)
+	m.Stages.With(serve.StageForward).Observe(0.0161)
+	m.Stages.With(serve.StageForward).Observe(0.0174)
+	m.Stages.With("conv").Observe(0.0012)
+	m.Traces.Inc()
+	m.PanicsRecovered.Add(2)
+	m.WatchdogBatches.Inc()
+	m.RoutingFallbacks.Add(3)
+	m.CheckpointRejections.Inc()
+	m.BatchesAborted.Inc()
+	m.DeadlinesExpired.Inc()
+	m.BrownoutRequests.With("0").Add(9)
+	m.BrownoutRequests.With("2").Add(4)
 
 	checkGolden(t, "serve_metrics", get(t, m.Handler(), "/metrics"))
 }
@@ -223,10 +220,8 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 			{Name: "r2", Restarts: 7},
 		}
 	})
-	metrics := cluster.NewMetrics()
-	metrics.Snapshot = pool.Snapshot
 	d, err := cluster.NewDispatcher(cluster.DispatcherConfig{
-		Pool: pool, Metrics: metrics, Clock: clk.Now, HedgeDelay: -1, SLOTarget: 0.99,
+		Pool: pool, Clock: clk.Now, HedgeDelay: -1, SLOTarget: 0.99,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,14 +250,11 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 	classify(`{"image":[0.5]}`, nil, http.StatusOK)
 
 	m := d.Metrics()
-	m.IncRetry()
-	m.IncRetry()
-	m.IncHedge()
-	m.IncHedgeSkipped()
-	m.IncHedgeSkipped()
-	m.IncHedgeSkipped()
-	m.IncReplicaRequest("r1", "error")
-	m.IncReplicaRequest("r0", "corrupt")
+	m.Retries.Add(2)
+	m.Hedges.Inc()
+	m.HedgesSkipped.Add(3)
+	m.ReplicaRequests.With("r1", "error").Inc()
+	m.ReplicaRequests.With("r0", "corrupt").Inc()
 	return d
 }
 

@@ -7,14 +7,13 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
-	"regexp"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"pimcapsnet/internal/deadline"
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/trace"
 )
 
@@ -233,11 +232,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// the merged latency histogram exactly the sum of the re-exported
 	// per-replica series in the same document.
 	fleetText := getText(t, base+"/metrics/fleet")
-	for i, line := range strings.Split(strings.TrimRight(fleetText, "\n"), "\n") {
-		if !promLineRe.MatchString(line) {
-			t.Errorf("/metrics/fleet line %d violates text grammar: %q", i+1, line)
-		}
-	}
+	fleetSamples := parseExposition(t, "/metrics/fleet", fleetText)
 	for _, want := range []string{
 		"router_fleet_replicas_scraped 2",
 		"router_fleet_scrape_failures 0",
@@ -251,8 +246,8 @@ func TestFleetObservabilityE2E(t *testing.T) {
 			t.Errorf("/metrics/fleet missing %q", want)
 		}
 	}
-	assertMergedHistogram(t, fleetText, "capsnet_request_latency_seconds_sum")
-	assertMergedHistogram(t, fleetText, "capsnet_request_latency_seconds_count")
+	assertMergedHistogram(t, fleetSamples, "capsnet_request_latency_seconds_sum")
+	assertMergedHistogram(t, fleetSamples, "capsnet_request_latency_seconds_count")
 
 	// Graceful shutdown.
 	if err := router.Process.Signal(syscall.SIGINT); err != nil {
@@ -283,37 +278,24 @@ func hasReason(reasons []string, want string) bool {
 // sum of the {replica}-labelled re-exports of the same family, summed
 // in document order — exactly, since both sides add the same parsed
 // values in the same order.
-func assertMergedHistogram(t *testing.T, text, family string) {
+func assertMergedHistogram(t *testing.T, samples obs.PromSamples, family string) {
 	t.Helper()
-	mergedRe := regexp.MustCompile(`^` + regexp.QuoteMeta(family) + ` (\S+)$`)
-	replicaRe := regexp.MustCompile(`^` + regexp.QuoteMeta(family) + `\{replica="[^"]+"\} (\S+)$`)
-	var merged float64
-	mergedSeen := false
+	merged := seriesValue(t, samples, family)
 	var sum float64
-	replicaLines := 0
-	for _, line := range strings.Split(text, "\n") {
-		if m := mergedRe.FindStringSubmatch(line); m != nil {
-			v, err := strconv.ParseFloat(m[1], 64)
-			if err != nil {
-				t.Fatalf("merged %s value %q: %v", family, m[1], err)
-			}
-			merged, mergedSeen = v, true
+	replicaSeries := 0
+	for _, s := range samples.Family(family) {
+		if s.Label("replica") == "" {
 			continue
 		}
-		if m := replicaRe.FindStringSubmatch(line); m != nil {
-			v, err := strconv.ParseFloat(m[1], 64)
-			if err != nil {
-				t.Fatalf("replica %s value %q: %v", family, m[1], err)
-			}
-			sum += v
-			replicaLines++
+		v, err := s.Float()
+		if err != nil {
+			t.Fatalf("replica %s value %q: %v", family, s.Value, err)
 		}
+		sum += v
+		replicaSeries++
 	}
-	if !mergedSeen {
-		t.Fatalf("no merged %s series in fleet exposition", family)
-	}
-	if replicaLines != 2 {
-		t.Fatalf("found %d per-replica %s series, want 2", replicaLines, family)
+	if replicaSeries != 2 {
+		t.Fatalf("found %d per-replica %s series, want 2", replicaSeries, family)
 	}
 	if merged != sum {
 		t.Errorf("merged %s = %v, want exactly %v (sum of per-replica series)", family, merged, sum)

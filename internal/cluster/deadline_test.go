@@ -126,10 +126,10 @@ func TestDispatchNoAttemptAfterDeadline(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Fatalf("replica hit %d times, want 1 (no retries past the deadline)", hits.Load())
 	}
-	if got := d.Metrics().Retries(); got != 0 {
+	if got := d.Metrics().Retries.Value(); got != 0 {
 		t.Fatalf("router_retries_total = %d, want 0", got)
 	}
-	if got := d.Metrics().DeadlinesExhausted(); got != 1 {
+	if got := d.Metrics().DeadlineExhausted.Value(); got != 1 {
 		t.Fatalf("router_deadline_exhausted_total = %d, want 1", got)
 	}
 }
@@ -153,7 +153,7 @@ func TestDispatchExpiredOnArrival(t *testing.T) {
 	if hits.Load() != 0 {
 		t.Fatalf("replica hit %d times for a dead-on-arrival request, want 0", hits.Load())
 	}
-	if got := d.Metrics().DeadlinesExhausted(); got != 1 {
+	if got := d.Metrics().DeadlineExhausted.Value(); got != 1 {
 		t.Fatalf("router_deadline_exhausted_total = %d, want 1", got)
 	}
 }
@@ -180,10 +180,10 @@ func TestDispatchSkipsHedgeNearDeadline(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
-	if got := d.Metrics().HedgesSkipped(); got != 1 {
+	if got := d.Metrics().HedgesSkipped.Value(); got != 1 {
 		t.Fatalf("router_hedges_skipped_total = %d, want 1", got)
 	}
-	if got := d.Metrics().Hedges(); got != 0 {
+	if got := d.Metrics().Hedges.Value(); got != 0 {
 		t.Fatalf("router_hedges_total = %d, want 0", got)
 	}
 	if total := hits0.Load() + hits1.Load(); total != 1 {

@@ -121,25 +121,30 @@ func (d *Dispatcher) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 // fetchFragments pulls one replica's span fragments for a trace ID.
 func (d *Dispatcher) fetchFragments(ctx context.Context, rep ReplicaInfo, id string) (obs.FragmentDoc, error) {
 	var doc obs.FragmentDoc
+	err := d.fetch(ctx, rep, "/debug/requests/trace?trace="+url.QueryEscape(id)+"&format=spans", func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(&doc)
+	})
+	return doc, err
+}
+
+// fetch GETs one path from a replica under fleetFetchTimeout and hands
+// a 200 response's body to read.
+func (d *Dispatcher) fetch(ctx context.Context, rep ReplicaInfo, path string, read func(io.Reader) error) error {
 	ctx, cancel := context.WithTimeout(ctx, fleetFetchTimeout)
 	defer cancel()
-	u := rep.URL + "/debug/requests/trace?trace=" + url.QueryEscape(id) + "&format=spans"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.URL+path, nil)
 	if err != nil {
-		return doc, err
+		return err
 	}
 	resp, err := d.cfg.Client.Do(req)
 	if err != nil {
-		return doc, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return doc, fmt.Errorf("cluster: %s fragment fetch: status %d", rep.Name, resp.StatusCode)
+		return fmt.Errorf("cluster: %s GET %s: status %d", rep.Name, path, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return doc, err
-	}
-	return doc, nil
+	return read(resp.Body)
 }
 
 // handleFleetMetrics serves the aggregated cluster exposition: every
@@ -157,29 +162,26 @@ func (d *Dispatcher) handleFleetMetrics(w http.ResponseWriter, r *http.Request) 
 			failed++
 			continue
 		}
-		scrapes = append(scrapes, ReplicaMetrics{Name: rep.Name, Samples: ParsePromText(data)})
+		scrapes = append(scrapes, ReplicaMetrics{Name: rep.Name, Samples: obs.ParsePromText(data)})
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WriteFleetMetrics(w, scrapes, failed)
 	d.cfg.Metrics.WriteText(w)
-	d.slo.WriteText(w)
 }
 
+// maxReplicaMetricsBytes caps one replica's /metrics body in a fleet
+// scrape at some forty times a busy replica's exposition; a larger
+// body is a scrape failure, not the router's memory.
+const maxReplicaMetricsBytes = 1 << 20
+
 // fetchMetrics pulls one replica's raw /metrics exposition.
-func (d *Dispatcher) fetchMetrics(ctx context.Context, rep ReplicaInfo) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, fleetFetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.URL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := d.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s metrics fetch: status %d", rep.Name, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
+func (d *Dispatcher) fetchMetrics(ctx context.Context, rep ReplicaInfo) (data []byte, err error) {
+	err = d.fetch(ctx, rep, "/metrics", func(body io.Reader) error {
+		data, err = io.ReadAll(io.LimitReader(body, maxReplicaMetricsBytes+1))
+		if err == nil && len(data) > maxReplicaMetricsBytes {
+			err = fmt.Errorf("cluster: %s /metrics body exceeds %d bytes", rep.Name, maxReplicaMetricsBytes)
+		}
+		return err
+	})
+	return data, err
 }

@@ -153,6 +153,10 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		})
 	}
 	d.slo = NewSLOTracker(cfg.SLOTarget, cfg.Clock)
+	cfg.Metrics.Collect(func(e *obs.Emitter) {
+		collectReplicas(e, cfg.Pool)
+		d.slo.collect(e)
+	})
 	d.mux.HandleFunc("/v1/classify", d.handleClassify)
 	d.mux.HandleFunc("/v1/model", d.handleModel)
 	d.mux.HandleFunc("/v1/replicas", d.handleReplicas)
@@ -161,11 +165,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		io.WriteString(w, "ok\n")
 	})
 	d.mux.HandleFunc("/readyz", d.handleReadyz)
-	d.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		d.cfg.Metrics.WriteText(w)
-		d.slo.WriteText(w)
-	})
+	d.mux.Handle("/metrics", cfg.Metrics.Handler())
 	d.mux.HandleFunc("/metrics/fleet", d.handleFleetMetrics)
 	d.mux.HandleFunc("/debug/requests/trace", d.handleRequestTrace)
 	d.mux.HandleFunc("/debug/requests/flight", d.handleFlight)
@@ -434,7 +434,7 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 			defer hedge.Stop()
 			hedgeTimer = hedge.C
 		} else {
-			d.cfg.Metrics.IncHedgeSkipped()
+			d.cfg.Metrics.HedgesSkipped.Inc()
 			d.logger().Debug("hedge skipped, deadline too close",
 				slog.String("trace_id", traceID),
 				slog.Duration("remaining", dl.Sub(d.now())))
@@ -446,7 +446,7 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 		select {
 		case res := <-resCh:
 			received++
-			d.cfg.Metrics.IncReplicaRequest(res.replica, res.code)
+			d.cfg.Metrics.ReplicaRequests.With(res.replica, res.code).Inc()
 			record(launches[res.launchIdx], res.code)
 			if res.ok || res.terminal {
 				// cancel() aborts the straggler attempt on return.
@@ -456,7 +456,7 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 		case <-hedgeTimer:
 			hedgeTimer = nil
 			*hedgesLeft--
-			d.cfg.Metrics.IncHedge()
+			d.cfg.Metrics.Hedges.Inc()
 			d.logger().Debug("hedging attempt",
 				slog.String("trace_id", traceID),
 				slog.String("primary", rep.Name),
@@ -546,7 +546,7 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if attemptNo > 1 {
-			d.cfg.Metrics.IncRetry()
+			d.cfg.Metrics.Retries.Inc()
 		}
 		candidates := Ready(d.cfg.Pool)
 		// Prefer replicas this request hasn't burned yet; fall back to
@@ -581,7 +581,7 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 		res := d.attempt(r.Context(), rep, alt, body, traceID, &hedgesLeft, dl, t, attemptNo, rootSpan)
 		if res.ok || res.terminal {
 			elapsed := d.now().Sub(start)
-			d.cfg.Metrics.ObserveLatency(elapsed.Seconds())
+			d.cfg.Metrics.Latency.Observe(elapsed.Seconds())
 			finish(res.status)
 			d.logger().Debug("classify routed",
 				slog.String("trace_id", traceID),
@@ -610,9 +610,9 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Budget exhausted. When the request's deadline ran out first, 504
 	// names the real failure (out of time, not out of replicas) and the
 	// client learns there is no point retrying this request.
-	d.cfg.Metrics.ObserveLatency(d.now().Sub(start).Seconds())
+	d.cfg.Metrics.Latency.Observe(d.now().Sub(start).Seconds())
 	if deadlineHit {
-		d.cfg.Metrics.IncDeadlineExhausted()
+		d.cfg.Metrics.DeadlineExhausted.Inc()
 		finish(http.StatusGatewayTimeout, obs.FlightReasonDeadlineExhausted)
 		d.logger().Warn("classify deadline exhausted",
 			slog.String("trace_id", traceID),

@@ -108,7 +108,7 @@ func TestDispatchHappyPath(t *testing.T) {
 	if got := w.Header().Get("X-Trace-Id"); got == "" {
 		t.Fatalf("router did not stamp X-Trace-Id")
 	}
-	if got := d.Metrics().ReplicaRequests("r0", "200"); got != 1 {
+	if got := d.Metrics().ReplicaRequests.With("r0", "200").Value(); got != 1 {
 		t.Fatalf("router_replica_requests_total{r0,200} = %d, want 1", got)
 	}
 }
@@ -158,10 +158,10 @@ func TestDispatchRetriesTransportError(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Fatalf("surviving replica hit %d times, want 1", hits.Load())
 	}
-	if d.Metrics().Retries() == 0 {
+	if d.Metrics().Retries.Value() == 0 {
 		t.Fatalf("retry not counted")
 	}
-	if got := d.Metrics().ReplicaRequests("r0", "error"); got == 0 {
+	if got := d.Metrics().ReplicaRequests.With("r0", "error").Value(); got == 0 {
 		t.Fatalf("dead replica attempt not counted as error")
 	}
 }
@@ -192,7 +192,7 @@ func TestDispatchRetriesCorruptResponse(t *testing.T) {
 	if corruptHits.Load() == 0 {
 		t.Fatalf("corrupt replica never hit — fixture body not homed there")
 	}
-	if got := d.Metrics().ReplicaRequests("r0", "corrupt"); got == 0 {
+	if got := d.Metrics().ReplicaRequests.With("r0", "corrupt").Value(); got == 0 {
 		t.Fatalf("corrupt response not counted")
 	}
 }
@@ -212,7 +212,7 @@ func TestDispatchRejectsNaNProbs(t *testing.T) {
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502 after exhausting budget on corrupt responses", w.Code)
 	}
-	if got := d.Metrics().ReplicaRequests("r0", "corrupt"); got != 2 {
+	if got := d.Metrics().ReplicaRequests.With("r0", "corrupt").Value(); got != 2 {
 		t.Fatalf("corrupt count %d, want 2", got)
 	}
 }
@@ -245,7 +245,7 @@ func TestDispatchHonorsRetryAfter(t *testing.T) {
 	if elapsed > 800*time.Millisecond {
 		t.Fatalf("Retry-After not capped: waited %v", elapsed)
 	}
-	if got := d.Metrics().ReplicaRequests("r0", "429"); got != 1 {
+	if got := d.Metrics().ReplicaRequests.With("r0", "429").Value(); got != 1 {
 		t.Fatalf("429 count %d, want 1", got)
 	}
 }
@@ -307,8 +307,8 @@ func TestDispatchHedgesStalledReplica(t *testing.T) {
 	if fastHits.Load() == 0 {
 		t.Fatalf("hedge replica never hit")
 	}
-	if d.Metrics().Hedges() != 1 {
-		t.Fatalf("hedges = %d, want 1", d.Metrics().Hedges())
+	if d.Metrics().Hedges.Value() != 1 {
+		t.Fatalf("hedges = %d, want 1", d.Metrics().Hedges.Value())
 	}
 }
 
@@ -348,7 +348,6 @@ func TestRouterMetricsText(t *testing.T) {
 	_, rep := fakeReplica(t, "r0", okHandler(nil))
 	pool := &staticPool{reps: []ReplicaInfo{rep}}
 	d := newTestDispatcher(t, DispatcherConfig{Pool: pool})
-	d.Metrics().Snapshot = pool.Snapshot
 	if w := classify(t, d, `{"image":[0.5]}`, nil); w.Code != http.StatusOK {
 		t.Fatalf("classify: %d", w.Code)
 	}
@@ -363,6 +362,10 @@ func TestRouterMetricsText(t *testing.T) {
 		`router_hedges_total 0`,
 		`router_replica_ready{replica="r0"} 1`,
 		`router_request_latency_seconds_count 1`,
+		`router_request_latency_seconds{quantile="0.99"} `,
+		`router_request_latency_seconds_bucket{le="+Inf"} 1`,
+		`router_request_latency_seconds_overflow_total 0`,
+		`router_slo_requests{window="1m0s"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)

@@ -1,160 +1,18 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+
+	"pimcapsnet/internal/obs"
 )
-
-// PromLabel is one label pair of a parsed exposition sample, in
-// source order.
-type PromLabel struct {
-	Key, Val string
-}
-
-// PromSample is one line of a Prometheus text exposition:
-// name{labels} value.
-type PromSample struct {
-	Name   string
-	Labels []PromLabel
-	// Value keeps the raw value text so per-replica re-export is
-	// byte-faithful; merging parses it on demand.
-	Value string
-}
-
-// Label returns the value of the named label ("" if absent).
-func (s PromSample) Label(key string) string {
-	for _, l := range s.Labels {
-		if l.Key == key {
-			return l.Val
-		}
-	}
-	return ""
-}
-
-// ParsePromText parses the text exposition format the serve and
-// router metric sets emit: one `name value` or `name{k="v",...}
-// value` sample per line, # comments skipped. Lines that do not parse
-// are dropped rather than failing the whole scrape — a fleet view
-// with one malformed family beats no fleet view.
-func ParsePromText(data []byte) []PromSample {
-	var out []PromSample
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, ok := parsePromLine(line)
-		if ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func parsePromLine(line string) (PromSample, bool) {
-	var s PromSample
-	i := 0
-	for i < len(line) && isMetricNameChar(line[i], i == 0) {
-		i++
-	}
-	if i == 0 {
-		return s, false
-	}
-	s.Name = line[:i]
-	if i < len(line) && line[i] == '{' {
-		rest, labels, ok := parsePromLabels(line[i:])
-		if !ok {
-			return s, false
-		}
-		s.Labels = labels
-		line = rest
-	} else {
-		line = line[i:]
-	}
-	s.Value = strings.TrimSpace(line)
-	if s.Value == "" || strings.ContainsAny(s.Value, " \t") {
-		return s, false
-	}
-	return s, true
-}
-
-func isMetricNameChar(c byte, first bool) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		return true
-	case c >= '0' && c <= '9':
-		return !first
-	}
-	return false
-}
-
-// parsePromLabels consumes a {k="v",...} block (s starts at '{') and
-// returns the remainder of the line after '}'.
-func parsePromLabels(s string) (rest string, labels []PromLabel, ok bool) {
-	i := 1 // past '{'
-	for {
-		for i < len(s) && (s[i] == ',' || s[i] == ' ') {
-			i++
-		}
-		if i < len(s) && s[i] == '}' {
-			return s[i+1:], labels, true
-		}
-		start := i
-		for i < len(s) && s[i] != '=' {
-			i++
-		}
-		if i >= len(s) {
-			return "", nil, false
-		}
-		key := s[start:i]
-		i++ // '='
-		if i >= len(s) || s[i] != '"' {
-			return "", nil, false
-		}
-		i++
-		var val strings.Builder
-		for i < len(s) && s[i] != '"' {
-			if s[i] == '\\' && i+1 < len(s) {
-				i++
-				switch s[i] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(s[i])
-				}
-			} else {
-				val.WriteByte(s[i])
-			}
-			i++
-		}
-		if i >= len(s) {
-			return "", nil, false
-		}
-		i++ // closing '"'
-		labels = append(labels, PromLabel{Key: key, Val: val.String()})
-	}
-}
 
 // ReplicaMetrics is one replica's parsed /metrics scrape.
 type ReplicaMetrics struct {
 	Name    string
-	Samples []PromSample
-}
-
-// renderLabels renders a label list (already including any replica
-// label) as the `k="v",...` body of a sample line.
-func renderLabels(labels []PromLabel) string {
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Val)
-	}
-	return b.String()
+	Samples obs.PromSamples
 }
 
 // histogramSuffixes are the component families one fixed-bucket
@@ -163,56 +21,56 @@ func renderLabels(labels []PromLabel) string {
 // runs the same binary — make bucket-wise addition lossless).
 var histogramSuffixes = []string{"_bucket", "_sum", "_count", "_overflow_total"}
 
-// histogramFamily returns the base family name when the sample
-// belongs to a histogram component, given the set of families that
-// have _bucket samples. A `le` label marks bucket lines; _sum /
-// _count / _overflow_total attach by name.
-func histogramFamily(s PromSample, bucketFamilies map[string]bool) (family, suffix string, ok bool) {
+// isHistogramPart reports whether the sample is a component of one of
+// the families that have _bucket samples. A `le` label marks bucket
+// lines; _sum / _count / _overflow_total attach by name.
+func isHistogramPart(s obs.PromSample, bucketFamilies map[string]bool) bool {
 	for _, suf := range histogramSuffixes {
 		base := strings.TrimSuffix(s.Name, suf)
-		if base == s.Name || !bucketFamilies[base] {
-			continue
+		if base != s.Name && bucketFamilies[base] && (suf != "_bucket" || s.Label("le") != "") {
+			return true
 		}
-		if suf == "_bucket" && s.Label("le") == "" {
-			continue
-		}
-		return base, suf, true
 	}
-	return "", "", false
+	return false
+}
+
+// withoutReplica copies a label list minus any replica label.
+func withoutReplica(labels []obs.PromLabel) []obs.PromLabel {
+	kept := make([]obs.PromLabel, 0, len(labels))
+	for _, l := range labels {
+		if l.Key != "replica" {
+			kept = append(kept, l)
+		}
+	}
+	return kept
 }
 
 // mergeKey canonicalizes a sample's labels (minus any replica label)
 // for cross-replica grouping.
-func mergeKey(labels []PromLabel) string {
-	kept := make([]string, 0, len(labels))
-	for _, l := range labels {
-		if l.Key == "replica" {
-			continue
-		}
-		kept = append(kept, fmt.Sprintf("%s=%q", l.Key, l.Val))
-	}
-	sort.Strings(kept)
-	return strings.Join(kept, ",")
+func mergeKey(labels []obs.PromLabel) string {
+	kept := withoutReplica(labels)
+	sort.SliceStable(kept, func(i, j int) bool { return kept[i].Key < kept[j].Key })
+	return obs.PromSample{Labels: kept}.Series()
 }
 
 // mergedSeries accumulates one merged output line.
 type mergedSeries struct {
-	name   string
-	labels []PromLabel // from the first contributing sample, replica dropped
+	// sample carries the name and labels of the first contributing
+	// sample, replica dropped.
+	sample obs.PromSample
 	value  float64
-	// intVal tracks whether every contribution parsed as an unsigned
+	// intSum tracks whether every contribution parsed as an unsigned
 	// integer, so counters re-render without a float exponent.
 	intSum uint64
 	isInt  bool
-	order  int // first-seen order, for stable output
 }
 
 // WriteFleetMetrics emits the aggregated cluster view: every replica
-// sample re-exported with a {replica} label, histogram component
-// families additionally merged by exact summation under their bare
-// names (suffix "_fleet" is NOT used — the merged family keeps the
-// replica-local name, distinguished by the absence of the replica
-// label), plus scrape bookkeeping.
+// sample re-exported with a leading {replica} label, histogram
+// component families additionally merged by exact summation under
+// their bare names (the merged family keeps the replica-local name,
+// distinguished by the absence of the replica label), plus scrape
+// bookkeeping.
 func WriteFleetMetrics(w io.Writer, scrapes []ReplicaMetrics, failed int) {
 	// Pass 1: which families are histograms anywhere in the fleet.
 	bucketFamilies := make(map[string]bool)
@@ -224,62 +82,47 @@ func WriteFleetMetrics(w io.Writer, scrapes []ReplicaMetrics, failed int) {
 		}
 	}
 
-	// Pass 2: merge histogram components; re-export everything.
-	merged := make(map[string]*mergedSeries)
-	var mergedOrder int
+	// Pass 2: merge histogram components, in first-seen order.
+	byKey := make(map[string]*mergedSeries)
+	var merged []*mergedSeries
 	for _, sc := range scrapes {
 		for _, s := range sc.Samples {
-			_, _, isHist := histogramFamily(s, bucketFamilies)
-			if !isHist {
+			if !isHistogramPart(s, bucketFamilies) {
 				continue
 			}
-			key := s.Name + "|" + mergeKey(s.Labels)
-			ms, ok := merged[key]
+			key := s.Name + mergeKey(s.Labels)
+			ms, ok := byKey[key]
 			if !ok {
-				labels := make([]PromLabel, 0, len(s.Labels))
-				for _, l := range s.Labels {
-					if l.Key != "replica" {
-						labels = append(labels, l)
-					}
-				}
-				ms = &mergedSeries{name: s.Name, labels: labels, isInt: true, order: mergedOrder}
-				mergedOrder++
-				merged[key] = ms
+				ms = &mergedSeries{sample: obs.PromSample{Name: s.Name, Labels: withoutReplica(s.Labels)}, isInt: true}
+				byKey[key] = ms
+				merged = append(merged, ms)
 			}
 			if u, err := strconv.ParseUint(s.Value, 10, 64); err == nil {
 				ms.intSum += u
 				ms.value += float64(u)
-			} else if f, err := strconv.ParseFloat(s.Value, 64); err == nil {
+			} else if f, err := s.Float(); err == nil {
 				ms.isInt = false
 				ms.value += f
 			}
 		}
 	}
 
-	fmt.Fprintf(w, "router_fleet_replicas_scraped %d\n", len(scrapes))
-	fmt.Fprintf(w, "router_fleet_scrape_failures %d\n", failed)
-
-	series := make([]*mergedSeries, 0, len(merged))
+	var e obs.Emitter
+	e.Int("router_fleet_replicas_scraped", uint64(len(scrapes)))
+	e.Int("router_fleet_scrape_failures", uint64(failed))
 	for _, ms := range merged {
-		series = append(series, ms)
-	}
-	sort.Slice(series, func(i, j int) bool { return series[i].order < series[j].order })
-	for _, ms := range series {
-		line := ms.name
-		if len(ms.labels) > 0 {
-			line += "{" + renderLabels(ms.labels) + "}"
-		}
 		if ms.isInt {
-			fmt.Fprintf(w, "%s %d\n", line, ms.intSum)
+			ms.sample.Value = strconv.FormatUint(ms.intSum, 10)
 		} else {
-			fmt.Fprintf(w, "%s %g\n", line, ms.value)
+			ms.sample.Value = strconv.FormatFloat(ms.value, 'g', -1, 64)
 		}
+		e.Sample(ms.sample)
 	}
-
 	for _, sc := range scrapes {
 		for _, s := range sc.Samples {
-			labels := append([]PromLabel{{Key: "replica", Val: sc.Name}}, s.Labels...)
-			fmt.Fprintf(w, "%s{%s} %s\n", s.Name, renderLabels(labels), s.Value)
+			s.Labels = append([]obs.PromLabel{{Key: "replica", Val: sc.Name}}, s.Labels...)
+			e.Sample(s)
 		}
 	}
+	w.Write(e.Bytes())
 }

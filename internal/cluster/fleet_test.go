@@ -3,10 +3,14 @@ package cluster
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
 )
 
@@ -15,12 +19,12 @@ import (
 func scrapeOf(name string, m *serve.Metrics) ReplicaMetrics {
 	var buf bytes.Buffer
 	m.WriteText(&buf)
-	return ReplicaMetrics{Name: name, Samples: ParsePromText(buf.Bytes())}
+	return ReplicaMetrics{Name: name, Samples: obs.ParsePromText(buf.Bytes())}
 }
 
 // sampleValue finds the merged (replica-label-free) sample with the
 // given name and le label ("" = no le), parsed as float.
-func findSample(t *testing.T, samples []PromSample, name, le string) (PromSample, float64) {
+func findSample(t *testing.T, samples obs.PromSamples, name, le string) (obs.PromSample, float64) {
 	t.Helper()
 	for _, s := range samples {
 		if s.Name != name || s.Label("replica") != "" || s.Label("le") != le {
@@ -33,7 +37,7 @@ func findSample(t *testing.T, samples []PromSample, name, le string) (PromSample
 		return s, v
 	}
 	t.Fatalf("no merged sample %s{le=%q} in fleet output", name, le)
-	return PromSample{}, 0
+	return obs.PromSample{}, 0
 }
 
 // TestFleetMetricsHistogramMergeExact merges two real replica
@@ -54,7 +58,7 @@ func TestFleetMetricsHistogramMergeExact(t *testing.T) {
 
 	var out bytes.Buffer
 	WriteFleetMetrics(&out, scrapes, 0)
-	merged := ParsePromText(out.Bytes())
+	merged := obs.ParsePromText(out.Bytes())
 
 	const fam = "capsnet_request_latency_seconds"
 	// _sum must equal the float sum of the replicas' _sum lines bit-for-bit.
@@ -124,13 +128,13 @@ func TestFleetMetricsReExportsPerReplica(t *testing.T) {
 	m0, m1 := serve.NewMetrics(), serve.NewMetrics()
 	m0.Latency.Observe(0.017)
 	m1.Latency.Observe(0.2)
-	m0.IncRequest()
+	m0.Requests.Inc()
 	scrapes := []ReplicaMetrics{scrapeOf("r0", m0), scrapeOf("r1", m1)}
 
 	var out bytes.Buffer
 	WriteFleetMetrics(&out, scrapes, 1)
 	text := out.String()
-	merged := ParsePromText(out.Bytes())
+	merged := obs.ParsePromText(out.Bytes())
 
 	byReplica := map[string]map[string]string{}
 	for _, s := range merged {
@@ -163,51 +167,20 @@ func TestFleetMetricsReExportsPerReplica(t *testing.T) {
 	}
 }
 
-// TestParsePromText covers the exposition-format corners the scraper
-// must survive: escaped label values, no-label samples, comments, and
-// junk lines.
-func TestParsePromText(t *testing.T) {
-	in := strings.Join([]string{
-		`# HELP something informational`,
-		`plain_counter 42`,
-		`labeled{a="x",b="with \"quotes\" and \\ and \n newline"} 1.5`,
-		`spaced{le="+Inf"} 7`,
-		`malformed{unterminated 3`,
-		``,
-		`negative_gauge -2.25e-3`,
-	}, "\n")
-	samples := ParsePromText([]byte(in))
-	if len(samples) != 4 {
-		t.Fatalf("parsed %d samples, want 4: %+v", len(samples), samples)
-	}
-	if samples[0].Name != "plain_counter" || samples[0].Value != "42" {
-		t.Fatalf("plain sample mangled: %+v", samples[0])
-	}
-	if got := samples[1].Label("b"); got != "with \"quotes\" and \\ and \n newline" {
-		t.Fatalf("escape decoding broken: %q", got)
-	}
-	if samples[2].Label("le") != "+Inf" {
-		t.Fatalf("le label mangled: %+v", samples[2])
-	}
-	if samples[3].Name != "negative_gauge" || samples[3].Value != "-2.25e-3" {
-		t.Fatalf("negative exponent sample mangled: %+v", samples[3])
-	}
-}
-
 // TestFleetMetricsDisjointStageFamilies merges replicas exposing
 // different stage label sets — a replica that has served traffic has
 // stage histograms a fresh one lacks — and checks partial families
 // still merge without inventing series.
 func TestFleetMetricsDisjointStageFamilies(t *testing.T) {
 	m0, m1 := serve.NewMetrics(), serve.NewMetrics()
-	m0.ObserveStage("conv", 0.002)
-	m0.ObserveStage("conv", 0.004)
+	m0.Stages.With("conv").Observe(0.002)
+	m0.Stages.With("conv").Observe(0.004)
 	// m1 never saw a conv stage.
 	scrapes := []ReplicaMetrics{scrapeOf("r0", m0), scrapeOf("r1", m1)}
 
 	var out bytes.Buffer
 	WriteFleetMetrics(&out, scrapes, 0)
-	merged := ParsePromText(out.Bytes())
+	merged := obs.ParsePromText(out.Bytes())
 
 	const want = "capsnet_stage_seconds_count"
 	var got uint64
@@ -222,5 +195,42 @@ func TestFleetMetricsDisjointStageFamilies(t *testing.T) {
 	}
 	if got != 2 {
 		t.Fatalf("merged conv stage count = %d, want 2", got)
+	}
+}
+
+// TestFleetMetricsOversizeBodyIsScrapeFailure: a replica whose /metrics
+// body exceeds the cap is counted in router_fleet_scrape_failures and
+// re-exported not at all, while its healthy neighbour still is.
+func TestFleetMetricsOversizeBodyIsScrapeFailure(t *testing.T) {
+	stub := func(name, body string) ReplicaInfo {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(srv.Close)
+		return ReplicaInfo{Name: name, URL: srv.URL, Ready: true}
+	}
+	line := "capsnet_requests_total 7\n"
+	pool := &staticPool{reps: []ReplicaInfo{
+		stub("r0", line),
+		stub("r1", strings.Repeat(line, maxReplicaMetricsBytes/len(line)+1)),
+	}}
+	d := newTestDispatcher(t, DispatcherConfig{Pool: pool})
+
+	w := httptest.NewRecorder()
+	d.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics/fleet", nil))
+	samples := obs.ParsePromText(w.Body.Bytes())
+	for series, want := range map[string]float64{
+		"router_fleet_replicas_scraped": 1,
+		"router_fleet_scrape_failures":  1,
+	} {
+		if got, ok := samples.Value(series); !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+	if got, ok := samples.Value("capsnet_requests_total", "replica", "r0"); !ok || got != 7 {
+		t.Errorf("healthy replica re-export = %v (present %v), want 7", got, ok)
+	}
+	if _, ok := samples.Value("capsnet_requests_total", "replica", "r1"); ok {
+		t.Error("oversize replica body was re-exported")
 	}
 }

@@ -1,13 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"pimcapsnet/internal/obs"
 )
 
@@ -19,164 +12,52 @@ var latencyBounds = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Metrics aggregates the router's /metrics families. All methods are
-// safe for concurrent use; label cardinality is bounded by the replica
-// count times the small fixed set of outcome codes, so a mutex-guarded
-// map is fine off the hot path.
+// Metrics is the router's /metrics families: handles registered on
+// the embedded registry, which renders them (WriteText, Handler).
 type Metrics struct {
-	mu sync.Mutex
-	// replicaReqs counts attempts per {replica, code}: code is the
+	*obs.Registry
+
+	// ReplicaRequests counts attempts per {replica, code}: code is the
 	// replica's HTTP status, or "error" for transport failures and
 	// "corrupt" for responses that failed validation.
-	//pimcaps:guardedby mu
-	replicaReqs map[string]map[string]uint64
-
-	retries atomic.Uint64
-	hedges  atomic.Uint64
-	// hedgesSkipped counts hedges vetoed because the remaining deadline
+	ReplicaRequests *obs.CounterVec
+	// Retries counts attempts after a request's first; Hedges counts
+	// second concurrent attempts launched because the first exceeded
+	// the hedge delay.
+	Retries, Hedges *obs.Counter
+	// HedgesSkipped counts hedges vetoed because the remaining deadline
 	// budget could not cover HedgeDelay + ExpectedServiceTime;
-	// deadlineExhausted counts requests that ran out of deadline before
+	// DeadlineExhausted counts requests that ran out of deadline before
 	// any replica produced a usable response (504s).
-	hedgesSkipped     atomic.Uint64
-	deadlineExhausted atomic.Uint64
-
-	// latency is a fixed-bucket histogram of client-visible router
-	// latency in seconds (cumulative bucket counts, latencyBounds plus
-	// +Inf).
-	latCounts []atomic.Uint64
-	latCount  atomic.Uint64
-	latSum    atomic.Uint64 // microseconds
-
-	// Snapshot, when non-nil, supplies the replica gauges at scrape
-	// time (the Pool's Snapshot method).
-	Snapshot func() []ReplicaInfo
+	HedgesSkipped, DeadlineExhausted *obs.Counter
+	// Latency is the client-visible router latency in seconds.
+	Latency *obs.Histogram
 }
 
 // NewMetrics creates an empty metric set.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		replicaReqs: make(map[string]map[string]uint64),
-		latCounts:   make([]atomic.Uint64, len(latencyBounds)+1),
-	}
+	r := obs.NewRegistry()
+	m := &Metrics{Registry: r}
+	r.BuildInfo("router_build_info")
+	m.ReplicaRequests = r.CounterVec("router_replica_requests_total", "replica", "code")
+	m.Retries = r.Counter("router_retries_total")
+	m.Hedges = r.Counter("router_hedges_total")
+	m.HedgesSkipped = r.Counter("router_hedges_skipped_total")
+	m.DeadlineExhausted = r.Counter("router_deadline_exhausted_total")
+	m.Latency = r.Histogram("router_request_latency_seconds", latencyBounds...)
+	return m
 }
 
-// IncReplicaRequest counts one attempt against a replica with the
-// given outcome code ("200", "429", "error", "corrupt", ...).
-func (m *Metrics) IncReplicaRequest(replica, code string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode, ok := m.replicaReqs[replica]
-	if !ok {
-		byCode = make(map[string]uint64)
-		m.replicaReqs[replica] = byCode
-	}
-	byCode[code]++
-}
-
-// ReplicaRequests returns the attempt count for one {replica, code}
-// pair (tests read it).
-func (m *Metrics) ReplicaRequests(replica, code string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replicaReqs[replica][code]
-}
-
-// IncRetry counts one retried attempt (any attempt after a request's
-// first).
-func (m *Metrics) IncRetry() { m.retries.Add(1) }
-
-// Retries returns the retry count.
-func (m *Metrics) Retries() uint64 { return m.retries.Load() }
-
-// IncHedge counts one hedged attempt (a second concurrent attempt
-// launched because the first exceeded the hedge delay).
-func (m *Metrics) IncHedge() { m.hedges.Add(1) }
-
-// Hedges returns the hedge count.
-func (m *Metrics) Hedges() uint64 { return m.hedges.Load() }
-
-// IncHedgeSkipped counts one hedge vetoed by deadline arithmetic.
-func (m *Metrics) IncHedgeSkipped() { m.hedgesSkipped.Add(1) }
-
-// HedgesSkipped returns the vetoed-hedge count.
-func (m *Metrics) HedgesSkipped() uint64 { return m.hedgesSkipped.Load() }
-
-// IncDeadlineExhausted counts one request whose deadline expired
-// before any replica produced a usable response.
-func (m *Metrics) IncDeadlineExhausted() { m.deadlineExhausted.Add(1) }
-
-// DeadlinesExhausted returns the deadline-exhaustion count.
-func (m *Metrics) DeadlinesExhausted() uint64 { return m.deadlineExhausted.Load() }
-
-// ObserveLatency records one client-visible request latency.
-func (m *Metrics) ObserveLatency(seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	i := sort.SearchFloat64s(latencyBounds, seconds)
-	m.latCounts[i].Add(1)
-	m.latCount.Add(1)
-	m.latSum.Add(uint64(seconds*1e6 + 0.5))
-}
-
-// WriteText emits the Prometheus text exposition.
-func (m *Metrics) WriteText(w io.Writer) {
-	version, goVersion := obs.BuildInfo()
-	fmt.Fprintf(w, "router_build_info{version=%q,go_version=%q} 1\n", version, goVersion)
-	var snapshot []ReplicaInfo
-	if m.Snapshot != nil {
-		snapshot = m.Snapshot()
-	}
-	for _, r := range snapshot {
-		ready := 0
-		if r.Ready {
+// collectReplicas emits the pool's per-replica gauges at scrape time.
+func collectReplicas(e *obs.Emitter, pool Pool) {
+	for _, rep := range pool.Snapshot() {
+		var ready uint64
+		if rep.Ready {
 			ready = 1
 		}
-		fmt.Fprintf(w, "router_replica_ready{replica=%q} %d\n", r.Name, ready)
-		fmt.Fprintf(w, "router_replica_restarts_total{replica=%q} %d\n", r.Name, r.Restarts)
-		fmt.Fprintf(w, "router_replica_queue_depth{replica=%q} %d\n", r.Name, r.Load.QueueDepth)
-		fmt.Fprintf(w, "router_replica_inflight{replica=%q} %d\n", r.Name, r.Load.Inflight)
+		e.Int("router_replica_ready", ready, "replica", rep.Name)
+		e.Int("router_replica_restarts_total", rep.Restarts, "replica", rep.Name)
+		e.Int("router_replica_queue_depth", uint64(rep.Load.QueueDepth), "replica", rep.Name)
+		e.Int("router_replica_inflight", uint64(rep.Load.Inflight), "replica", rep.Name)
 	}
-
-	m.mu.Lock()
-	replicas := make([]string, 0, len(m.replicaReqs))
-	for name := range m.replicaReqs {
-		replicas = append(replicas, name)
-	}
-	sort.Strings(replicas)
-	for _, name := range replicas {
-		codes := make([]string, 0, len(m.replicaReqs[name]))
-		for code := range m.replicaReqs[name] {
-			codes = append(codes, code)
-		}
-		sort.Strings(codes)
-		for _, code := range codes {
-			fmt.Fprintf(w, "router_replica_requests_total{replica=%q,code=%q} %d\n",
-				name, code, m.replicaReqs[name][code])
-		}
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(w, "router_retries_total %d\n", m.retries.Load())
-	fmt.Fprintf(w, "router_hedges_total %d\n", m.hedges.Load())
-	fmt.Fprintf(w, "router_hedges_skipped_total %d\n", m.hedgesSkipped.Load())
-	fmt.Fprintf(w, "router_deadline_exhausted_total %d\n", m.deadlineExhausted.Load())
-
-	var cum uint64
-	for i, b := range latencyBounds {
-		cum += m.latCounts[i].Load()
-		fmt.Fprintf(w, "router_request_latency_seconds_bucket{le=%q} %d\n", fmt.Sprintf("%g", b), cum)
-	}
-	cum += m.latCounts[len(latencyBounds)].Load()
-	fmt.Fprintf(w, "router_request_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "router_request_latency_seconds_sum %g\n", float64(m.latSum.Load())/1e6)
-	fmt.Fprintf(w, "router_request_latency_seconds_count %d\n", m.latCount.Load())
-}
-
-// Handler returns the /metrics endpoint.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WriteText(w)
-	})
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -57,9 +55,6 @@ func NewSLOTracker(target float64, clock obs.Clock) *SLOTracker {
 	}
 	return &SLOTracker{target: target, clock: clock}
 }
-
-// Target returns the availability objective.
-func (s *SLOTracker) Target() float64 { return s.target }
 
 // Observe records one terminal (client-visible) router response. A
 // status of 500 or above spends error budget; 4xx is the client's
@@ -120,32 +115,11 @@ func (s *SLOTracker) Availability(window time.Duration) (ratio float64, total ui
 }
 
 // LatencyP99 estimates the window's 99th-percentile latency from the
-// bucketed counts by linear interpolation (ranks in the +Inf bucket
-// clip to the largest finite bound). 0 when the window is empty.
+// bucketed counts, as obs.Histogram does (ranks in the +Inf bucket clip
+// to the largest finite bound). 0 when the window is empty.
 func (s *SLOTracker) LatencyP99(window time.Duration) float64 {
-	total, _, buckets := s.windowSums(window)
-	if total == 0 {
-		return 0
-	}
-	maxBound := latencyBounds[len(latencyBounds)-1]
-	rank := 0.99 * float64(total)
-	var cum float64
-	for i := range buckets {
-		n := float64(buckets[i])
-		if n == 0 || cum+n < rank {
-			cum += n
-			continue
-		}
-		if i == len(latencyBounds) {
-			return maxBound
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = latencyBounds[i-1]
-		}
-		return lo + (latencyBounds[i]-lo)*(rank-cum)/n
-	}
-	return maxBound
+	_, _, buckets := s.windowSums(window)
+	return obs.BucketQuantile(latencyBounds, buckets, 0.99)
 }
 
 // BurnRate returns how fast the window is spending error budget: the
@@ -153,25 +127,19 @@ func (s *SLOTracker) LatencyP99(window time.Duration) float64 {
 // exactly on target; 0 means a clean window; values ≫ 1 mean the
 // budget drains that many times faster than allowed.
 func (s *SLOTracker) BurnRate(window time.Duration) float64 {
-	ratio, total := s.Availability(window)
-	if total == 0 {
-		return 0
-	}
+	ratio, _ := s.Availability(window) // an empty window reports ratio 1: no burn
 	return (1 - ratio) / (1 - s.target)
 }
 
-// WriteText emits the SLO gauge families in Prometheus text format.
-func (s *SLOTracker) WriteText(w io.Writer) {
-	if s == nil {
-		return
-	}
-	fmt.Fprintf(w, "router_slo_target %g\n", s.target)
+// collect emits the SLO gauge families at scrape time.
+func (s *SLOTracker) collect(e *obs.Emitter) {
+	e.Float("router_slo_target", s.target)
 	for _, win := range sloWindows {
 		label := win.String()
 		ratio, total := s.Availability(win)
-		fmt.Fprintf(w, "router_slo_availability_ratio{window=%q} %g\n", label, ratio)
-		fmt.Fprintf(w, "router_slo_requests{window=%q} %d\n", label, total)
-		fmt.Fprintf(w, "router_slo_latency_p99_seconds{window=%q} %g\n", label, s.LatencyP99(win))
-		fmt.Fprintf(w, "router_slo_error_budget_burn_rate{window=%q} %g\n", label, s.BurnRate(win))
+		e.Float("router_slo_availability_ratio", ratio, "window", label)
+		e.Int("router_slo_requests", total, "window", label)
+		e.Float("router_slo_latency_p99_seconds", s.LatencyP99(win), "window", label)
+		e.Float("router_slo_error_budget_burn_rate", s.BurnRate(win), "window", label)
 	}
 }

@@ -1,13 +1,12 @@
 package loadgen
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
+
+	"pimcapsnet/internal/obs"
 )
 
 // SweepPoint is one offered rate's summary in a latency/throughput
@@ -113,27 +112,12 @@ type StageShare struct {
 // router's merged /metrics/fleet).
 func ParseStageSums(metrics string) map[string]float64 {
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(strings.NewReader(metrics))
-	for sc.Scan() {
-		line := sc.Text()
-		rest, ok := strings.CutPrefix(line, `capsnet_stage_seconds_sum{stage="`)
-		if !ok {
-			continue
+	for _, s := range obs.ParsePromText([]byte(metrics)).Family("capsnet_stage_seconds_sum") {
+		// Fleet expositions also re-export every replica's series with a
+		// replica label; the merged series carries none.
+		if v, err := s.Float(); err == nil && s.Label("replica") == "" {
+			out[s.Label("stage")] = v
 		}
-		stage, rest, ok := strings.Cut(rest, `"`)
-		if !ok {
-			continue
-		}
-		// Skip the per-replica re-exports ({stage=...,replica=...}) in
-		// fleet expositions; the merged series has no second label.
-		if !strings.HasPrefix(rest, "} ") {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimPrefix(rest, "} "), 64)
-		if err != nil {
-			continue
-		}
-		out[stage] = v
 	}
 	return out
 }

@@ -78,6 +78,7 @@ func TestParseStageSums(t *testing.T) {
 	metrics := `capsnet_stage_seconds_sum{stage="forward"} 1.5
 capsnet_stage_seconds_sum{stage="queue_wait"} 0.25
 capsnet_stage_seconds_sum{stage="forward",replica="r0"} 0.7
+capsnet_stage_seconds_sum{replica="r1",stage="forward"} 0.8
 capsnet_stage_seconds_count{stage="forward"} 10
 capsnet_stage_seconds_sum{stage="bad"} not-a-number
 other_metric 1

@@ -2,14 +2,13 @@ package obs
 
 import "runtime/debug"
 
-// BuildInfo returns the main module version and the Go toolchain
-// version baked into the binary — the label values of the
-// capsnet_build_info / router_build_info info-gauges, so a fleet
-// scrape shows at a glance which build each process runs. Values fall
-// back to "unknown" when the binary carries no build info (e.g. some
-// test binaries).
-func BuildInfo() (version, goVersion string) {
-	version, goVersion = "unknown", "unknown"
+// BuildInfo registers the info-gauge name{version,go_version} 1: the
+// main module version and the Go toolchain version baked into the
+// binary, so a fleet scrape shows at a glance which build each process
+// runs. Values fall back to "unknown" when the binary carries no build
+// info (e.g. some test binaries).
+func (r *Registry) BuildInfo(name string) {
+	version, goVersion := "unknown", "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		if bi.Main.Version != "" {
 			version = bi.Main.Version
@@ -18,5 +17,5 @@ func BuildInfo() (version, goVersion string) {
 			goVersion = bi.GoVersion
 		}
 	}
-	return version, goVersion
+	r.register(name, func(e *Emitter) { e.Int(name, 1, "version", version, "go_version", goVersion) })
 }

@@ -81,18 +81,16 @@ func TestChromeLogClampsNegativeDurations(t *testing.T) {
 }
 
 func TestRuntimeStats(t *testing.T) {
-	stats := RuntimeStats()
+	var e Emitter
+	CollectRuntime(&e)
+	stats := ParsePromText(e.Bytes())
 	if len(stats) == 0 {
-		t.Fatal("RuntimeStats returned nothing; expected at least goroutines")
+		t.Fatal("CollectRuntime emitted nothing; expected at least goroutines")
 	}
-	byName := make(map[string]float64)
-	for _, s := range stats {
-		byName[s.Name] = s.Value
-	}
-	if g, ok := byName["capsnet_go_goroutines"]; !ok || g < 1 {
+	if g, ok := stats.Value("capsnet_go_goroutines"); !ok || g < 1 {
 		t.Fatalf("goroutine gauge = %v (present %v)", g, ok)
 	}
-	if _, ok := byName["capsnet_go_memory_total_bytes"]; !ok {
+	if _, ok := stats.Value("capsnet_go_memory_total_bytes"); !ok {
 		t.Fatal("memory gauge missing")
 	}
 }

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -56,10 +55,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations (microsecond-granular).
 func (h *Histogram) Sum() float64 { return float64(h.sumMicro.Load()) / 1e6 }
 
-// Bounds returns the finite bucket upper bounds (shared backing
-// array; callers must not mutate it).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts returns a snapshot of the per-bucket counts; the last
 // element is the implicit +Inf bucket.
 func (h *Histogram) BucketCounts() []uint64 {
@@ -76,62 +71,64 @@ func (h *Histogram) BucketCounts() []uint64 {
 func (h *Histogram) Overflow() uint64 { return h.counts[len(h.bounds)].Load() }
 
 // Quantile estimates the q-th quantile (0 < q < 1) from the bucket
-// counts. Ranks landing in the +Inf bucket cannot be interpolated —
-// there is no finite upper bound to interpolate toward — so they
-// report the largest finite bound; check Overflow to see how many
-// observations were clipped that way. Returns 0 when empty.
+// counts; see BucketQuantile. Check Overflow to see how many
+// observations its tail clipping affected.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	return BucketQuantile(h.bounds, h.BucketCounts(), q)
+}
+
+// BucketQuantile estimates the q-th quantile from per-bucket counts
+// over ascending upper bounds (counts has one more element, the +Inf
+// bucket) by linear interpolation inside the containing bucket. Ranks
+// landing in the +Inf bucket cannot be interpolated — there is no
+// finite upper bound to interpolate toward — so they report the
+// largest finite bound. Returns 0 when empty.
+func BucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
+	var total uint64
+	for _, n := range counts {
+		total += n
+	}
 	if total == 0 {
 		return 0
 	}
-	maxBound := h.bounds[len(h.bounds)-1]
+	maxBound := bounds[len(bounds)-1]
 	rank := q * float64(total)
 	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
+	for i, count := range counts {
+		n := float64(count)
 		if n == 0 || cum+n < rank {
 			cum += n
 			continue
 		}
-		if i == len(h.bounds) {
+		if i == len(bounds) {
 			return maxBound // +Inf bucket: clip, don't interpolate
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = h.bounds[i-1]
+			lo = bounds[i-1]
 		}
-		return lo + (h.bounds[i]-lo)*(rank-cum)/n
+		return lo + (bounds[i]-lo)*(rank-cum)/n
 	}
 	return maxBound
 }
 
-// WriteText emits the histogram in Prometheus-style text exposition
-// under the given metric name, including quantile, bucket, sum, count
-// and overflow lines. labels, when non-empty, is a pre-rendered label
-// pair list (e.g. `stage="conv"`) merged into every line.
-func (h *Histogram) WriteText(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
+// write emits the histogram's quantile, cumulative bucket, sum, count
+// and overflow lines under name; labels (key, value pairs) lead every
+// line's label block.
+func (h *Histogram) write(e *Emitter, name string, labels ...string) {
+	with := func(key, val string) []string { return append(labels[:len(labels):len(labels)], key, val) }
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		fmt.Fprintf(w, "%s{%s%squantile=%q} %g\n", name, labels, sep, fmt.Sprintf("%g", q), h.Quantile(q))
+		e.Float(name, h.Quantile(q), with("quantile", formatBound(q))...)
 	}
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, fmt.Sprintf("%g", b), cum)
+		e.Int(name+"_bucket", cum, with("le", formatBound(b))...)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
-		fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
-		fmt.Fprintf(w, "%s_overflow_total %d\n", name, h.Overflow())
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, h.Sum())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.count.Load())
-		fmt.Fprintf(w, "%s_overflow_total{%s} %d\n", name, labels, h.Overflow())
-	}
+	e.Int(name+"_bucket", cum+h.Overflow(), with("le", "+Inf")...)
+	e.Float(name+"_sum", h.Sum(), labels...)
+	e.Int(name+"_count", h.count.Load(), labels...)
+	e.Int(name+"_overflow_total", h.Overflow(), labels...)
 }
+
+func formatBound(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

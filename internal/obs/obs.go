@@ -8,6 +8,13 @@
 // co-sim timelines in internal/trace), and runtime/metrics-backed
 // process gauges.
 //
+// It also owns the /metrics text exposition format end to end: a
+// Registry of counters, counter vectors, scrape-time gauges,
+// fixed-bucket histograms and collectors is the one writer (serve and
+// cluster hold structs of its handles), and ParsePromText the one
+// reader (the router's fleet merge, the load generator's stage
+// decomposition, the example client and the tests all go through it).
+//
 // The paper's whole argument rests on knowing where time goes — its
 // Figure 3/4 characterization attributes ≈74.6% of CapsNet inference
 // to the routing procedure before proposing the PIM offload. This

@@ -5,13 +5,6 @@ import (
 	"runtime/metrics"
 )
 
-// RuntimeStat is one process-health gauge sampled from the
-// runtime/metrics interface, named ready for text exposition.
-type RuntimeStat struct {
-	Name  string
-	Value float64
-}
-
 // runtimeGauge maps one exposition name to the runtime/metrics names
 // that can back it, in preference order (the runtime renames metrics
 // across Go releases — e.g. GC pauses moved from /gc/pauses:seconds
@@ -35,63 +28,51 @@ var runtimeGauges = []runtimeGauge{
 		candidates: []string{"/sched/latencies:seconds"}},
 }
 
-// runtimeSampleSet is resolved once: which candidate (if any) backs
-// each gauge on this Go runtime.
-var runtimeSampleSet = resolveRuntimeGauges()
+// runtimeResolved is computed once: the gauges this Go runtime can
+// back, each with candidates cut down to the one metric that does.
+// Gauges whose backing metric does not exist are omitted rather than
+// reported as zero.
+var runtimeResolved = resolveRuntimeGauges()
 
-func resolveRuntimeGauges() []metrics.Sample {
+func resolveRuntimeGauges() []runtimeGauge {
 	available := make(map[string]bool)
 	for _, d := range metrics.All() {
 		available[d.Name] = true
 	}
-	samples := make([]metrics.Sample, 0, len(runtimeGauges))
+	var resolved []runtimeGauge
 	for _, g := range runtimeGauges {
 		for _, c := range g.candidates {
 			if available[c] {
-				samples = append(samples, metrics.Sample{Name: c})
+				g.candidates = []string{c}
+				resolved = append(resolved, g)
 				break
 			}
 		}
 	}
-	return samples
+	return resolved
 }
 
-// RuntimeStats samples the process-health gauges (goroutine count,
-// heap bytes, GC cycles, GC pause p99, scheduler latency p99) for the
-// /metrics endpoint. Gauges whose backing metric does not exist on
-// this Go runtime are omitted rather than reported as zero.
-func RuntimeStats() []RuntimeStat {
-	if len(runtimeSampleSet) == 0 {
-		return nil
+// CollectRuntime is the Registry collector for the process-health
+// gauges (goroutine count, heap bytes, GC cycles, GC pause p99,
+// scheduler latency p99), sampled from runtime/metrics at each scrape.
+func CollectRuntime(e *Emitter) {
+	samples := make([]metrics.Sample, len(runtimeResolved))
+	for i, g := range runtimeResolved {
+		samples[i].Name = g.candidates[0]
 	}
-	samples := make([]metrics.Sample, len(runtimeSampleSet))
-	copy(samples, runtimeSampleSet)
 	metrics.Read(samples)
-	byName := make(map[string]metrics.Sample, len(samples))
-	for _, s := range samples {
-		byName[s.Name] = s
-	}
-	out := make([]RuntimeStat, 0, len(runtimeGauges))
-	for _, g := range runtimeGauges {
-		for _, c := range g.candidates {
-			s, ok := byName[c]
-			if !ok {
-				continue
+	for i, g := range runtimeResolved {
+		switch v := samples[i].Value; v.Kind() {
+		case metrics.KindUint64:
+			e.Float(g.name, float64(v.Uint64()))
+		case metrics.KindFloat64:
+			e.Float(g.name, v.Float64())
+		case metrics.KindFloat64Histogram:
+			if g.p99 {
+				e.Float(g.name, histPercentile(v.Float64Histogram(), 0.99))
 			}
-			switch s.Value.Kind() {
-			case metrics.KindUint64:
-				out = append(out, RuntimeStat{Name: g.name, Value: float64(s.Value.Uint64())})
-			case metrics.KindFloat64:
-				out = append(out, RuntimeStat{Name: g.name, Value: s.Value.Float64()})
-			case metrics.KindFloat64Histogram:
-				if g.p99 {
-					out = append(out, RuntimeStat{Name: g.name, Value: histPercentile(s.Value.Float64Histogram(), 0.99)})
-				}
-			}
-			break
 		}
 	}
-	return out
 }
 
 // histPercentile estimates the p-th percentile of a runtime

@@ -3,15 +3,13 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 
 	"pimcapsnet/internal/capsnet"
+	"pimcapsnet/internal/obs"
 )
 
 // TestArenaAndPartitionMetrics checks the serving stack surfaces the
@@ -37,49 +35,29 @@ func TestArenaAndPartitionMetrics(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	samples := obs.ParsePromText([]byte(scrapeMetrics(t, ts.URL)))
+	arena, _ := samples.Value("capsnet_arena_bytes")
+	partB, okB := samples.Value("capsnet_routing_partition_total", "dim", "batch")
+	partH, okH := samples.Value("capsnet_routing_partition_total", "dim", "hcaps")
+	if !okB || !okH {
+		t.Fatal("capsnet_routing_partition_total{dim} series missing")
 	}
-	defer resp.Body.Close()
-	values := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, name := range []string{
-			"capsnet_arena_bytes",
-			`capsnet_routing_partition_total{dim="batch"}`,
-			`capsnet_routing_partition_total{dim="hcaps"}`,
-		} {
-			if strings.HasPrefix(line, name+" ") {
-				v, err := strconv.ParseFloat(strings.TrimPrefix(line, name+" "), 64)
-				if err != nil {
-					t.Fatalf("unparseable %s line %q: %v", name, line, err)
-				}
-				values[name] = v
-			}
-		}
+	if arena <= 0 {
+		t.Errorf("capsnet_arena_bytes = %v, want > 0 (pooled scratch arenas live)", arena)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := values["capsnet_arena_bytes"]; !ok || v <= 0 {
-		t.Errorf("capsnet_arena_bytes = %v, want > 0 (pooled scratch arenas live)", v)
-	}
-	runs := values[`capsnet_routing_partition_total{dim="batch"}`] +
-		values[`capsnet_routing_partition_total{dim="hcaps"}`]
+	runs := partB + partH
 	if runs == 0 {
 		t.Error("capsnet_routing_partition_total counters account for no routing runs")
 	}
 	// Every routing run was sharded exactly one way, so the counters
 	// must sum to the forward-pass count, which is the batch count.
-	if batches := float64(srv.Metrics().Batches()); runs != batches {
+	if batches := float64(srv.Metrics().Batches.Value()); runs != batches {
 		t.Errorf("partition counters sum to %v runs, want %v (batches launched)", runs, batches)
 	}
 
 	// The routing_partition marker stage must be visible in the stage
 	// histograms like every other forward stage.
-	if srv.Metrics().StageHistogram(capsnet.StageRoutingPartition).Count() == 0 {
+	if srv.Metrics().Stages.With(capsnet.StageRoutingPartition).Count() == 0 {
 		t.Error("routing_partition marker stage has no observations")
 	}
 }

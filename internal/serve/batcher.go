@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -369,10 +370,8 @@ func (b *Batcher) runBatch(batch []*request) {
 			worstWait = qw
 		}
 		if b.metrics != nil {
-			qw := r.collected.Sub(r.enqueued).Seconds()
-			b.metrics.QueueWait.Observe(qw)
-			b.metrics.ObserveStage(StageQueueWait, qw)
-			b.metrics.ObserveStage(StageBatchAssembly, launch.Sub(r.collected).Seconds())
+			b.metrics.Stages.With(StageQueueWait).Observe(r.collected.Sub(r.enqueued).Seconds())
+			b.metrics.Stages.With(StageBatchAssembly).Observe(launch.Sub(r.collected).Seconds())
 		}
 		if r.trace != nil {
 			r.trace.Add(StageQueueWait, -1, r.enqueued, r.collected)
@@ -426,7 +425,7 @@ func (b *Batcher) runBatch(batch []*request) {
 			fwdEnd := b.clock()
 			if res.panicked {
 				if b.metrics != nil {
-					b.metrics.IncPanicRecovered()
+					b.metrics.PanicsRecovered.Inc()
 				}
 				err := fmt.Errorf("%w: %v", ErrBatchPanic, res.panicVal)
 				for _, r := range live {
@@ -436,11 +435,13 @@ func (b *Batcher) runBatch(batch []*request) {
 			}
 			if b.metrics != nil {
 				if batchAborted(res.preds) {
-					b.metrics.IncBatchAborted()
+					b.metrics.BatchesAborted.Inc()
 				}
-				b.metrics.ObserveBatch(len(live), b.routingIterations)
-				b.metrics.ObserveStage(StageForward, fwdEnd.Sub(launch).Seconds())
-				b.metrics.IncBrownoutRequests(level, len(live))
+				b.metrics.Batches.Inc()
+				b.metrics.BatchSize.Observe(float64(len(live)))
+				b.metrics.RoutingIterations.Add(uint64(b.routingIterations))
+				b.metrics.Stages.With(StageForward).Observe(fwdEnd.Sub(launch).Seconds())
+				b.metrics.BrownoutRequests.With(strconv.Itoa(level)).Add(uint64(len(live)))
 			}
 			spans := batchTrace.Spans()
 			for i, r := range live {
@@ -451,7 +452,7 @@ func (b *Batcher) runBatch(batch []*request) {
 			return
 		case <-deadline:
 			if b.metrics != nil {
-				b.metrics.IncWatchdogBatch()
+				b.metrics.WatchdogBatches.Inc()
 			}
 			err := fmt.Errorf("%w (%v)", ErrBatchTimeout, b.cfg.BatchDeadline)
 			for _, r := range live {

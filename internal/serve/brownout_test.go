@@ -213,7 +213,7 @@ func TestBatchAbortWhenAllExpired(t *testing.T) {
 
 	// Now the abort fires for real.
 	abortTick <- time.Time{}
-	for i := 0; m.BatchesAborted() != 1; i++ {
+	for i := 0; m.BatchesAborted.Value() != 1; i++ {
 		if i > 1e8 {
 			t.Fatalf("batch abort not counted; cancel requested=%v", b.CancelRequested())
 		}
@@ -257,7 +257,7 @@ func TestBrownoutIdleBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if lvl := srv.Metrics().BrownoutRequests(0); lvl == 0 {
+	if lvl := srv.Metrics().BrownoutRequests.With("0").Value(); lvl == 0 {
 		t.Fatal("level-0 request counter never incremented")
 	}
 }

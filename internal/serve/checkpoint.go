@@ -15,7 +15,7 @@ import (
 func LoadCheckpoint(path string, m *Metrics) (*capsnet.Network, error) {
 	n, err := capsnet.LoadFile(path)
 	if err != nil && errors.Is(err, capsnet.ErrCorruptCheckpoint) && m != nil {
-		m.IncCheckpointRejection()
+		m.CheckpointRejections.Inc()
 	}
 	return n, err
 }

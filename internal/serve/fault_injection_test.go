@@ -167,7 +167,7 @@ func TestCampaignApproxMathNaNFallsBackToExact(t *testing.T) {
 	if body != baseline {
 		t.Fatalf("exact-math fallback is not bit-identical to the exact baseline\nbaseline: %s\ngot:      %s", baseline, body)
 	}
-	if got := srv.Metrics().RoutingFallbacks(); got != 1 {
+	if got := srv.Metrics().RoutingFallbacks.Value(); got != 1 {
 		t.Fatalf("routing fallbacks %d, want 1", got)
 	}
 	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, "capsnet_routing_exact_fallbacks_total 1") {
@@ -177,7 +177,7 @@ func TestCampaignApproxMathNaNFallsBackToExact(t *testing.T) {
 	if got := mustServe(t, ts.URL, images[0]); got != baseline {
 		t.Fatal("disarmed gate does not restore baseline behavior")
 	}
-	if got := srv.Metrics().RoutingFallbacks(); got != 1 {
+	if got := srv.Metrics().RoutingFallbacks.Value(); got != 1 {
 		t.Fatalf("fallback counter moved to %d on the clean path", got)
 	}
 }
@@ -270,7 +270,7 @@ func TestCampaignInjectedPanic(t *testing.T) {
 			t.Fatalf("injected panic %d: status %d, body %s", i, code, body)
 		}
 	}
-	if got := srv.Metrics().PanicsRecovered(); got != 2 {
+	if got := srv.Metrics().PanicsRecovered.Value(); got != 2 {
 		t.Fatalf("recovered panics %d, want 2", got)
 	}
 	mustServe(t, ts.URL, images[1])
@@ -309,7 +309,7 @@ func TestCampaignWatchdogStall(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= 2*time.Second {
 		t.Fatalf("watchdog did not bound the stall: request took %v", elapsed)
 	}
-	if got := srv.Metrics().WatchdogBatches(); got != 1 {
+	if got := srv.Metrics().WatchdogBatches.Value(); got != 1 {
 		t.Fatalf("watchdog batches %d, want 1", got)
 	}
 	// The abandoned goroutine is still sleeping; the server must serve
@@ -335,7 +335,7 @@ func TestCampaignCheckpointCorruption(t *testing.T) {
 	if _, err := LoadCheckpoint(path, m); err != nil {
 		t.Fatalf("intact checkpoint rejected: %v", err)
 	}
-	if got := m.CheckpointRejections(); got != 0 {
+	if got := m.CheckpointRejections.Value(); got != 0 {
 		t.Fatalf("rejection counter %d after a clean load", got)
 	}
 
@@ -352,7 +352,7 @@ func TestCampaignCheckpointCorruption(t *testing.T) {
 	if !errors.Is(err, capsnet.ErrCorruptCheckpoint) {
 		t.Fatalf("corrupt checkpoint: %v, want ErrCorruptCheckpoint", err)
 	}
-	if got := m.CheckpointRejections(); got != 1 {
+	if got := m.CheckpointRejections.Value(); got != 1 {
 		t.Fatalf("rejection counter %d, want 1", got)
 	}
 }
@@ -398,7 +398,7 @@ func TestCampaignDisabledInjectorsAreInvisible(t *testing.T) {
 		}
 	}
 	m := wired.Metrics()
-	if m.PanicsRecovered()+m.WatchdogBatches()+m.RoutingFallbacks() != 0 {
+	if m.PanicsRecovered.Value()+m.WatchdogBatches.Value()+m.RoutingFallbacks.Value() != 0 {
 		t.Fatal("robustness counters moved with every injector disarmed")
 	}
 }

@@ -1,12 +1,7 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strconv"
 
 	"pimcapsnet/internal/obs"
 )
@@ -41,309 +36,123 @@ var defaultStageBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// Metrics aggregates everything the /metrics endpoint exposes. All
-// methods are safe for concurrent use.
+// Metrics is everything the /metrics endpoint exposes: handles
+// registered on the embedded registry, which renders them (WriteText,
+// Handler). All handles are safe for concurrent use.
 type Metrics struct {
-	requests  atomic.Uint64
-	responses [len(responseCodesArray)]atomic.Uint64
-	other     atomic.Uint64
+	*obs.Registry
+
+	// Requests counts incoming classify requests, admitted or not.
+	Requests *obs.Counter
+	// responses holds capsnet_responses_total{code=...}, one counter
+	// per responseCodes entry and a final "other".
+	responses [len(responseCodes) + 1]*obs.Counter
+
+	// Batches counts launched batches, RoutingIterations the routing
+	// iterations they ran, Traces the request traces retained in the
+	// ring buffer.
+	Batches, RoutingIterations, Traces *obs.Counter
+
+	// Robustness counters (see the README's "Robustness & fault
+	// injection" section for the degradation ladder they instrument):
+	// batches whose inference panicked and was isolated by the runner,
+	// batches failed by the BatchDeadline watchdog, samples whose
+	// routing was re-run with exact math after the approximate path
+	// produced non-finite values, and checkpoints that failed structural
+	// verification at load time.
+	PanicsRecovered, WatchdogBatches, RoutingFallbacks, CheckpointRejections *obs.Counter
+
+	// Overload-control counters (README "Overload & graceful
+	// degradation"): batches cooperatively aborted mid-routing because
+	// every rider had expired, requests rejected on arrival because
+	// their propagated deadline had already passed, and requests served
+	// per brownout {level}. Level 0 always exists; a server with a
+	// brownout controller declares the rest up front.
+	BatchesAborted, DeadlinesExpired *obs.Counter
+	BrownoutRequests                 *obs.CounterVec
 
 	// Latency is the end-to-end request latency in seconds, observed
 	// by the HTTP handler (queueing + batching + forward + encode).
 	Latency *obs.Histogram
 	// BatchSize is the per-launched-batch request count.
 	BatchSize *obs.Histogram
-	// QueueWait is the per-request admission-queue wait in seconds
-	// (capsnet_queue_wait_seconds) — the batching cost a request pays
-	// for sharing its forward pass.
-	QueueWait *obs.Histogram
-	// RoutingIteration is the per-iteration dynamic-routing time in
-	// seconds (capsnet_routing_iteration_seconds), the direct
-	// production counterpart of the paper's Figure 3/4 routing
-	// characterization.
-	RoutingIteration *obs.Histogram
-
-	// stages holds one histogram per observed stage label
-	// (capsnet_stage_seconds{stage=...}), created on first
+	// Stages is capsnet_stage_seconds{stage=...}: one histogram per
+	// observed pipeline or forward-pass stage, created on first
 	// observation so capsnet can add stages without a schema change
 	// here.
-	stagesMu sync.RWMutex
-	//pimcaps:guardedby stagesMu
-	stages map[string]*obs.Histogram
+	Stages *obs.HistogramVec
 
-	batches      atomic.Uint64
-	routingIters atomic.Uint64
-	tracesTotal  atomic.Uint64
-
-	// Robustness counters (see the README's "Robustness & fault
-	// injection" section for the degradation ladder they instrument).
-	panicsRecovered  atomic.Uint64
-	watchdogBatches  atomic.Uint64
-	routingFallbacks atomic.Uint64
-	checkpointRejts  atomic.Uint64
-
-	// Overload-control counters (README "Overload & graceful
-	// degradation"): batches cooperatively aborted mid-routing because
-	// every rider had expired, requests rejected on arrival because
-	// their propagated deadline had already passed, and per-brownout-
-	// level request counts. brownoutLevels is how many {level=...}
-	// series the exposition emits (set by the server from the
-	// controller's level count; minimum 1 so level 0 always exists);
-	// levels beyond the array clamp into the last slot.
-	batchesAborted  atomic.Uint64
-	deadlineExpired atomic.Uint64
-	brownoutReqs    [maxBrownoutSeries]atomic.Uint64
-	brownoutLevels  atomic.Int64
-
-	// BrownoutLevel is sampled at scrape time from the brownout
-	// controller (capsnet_brownout_level); nil reports 0 — a server
-	// with brownout disabled is permanently at full fidelity.
-	BrownoutLevel func() int
-
-	// QueueDepth is sampled at scrape time from the admission queue.
-	QueueDepth func() int
-
-	// ArenaBytes is sampled at scrape time from the network's
-	// scratch-arena pool (capsnet.Network.ArenaBytes): the bytes the
-	// allocation-free forward path holds resident.
-	ArenaBytes func() uint64
-
-	// PartitionCounts is sampled at scrape time from the network
-	// (capsnet.Network.PartitionCounts): how many routing runs sharded
-	// on the batch dimension vs the high-level-capsule dimension.
+	// Scrape-time sources, reporting zero until a server wires them:
+	// the brownout controller's level (a server with brownout disabled
+	// is permanently at full fidelity), the admission queue's depth,
+	// the bytes the network's scratch-arena pool holds resident
+	// (capsnet.Network.ArenaBytes), and how many routing runs sharded on
+	// the batch vs the high-level-capsule dimension
+	// (capsnet.Network.PartitionCounts).
+	BrownoutLevel   func() int
+	QueueDepth      func() int
+	ArenaBytes      func() uint64
 	PartitionCounts func() (batch, hcaps uint64)
 }
 
-// responseCodesArray is the fixed set of status codes the server
-// emits; anything else lands in the "other" counter.
-var responseCodesArray = [...]int{200, 400, 404, 405, 429, 500, 503, 504}
+// responseCodes is the fixed set of status codes the server emits;
+// anything else lands in the "other" counter.
+var responseCodes = [...]int{200, 400, 404, 405, 429, 500, 503, 504}
 
-// maxBrownoutSeries bounds the per-level request counter array: the
-// brownout ladder has RoutingIterations-1 shedding levels plus at most
-// one approx level plus level 0, and routing iteration counts in this
-// family of networks are single digits.
-const maxBrownoutSeries = 16
-
-// NewMetrics creates the metric set with the server's bucket layouts:
-// latency buckets from 0.5ms to 5s, batch-size buckets covering
-// power-of-two micro-batch caps up to 64, stage buckets from 25µs up.
+// NewMetrics registers the metric set with the server's bucket
+// layouts: latency buckets from 0.5ms to 5s, batch-size buckets
+// covering power-of-two micro-batch caps up to 64, stage buckets from
+// 25µs up.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		Latency: obs.NewHistogram(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-			0.05, 0.1, 0.25, 0.5, 1, 2.5, 5),
-		BatchSize:        obs.NewHistogram(1, 2, 4, 8, 16, 32, 64),
-		QueueWait:        obs.NewHistogram(defaultStageBuckets...),
-		RoutingIteration: obs.NewHistogram(defaultStageBuckets...),
-		stages:           make(map[string]*obs.Histogram),
+	r := obs.NewRegistry()
+	m := &Metrics{
+		Registry:        r,
+		BrownoutLevel:   func() int { return 0 },
+		QueueDepth:      func() int { return 0 },
+		ArenaBytes:      func() uint64 { return 0 },
+		PartitionCounts: func() (uint64, uint64) { return 0, 0 },
 	}
+	r.BuildInfo("capsnet_build_info")
+	m.Requests = r.Counter("capsnet_requests_total")
+	responses := r.CounterVec("capsnet_responses_total", "code")
+	for i, code := range responseCodes {
+		m.responses[i] = responses.With(strconv.Itoa(code))
+	}
+	m.responses[len(responseCodes)] = responses.With("other")
+	r.GaugeFunc("capsnet_queue_depth", func() uint64 { return uint64(m.QueueDepth()) })
+	r.GaugeFunc("capsnet_arena_bytes", func() uint64 { return m.ArenaBytes() })
+	r.Collect(func(e *obs.Emitter) {
+		batch, hcaps := m.PartitionCounts()
+		e.Int("capsnet_routing_partition_total", batch, "dim", "batch")
+		e.Int("capsnet_routing_partition_total", hcaps, "dim", "hcaps")
+	})
+	m.Batches = r.Counter("capsnet_batches_total")
+	m.RoutingIterations = r.Counter("capsnet_routing_iterations_total")
+	m.Traces = r.Counter("capsnet_request_traces_total")
+	m.PanicsRecovered = r.Counter("capsnet_panics_recovered_total")
+	m.WatchdogBatches = r.Counter("capsnet_watchdog_failed_batches_total")
+	m.RoutingFallbacks = r.Counter("capsnet_routing_exact_fallbacks_total")
+	m.CheckpointRejections = r.Counter("capsnet_checkpoint_load_rejections_total")
+	m.BatchesAborted = r.Counter("capsnet_batch_aborted_total")
+	m.DeadlinesExpired = r.Counter("capsnet_deadline_expired_total")
+	r.GaugeFunc("capsnet_brownout_level", func() uint64 { return uint64(m.BrownoutLevel()) })
+	m.BrownoutRequests = r.CounterVec("capsnet_brownout_requests_total", "level")
+	m.BrownoutRequests.With("0")
+	r.Collect(obs.CollectRuntime)
+	m.Latency = r.Histogram("capsnet_request_latency_seconds",
+		0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5)
+	m.BatchSize = r.Histogram("capsnet_batch_size", 1, 2, 4, 8, 16, 32, 64)
+	m.Stages = r.HistogramVec("capsnet_stage_seconds", "stage", defaultStageBuckets...)
+	return m
 }
-
-// IncRequest counts one admitted-or-not incoming classify request.
-func (m *Metrics) IncRequest() { m.requests.Add(1) }
 
 // IncResponse counts one response with the given HTTP status.
 func (m *Metrics) IncResponse(code int) {
-	for i, c := range responseCodesArray {
+	for i, c := range responseCodes {
 		if c == code {
-			m.responses[i].Add(1)
+			m.responses[i].Inc()
 			return
 		}
 	}
-	m.other.Add(1)
-}
-
-// ObserveBatch records one launched batch of the given size running
-// the given number of routing iterations.
-func (m *Metrics) ObserveBatch(size, routingIterations int) {
-	m.batches.Add(1)
-	m.BatchSize.Observe(float64(size))
-	m.routingIters.Add(uint64(routingIterations))
-}
-
-// ObserveStage records one completed pipeline or forward-pass stage
-// of the given duration. Stage capsnet.StageRoutingIteration
-// additionally feeds the dedicated routing-iteration histogram.
-func (m *Metrics) ObserveStage(stage string, seconds float64) {
-	m.StageHistogram(stage).Observe(seconds)
-}
-
-// StageHistogram returns (creating on first use) the histogram behind
-// capsnet_stage_seconds{stage=...}.
-func (m *Metrics) StageHistogram(stage string) *obs.Histogram {
-	m.stagesMu.RLock()
-	h, ok := m.stages[stage]
-	m.stagesMu.RUnlock()
-	if ok {
-		return h
-	}
-	m.stagesMu.Lock()
-	defer m.stagesMu.Unlock()
-	if h, ok = m.stages[stage]; ok {
-		return h
-	}
-	if m.stages == nil {
-		m.stages = make(map[string]*obs.Histogram)
-	}
-	h = obs.NewHistogram(defaultStageBuckets...)
-	m.stages[stage] = h
-	return h
-}
-
-// IncTraces counts one request trace retained in the ring buffer.
-func (m *Metrics) IncTraces() { m.tracesTotal.Add(1) }
-
-// Batches returns the number of launched batches.
-func (m *Metrics) Batches() uint64 { return m.batches.Load() }
-
-// IncPanicRecovered counts one batch whose inference panicked and was
-// isolated by the runner instead of crashing the process.
-func (m *Metrics) IncPanicRecovered() { m.panicsRecovered.Add(1) }
-
-// PanicsRecovered returns the recovered-panic count.
-func (m *Metrics) PanicsRecovered() uint64 { return m.panicsRecovered.Load() }
-
-// IncWatchdogBatch counts one batch failed by the BatchDeadline
-// watchdog.
-func (m *Metrics) IncWatchdogBatch() { m.watchdogBatches.Add(1) }
-
-// WatchdogBatches returns the watchdog-failed batch count.
-func (m *Metrics) WatchdogBatches() uint64 { return m.watchdogBatches.Load() }
-
-// AddRoutingFallbacks counts n samples whose routing was re-run with
-// exact math after the approximate path produced non-finite values.
-func (m *Metrics) AddRoutingFallbacks(n int) { m.routingFallbacks.Add(uint64(n)) }
-
-// RoutingFallbacks returns the exact-math routing fallback count.
-func (m *Metrics) RoutingFallbacks() uint64 { return m.routingFallbacks.Load() }
-
-// IncBatchAborted counts one batch cooperatively aborted mid-routing
-// because every request riding it had already expired.
-func (m *Metrics) IncBatchAborted() { m.batchesAborted.Add(1) }
-
-// BatchesAborted returns the cooperatively aborted batch count.
-func (m *Metrics) BatchesAborted() uint64 { return m.batchesAborted.Load() }
-
-// IncDeadlineExpired counts one request rejected on arrival because
-// its propagated deadline had already passed.
-func (m *Metrics) IncDeadlineExpired() { m.deadlineExpired.Add(1) }
-
-// DeadlinesExpired returns the expired-on-arrival request count.
-func (m *Metrics) DeadlinesExpired() uint64 { return m.deadlineExpired.Load() }
-
-// SetBrownoutLevels declares how many brownout levels the controller
-// has, so the exposition emits a stable series per level. Clamped to
-// [1, maxBrownoutSeries].
-func (m *Metrics) SetBrownoutLevels(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxBrownoutSeries {
-		n = maxBrownoutSeries
-	}
-	m.brownoutLevels.Store(int64(n))
-}
-
-// IncBrownoutRequests counts n requests served at the given brownout
-// level (levels beyond the declared range clamp into the last slot).
-func (m *Metrics) IncBrownoutRequests(level, n int) {
-	if level < 0 {
-		level = 0
-	}
-	if level >= maxBrownoutSeries {
-		level = maxBrownoutSeries - 1
-	}
-	m.brownoutReqs[level].Add(uint64(n))
-}
-
-// BrownoutRequests returns the request count at one brownout level.
-func (m *Metrics) BrownoutRequests(level int) uint64 {
-	if level < 0 || level >= maxBrownoutSeries {
-		return 0
-	}
-	return m.brownoutReqs[level].Load()
-}
-
-// IncCheckpointRejection counts one checkpoint that failed structural
-// verification (bad magic, truncation, CRC mismatch) at load time.
-func (m *Metrics) IncCheckpointRejection() { m.checkpointRejts.Add(1) }
-
-// CheckpointRejections returns the rejected-checkpoint count.
-func (m *Metrics) CheckpointRejections() uint64 { return m.checkpointRejts.Load() }
-
-// WriteText emits the full text exposition.
-func (m *Metrics) WriteText(w io.Writer) {
-	version, goVersion := obs.BuildInfo()
-	fmt.Fprintf(w, "capsnet_build_info{version=%q,go_version=%q} 1\n", version, goVersion)
-	fmt.Fprintf(w, "capsnet_requests_total %d\n", m.requests.Load())
-	for i, c := range responseCodesArray {
-		fmt.Fprintf(w, "capsnet_responses_total{code=\"%d\"} %d\n", c, m.responses[i].Load())
-	}
-	fmt.Fprintf(w, "capsnet_responses_total{code=\"other\"} %d\n", m.other.Load())
-	depth := 0
-	if m.QueueDepth != nil {
-		depth = m.QueueDepth()
-	}
-	fmt.Fprintf(w, "capsnet_queue_depth %d\n", depth)
-	var arenaBytes uint64
-	if m.ArenaBytes != nil {
-		arenaBytes = m.ArenaBytes()
-	}
-	fmt.Fprintf(w, "capsnet_arena_bytes %d\n", arenaBytes)
-	var partB, partH uint64
-	if m.PartitionCounts != nil {
-		partB, partH = m.PartitionCounts()
-	}
-	fmt.Fprintf(w, "capsnet_routing_partition_total{dim=\"batch\"} %d\n", partB)
-	fmt.Fprintf(w, "capsnet_routing_partition_total{dim=\"hcaps\"} %d\n", partH)
-	fmt.Fprintf(w, "capsnet_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(w, "capsnet_routing_iterations_total %d\n", m.routingIters.Load())
-	fmt.Fprintf(w, "capsnet_request_traces_total %d\n", m.tracesTotal.Load())
-	fmt.Fprintf(w, "capsnet_panics_recovered_total %d\n", m.panicsRecovered.Load())
-	fmt.Fprintf(w, "capsnet_watchdog_failed_batches_total %d\n", m.watchdogBatches.Load())
-	fmt.Fprintf(w, "capsnet_routing_exact_fallbacks_total %d\n", m.routingFallbacks.Load())
-	fmt.Fprintf(w, "capsnet_checkpoint_load_rejections_total %d\n", m.checkpointRejts.Load())
-	fmt.Fprintf(w, "capsnet_batch_aborted_total %d\n", m.batchesAborted.Load())
-	fmt.Fprintf(w, "capsnet_deadline_expired_total %d\n", m.deadlineExpired.Load())
-	lvl := 0
-	if m.BrownoutLevel != nil {
-		lvl = m.BrownoutLevel()
-	}
-	fmt.Fprintf(w, "capsnet_brownout_level %d\n", lvl)
-	levels := int(m.brownoutLevels.Load())
-	if levels < 1 {
-		levels = 1
-	}
-	for i := 0; i < levels; i++ {
-		fmt.Fprintf(w, "capsnet_brownout_requests_total{level=\"%d\"} %d\n", i, m.brownoutReqs[i].Load())
-	}
-	for _, g := range obs.RuntimeStats() {
-		fmt.Fprintf(w, "%s %g\n", g.Name, g.Value)
-	}
-	m.Latency.WriteText(w, "capsnet_request_latency_seconds", "")
-	m.BatchSize.WriteText(w, "capsnet_batch_size", "")
-	m.QueueWait.WriteText(w, "capsnet_queue_wait_seconds", "")
-	m.RoutingIteration.WriteText(w, "capsnet_routing_iteration_seconds", "")
-
-	m.stagesMu.RLock()
-	stages := make([]string, 0, len(m.stages))
-	for s := range m.stages {
-		stages = append(stages, s)
-	}
-	hists := make([]*obs.Histogram, len(stages))
-	sort.Strings(stages)
-	for i, s := range stages {
-		hists[i] = m.stages[s]
-	}
-	m.stagesMu.RUnlock()
-	for i, s := range stages {
-		hists[i].WriteText(w, "capsnet_stage_seconds", fmt.Sprintf("stage=%q", s))
-	}
-}
-
-// Handler returns the /metrics endpoint.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WriteText(w)
-	})
+	m.responses[len(responseCodes)].Inc()
 }

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"math"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
+	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/obs"
 )
 
@@ -113,14 +113,18 @@ func TestHistogramConcurrent(t *testing.T) {
 // exposition: exact output, unlabeled and labeled, including the
 // quantile, bucket, sum, count, and overflow lines.
 func TestHistogramGoldenExposition(t *testing.T) {
-	h := obs.NewHistogram(0.5, 1)
-	h.Observe(0.25)
-	h.Observe(0.25)
-	h.Observe(0.75)
-	h.Observe(3) // overflow
+	r := obs.NewRegistry()
+	plain := r.Histogram("x_seconds", 0.5, 1)
+	labeled := r.HistogramVec("y_seconds", "stage", 0.5, 1).With("conv")
+	for _, h := range []*obs.Histogram{plain, labeled} {
+		h.Observe(0.25)
+		h.Observe(0.25)
+		h.Observe(0.75)
+		h.Observe(3) // overflow
+	}
 
 	var sb strings.Builder
-	h.WriteText(&sb, "x_seconds", "")
+	r.WriteText(&sb)
 	want := `x_seconds{quantile="0.5"} 0.5
 x_seconds{quantile="0.95"} 1
 x_seconds{quantile="0.99"} 1
@@ -130,59 +134,52 @@ x_seconds_bucket{le="+Inf"} 4
 x_seconds_sum 4.25
 x_seconds_count 4
 x_seconds_overflow_total 1
+y_seconds{stage="conv",quantile="0.5"} 0.5
+y_seconds{stage="conv",quantile="0.95"} 1
+y_seconds{stage="conv",quantile="0.99"} 1
+y_seconds_bucket{stage="conv",le="0.5"} 2
+y_seconds_bucket{stage="conv",le="1"} 3
+y_seconds_bucket{stage="conv",le="+Inf"} 4
+y_seconds_sum{stage="conv"} 4.25
+y_seconds_count{stage="conv"} 4
+y_seconds_overflow_total{stage="conv"} 1
 `
 	if sb.String() != want {
-		t.Errorf("unlabeled exposition:\ngot:\n%swant:\n%s", sb.String(), want)
-	}
-
-	sb.Reset()
-	h.WriteText(&sb, "x_seconds", `stage="conv"`)
-	want = `x_seconds{stage="conv",quantile="0.5"} 0.5
-x_seconds{stage="conv",quantile="0.95"} 1
-x_seconds{stage="conv",quantile="0.99"} 1
-x_seconds_bucket{stage="conv",le="0.5"} 2
-x_seconds_bucket{stage="conv",le="1"} 3
-x_seconds_bucket{stage="conv",le="+Inf"} 4
-x_seconds_sum{stage="conv"} 4.25
-x_seconds_count{stage="conv"} 4
-x_seconds_overflow_total{stage="conv"} 1
-`
-	if sb.String() != want {
-		t.Errorf("labeled exposition:\ngot:\n%swant:\n%s", sb.String(), want)
+		t.Errorf("exposition:\ngot:\n%swant:\n%s", sb.String(), want)
 	}
 }
 
-// promLine matches one Prometheus text-format sample line: a metric
-// name, an optional label set, and a float value.
-var promLine = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*")*\})? ` +
-		`(-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|\+Inf|-Inf|NaN)$`)
-
 // TestMetricsExpositionGrammar validates every line the full /metrics
 // endpoint emits — including runtime gauges and labeled stage
-// histograms — against the Prometheus text grammar.
+// histograms: each is a sample the one parser returns and that
+// re-renders to itself, with a numeric value.
 func TestMetricsExpositionGrammar(t *testing.T) {
 	m := NewMetrics()
-	m.IncRequest()
+	m.Requests.Inc()
 	m.IncResponse(200)
-	m.ObserveBatch(4, 3)
+	m.BatchSize.Observe(4)
 	m.Latency.Observe(0.003)
-	m.QueueWait.Observe(0.0001)
-	m.RoutingIteration.Observe(0.0005)
-	m.ObserveStage(StageAdmission, 0.0002)
-	m.ObserveStage("conv", 0.001)
+	m.Stages.With(StageQueueWait).Observe(0.0001)
+	m.Stages.With(capsnet.StageRoutingIteration).Observe(0.0005)
+	m.Stages.With(StageAdmission).Observe(0.0002)
+	m.Stages.With("conv").Observe(0.001)
 
 	var sb strings.Builder
 	m.WriteText(&sb)
 	text := sb.String()
-	for i, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if !promLine.MatchString(line) {
-			t.Errorf("line %d not valid Prometheus text format: %q", i+1, line)
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	samples := obs.ParsePromText([]byte(text))
+	if len(samples) != len(lines) {
+		t.Fatalf("parser returned %d samples for %d lines", len(samples), len(lines))
+	}
+	for i, s := range samples {
+		if _, err := s.Float(); err != nil || s.String() != lines[i] {
+			t.Errorf("line %d not a well-formed sample: %q parsed as %q (value error %v)", i+1, lines[i], s, err)
 		}
 	}
 	for _, want := range []string{
-		`capsnet_queue_wait_seconds_count 1`,
-		`capsnet_routing_iteration_seconds_count 1`,
+		`capsnet_stage_seconds_count{stage="queue_wait"} 1`,
+		`capsnet_stage_seconds_count{stage="routing_iteration"} 1`,
 		`capsnet_stage_seconds_count{stage="admission"} 1`,
 		`capsnet_stage_seconds_count{stage="conv"} 1`,
 		`capsnet_go_goroutines `,

@@ -57,12 +57,15 @@ func TestHistogramEmpty(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
-	m.IncRequest()
+	m.Requests.Inc()
 	m.IncResponse(200)
 	m.IncResponse(429)
 	m.IncResponse(418) // not in the fixed set → "other"
-	m.ObserveBatch(4, 3)
-	m.ObserveBatch(8, 3)
+	for _, size := range []float64{4, 8} {
+		m.Batches.Inc()
+		m.BatchSize.Observe(size)
+		m.RoutingIterations.Add(3)
+	}
 	m.Latency.Observe(0.003)
 	m.QueueDepth = func() int { return 5 }
 
@@ -95,28 +98,15 @@ func TestMetricsExposition(t *testing.T) {
 // exact-math routing fallbacks, and rejected checkpoints.
 func TestRobustnessCounters(t *testing.T) {
 	m := NewMetrics()
-	if m.PanicsRecovered()+m.WatchdogBatches()+m.RoutingFallbacks()+m.CheckpointRejections() != 0 {
+	if m.PanicsRecovered.Value()+m.WatchdogBatches.Value()+m.RoutingFallbacks.Value()+m.CheckpointRejections.Value() != 0 {
 		t.Fatal("robustness counters must start at zero")
 	}
-	m.IncPanicRecovered()
-	m.IncPanicRecovered()
-	m.IncWatchdogBatch()
-	m.AddRoutingFallbacks(3)
-	m.AddRoutingFallbacks(1)
-	m.IncCheckpointRejection()
-
-	if got := m.PanicsRecovered(); got != 2 {
-		t.Errorf("PanicsRecovered %d, want 2", got)
-	}
-	if got := m.WatchdogBatches(); got != 1 {
-		t.Errorf("WatchdogBatches %d, want 1", got)
-	}
-	if got := m.RoutingFallbacks(); got != 4 {
-		t.Errorf("RoutingFallbacks %d, want 4", got)
-	}
-	if got := m.CheckpointRejections(); got != 1 {
-		t.Errorf("CheckpointRejections %d, want 1", got)
-	}
+	m.PanicsRecovered.Inc()
+	m.PanicsRecovered.Inc()
+	m.WatchdogBatches.Inc()
+	m.RoutingFallbacks.Add(3)
+	m.RoutingFallbacks.Add(1)
+	m.CheckpointRejections.Inc()
 
 	var sb strings.Builder
 	m.WriteText(&sb)

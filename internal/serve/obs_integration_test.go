@@ -84,16 +84,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		capsnet.StageRoutingIteration, capsnet.StageRoutingSoftmax,
 		capsnet.StageRoutingAggregate, capsnet.StageLengths,
 	} {
-		if got := m.StageHistogram(stage).Count(); got == 0 {
+		if got := m.Stages.With(stage).Count(); got == 0 {
 			t.Errorf("stage %q has no observations", stage)
 		}
 	}
-	if m.QueueWait.Count() == 0 || m.RoutingIteration.Count() == 0 {
-		t.Error("dedicated queue-wait / routing-iteration histograms empty")
-	}
 	var pipelineSum float64
 	for _, stage := range []string{StageAdmission, StageQueueWait, StageBatchAssembly, StageForward, StageEncode} {
-		pipelineSum += m.StageHistogram(stage).Sum()
+		pipelineSum += m.Stages.With(stage).Sum()
 	}
 	latencySum := m.Latency.Sum()
 	if pipelineSum > latencySum*1.05+0.001 {
@@ -231,7 +228,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 		t.Errorf("retained %d traces with sampling off", got)
 	}
 	// Stage histograms stay on regardless (they are the cheap part).
-	if srv.Metrics().StageHistogram(StageForward).Count() == 0 {
+	if srv.Metrics().Stages.With(StageForward).Count() == 0 {
 		t.Error("stage histograms should observe even with sampling off")
 	}
 	// The export endpoint still answers, with an empty event list.

@@ -104,7 +104,9 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 	if cfg.Brownout.Enabled {
 		br = newBrownout(cfg.Brownout, network.Config.RoutingIterations)
 		m.BrownoutLevel = br.Level
-		m.SetBrownoutLevels(br.levels())
+		for lvl := 0; lvl < br.levels(); lvl++ {
+			m.BrownoutRequests.With(strconv.Itoa(lvl))
+		}
 	}
 	// approxMath is built once so the brownout's deepest level does not
 	// allocate lookup tables per batch.
@@ -150,7 +152,7 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 		// exact math are counted; samples still non-finite fail alone
 		// with a typed error instead of emitting NaN JSON.
 		if n := len(out.ExactFallbacks); n > 0 {
-			m.AddRoutingFallbacks(n)
+			m.RoutingFallbacks.Add(uint64(n))
 		}
 		for _, k := range out.NonFinite {
 			preds[k] = Prediction{Err: ErrNonFinite}
@@ -173,10 +175,7 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 	// sets network.Stages, so the network passed in is observed for as
 	// long as it lives.
 	rec := obs.NewStageRecorder(cfg.Clock, func(stage string, iter int, seconds float64) {
-		m.ObserveStage(stage, seconds)
-		if stage == capsnet.StageRoutingIteration {
-			m.RoutingIteration.Observe(seconds)
-		}
+		m.Stages.With(stage).Observe(seconds)
 	})
 	network.Stages = rec
 	b.rec = rec
@@ -263,7 +262,7 @@ func (s *Server) Close(ctx context.Context) error {
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	s.metrics.IncRequest()
+	s.metrics.Requests.Inc()
 	start := s.clock()
 	// Every request gets a trace ID (response header + log
 	// correlation); only sampled requests get a live span trace. A
@@ -300,19 +299,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	encStart := s.clock()
 	json.NewEncoder(w).Encode(body)
 	end := s.clock()
-	s.metrics.ObserveStage(StageEncode, end.Sub(encStart).Seconds())
+	s.metrics.Stages.With(StageEncode).Observe(end.Sub(encStart).Seconds())
 	t.Add(StageEncode, -1, encStart, end)
 	if t != nil {
 		s.tracer.Finish(t, end)
 		if t.Sampled() {
-			s.metrics.IncTraces()
+			s.metrics.Traces.Inc()
 		}
 	}
-	brLvl := 0
-	if s.metrics.BrownoutLevel != nil {
-		brLvl = s.metrics.BrownoutLevel()
-	}
-	s.flight.Note(t, code, end.Sub(start), brLvl, flightReasons...)
+	s.flight.Note(t, code, end.Sub(start), s.metrics.BrownoutLevel(), flightReasons...)
 	latency := end.Sub(start).Seconds()
 	s.metrics.Latency.Observe(latency)
 	if s.logger != nil {
@@ -432,7 +427,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	// enters the batching pipeline. Rejected requests never reach the
 	// pipeline, so they record no admission stage.
 	aEnd := s.clock()
-	s.metrics.ObserveStage(StageAdmission, aEnd.Sub(aStart).Seconds())
+	s.metrics.Stages.With(StageAdmission).Observe(aEnd.Sub(aStart).Seconds())
 	obs.TraceFrom(r.Context()).Add(StageAdmission, -1, aStart, aEnd)
 	// End-to-end deadline propagation: an upstream-supplied absolute
 	// deadline bounds this request, capped by RequestTimeout so a
@@ -445,7 +440,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	}
 	now := time.Now()
 	if hasDL && !dl.After(now) {
-		s.metrics.IncDeadlineExpired()
+		s.metrics.DeadlinesExpired.Inc()
 		return http.StatusGatewayTimeout, errorBody{Error: "deadline already expired on arrival"}, nil
 	}
 	var ctx context.Context
@@ -469,7 +464,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 		return http.StatusServiceUnavailable, errorBody{Error: "server shutting down"}, nil
 	case errors.Is(err, context.DeadlineExceeded):
 		if hasDL {
-			s.metrics.IncDeadlineExpired()
+			s.metrics.DeadlinesExpired.Inc()
 		}
 		return http.StatusGatewayTimeout, errorBody{Error: "request deadline exceeded"}, nil
 	case errors.Is(err, ErrBatchAborted):

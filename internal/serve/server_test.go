@@ -133,7 +133,7 @@ func TestServeMatchesDirectForwardBitForBit(t *testing.T) {
 	}
 	wg.Wait()
 
-	if srv.Metrics().Batches() == 0 {
+	if srv.Metrics().Batches.Value() == 0 {
 		t.Error("no batches recorded in metrics")
 	}
 }

@@ -9,19 +9,46 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/trace"
 )
 
-// promLineRe matches one Prometheus text-format sample line.
-var promLineRe = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*")*\})? ` +
-		`(-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|\+Inf|-Inf|NaN)$`)
+// parseExposition checks a live exposition is well formed — every
+// non-comment line is a sample the one parser returns, with a numeric
+// value, that re-renders to itself — and returns the samples.
+func parseExposition(t *testing.T, endpoint, text string) obs.PromSamples {
+	t.Helper()
+	samples := obs.ParsePromText([]byte(text))
+	n := 0
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if n >= len(samples) {
+			t.Fatalf("%s: parser returned %d samples, fewer than the sample lines", endpoint, len(samples))
+		}
+		if _, err := samples[n].Float(); err != nil || samples[n].String() != line {
+			t.Errorf("%s line %q is not a well-formed sample: parsed as %q (value error %v)", endpoint, line, samples[n], err)
+		}
+		n++
+	}
+	return samples
+}
+
+// seriesValue returns the value of one series of a parsed exposition.
+func seriesValue(t *testing.T, samples obs.PromSamples, name string, labels ...string) float64 {
+	t.Helper()
+	v, ok := samples.Value(name, labels...)
+	if !ok {
+		t.Fatalf("series %s %v not found", name, labels)
+	}
+	return v
+}
 
 // TestObservabilitySmokeE2E is the out-of-process observability smoke
 // test the CI obs-smoke job runs: it builds the real capsnet-serve
@@ -131,16 +158,11 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 	// 1. /metrics must be well-formed Prometheus text exposition with
 	// the stage histograms populated.
 	metricsText := getText(t, base+"/metrics")
-	for i, line := range strings.Split(strings.TrimRight(metricsText, "\n"), "\n") {
-		if !promLineRe.MatchString(line) {
-			t.Errorf("/metrics line %d violates text grammar: %q", i+1, line)
-		}
-	}
+	parseExposition(t, "/metrics", metricsText)
 	for _, want := range []string{
 		`capsnet_stage_seconds_count{stage="forward"}`,
 		`capsnet_stage_seconds_count{stage="routing_iteration"}`,
-		"capsnet_queue_wait_seconds_count",
-		"capsnet_routing_iteration_seconds_count",
+		`capsnet_stage_seconds_count{stage="queue_wait"}`,
 		"capsnet_go_goroutines",
 	} {
 		if !strings.Contains(metricsText, want) {

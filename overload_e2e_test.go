@@ -6,9 +6,6 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
-	"regexp"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -16,6 +13,7 @@ import (
 
 	"pimcapsnet/internal/cluster"
 	"pimcapsnet/internal/deadline"
+	"pimcapsnet/internal/obs"
 )
 
 // TestOverloadBrownoutE2E is the overload-smoke drill CI runs: the real
@@ -92,8 +90,8 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
-	post := func(budget time.Duration) (int, http.Header, error) {
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/classify", bytes.NewReader(body))
+	postTo := func(target string, budget time.Duration) (int, http.Header, error) {
+		req, err := http.NewRequest(http.MethodPost, target+"/v1/classify", bytes.NewReader(body))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -107,6 +105,7 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, resp.Header, nil
 	}
+	post := func(budget time.Duration) (int, http.Header, error) { return postTo(base, budget) }
 
 	// Phase 1 — saturating burst with healthy budgets. The worker count
 	// deliberately dwarfs the fleet's batch capacity (2 replicas × 4
@@ -188,9 +187,14 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 	// abort, and router-side deadline exhaustion.
 	var shedRequests, aborts float64
 	for _, rep := range fleet {
-		text := getText(t, rep.URL+"/metrics")
-		aborts += metricValue(t, text, "capsnet_batch_aborted_total")
-		shedRequests += sumShedBrownoutRequests(t, text)
+		samples := obs.ParsePromText([]byte(getText(t, rep.URL+"/metrics")))
+		aborts += seriesValue(t, samples, "capsnet_batch_aborted_total")
+		// Level 0 is full fidelity; any other level shed work.
+		for _, s := range samples.Family("capsnet_brownout_requests_total") {
+			if v, err := s.Float(); err == nil && s.Label("level") != "0" {
+				shedRequests += v
+			}
+		}
 	}
 	if shedRequests == 0 {
 		t.Error("no requests served at a brownout level >= 1; the controller never engaged")
@@ -198,29 +202,28 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 	if aborts == 0 {
 		t.Error("capsnet_batch_aborted_total = 0 across the fleet; no all-expired batch was aborted")
 	}
-	routerText := getText(t, base+"/metrics")
-	if v := metricValue(t, routerText, "router_deadline_exhausted_total"); v < 1 {
+	routerSamples := obs.ParsePromText([]byte(getText(t, base+"/metrics")))
+	if v := seriesValue(t, routerSamples, "router_deadline_exhausted_total"); v < 1 {
 		t.Errorf("router_deadline_exhausted_total = %g, want >= 1 after the short-deadline wave", v)
 	}
 
 	// Recovery: trickle sequential, well-budgeted requests (each batch
 	// launch feeds the controller a calm queue-wait sample) until every
-	// replica reports level 0 again.
-	recovered := func() bool {
-		for _, rep := range fleet {
-			if metricValue(t, getText(t, rep.URL+"/metrics"), "capsnet_brownout_level") != 0 {
-				return false
-			}
-		}
-		return true
+	// replica reports level 0 again. The trickle goes straight to each
+	// replica: through the router every copy of this one body lands on
+	// its home replica, and the other would never see a calm sample.
+	replicaGauge := func(url, name string) float64 {
+		return seriesValue(t, obs.ParsePromText([]byte(getText(t, url+"/metrics"))), name)
 	}
 	deadlineAt := time.Now().Add(60 * time.Second)
-	for !recovered() {
-		if time.Now().After(deadlineAt) {
-			t.Fatal("brownout level did not return to 0 after the burst")
-		}
-		if _, _, err := post(5 * time.Second); err != nil {
-			t.Fatalf("recovery request: %v", err)
+	for _, rep := range fleet {
+		for replicaGauge(rep.URL, "capsnet_brownout_level") != 0 {
+			if time.Now().After(deadlineAt) {
+				t.Fatalf("replica %s brownout level did not return to 0 after the burst", rep.Name)
+			}
+			if _, _, err := postTo(rep.URL, 5*time.Second); err != nil {
+				t.Fatalf("recovery request: %v", err)
+			}
 		}
 	}
 
@@ -229,7 +232,7 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 	// the drill aborted or shed) must not grow them.
 	before := make(map[string]float64)
 	for _, rep := range fleet {
-		before[rep.Name] = metricValue(t, getText(t, rep.URL+"/metrics"), "capsnet_arena_bytes")
+		before[rep.Name] = replicaGauge(rep.URL, "capsnet_arena_bytes")
 	}
 	for i := 0; i < 12; i++ {
 		if _, _, err := post(5 * time.Second); err != nil {
@@ -237,7 +240,7 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 		}
 	}
 	for _, rep := range fleet {
-		after := metricValue(t, getText(t, rep.URL+"/metrics"), "capsnet_arena_bytes")
+		after := replicaGauge(rep.URL, "capsnet_arena_bytes")
 		//lint:ignore pimcaps/floateqcheck capsnet_arena_bytes is an integer byte count; flatness means exact equality, a tolerance would mask a leak
 		if after != before[rep.Name] {
 			t.Errorf("replica %s capsnet_arena_bytes moved %g -> %g after recovery; arena must stay flat", rep.Name, before[rep.Name], after)
@@ -258,32 +261,4 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("router did not exit after SIGINT")
 	}
-}
-
-var brownoutReqRe = regexp.MustCompile(`^capsnet_brownout_requests_total\{level="(\d+)"\} (\d+)$`)
-
-// sumShedBrownoutRequests totals the requests a replica served at any
-// brownout level >= 1 (level 0 is full fidelity).
-func sumShedBrownoutRequests(t *testing.T, text string) float64 {
-	t.Helper()
-	var sum float64
-	for _, line := range strings.Split(text, "\n") {
-		m := brownoutReqRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		level, err := strconv.Atoi(m[1])
-		if err != nil {
-			t.Fatalf("parsing brownout level from %q: %v", line, err)
-		}
-		if level == 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			t.Fatalf("parsing %q: %v", line, err)
-		}
-		sum += v
-	}
-	return sum
 }

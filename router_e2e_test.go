@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -185,11 +184,7 @@ func TestRouterChaosE2E(t *testing.T) {
 	// present, and the chaos visible in the counters (the kill cost at
 	// least one retry; the armed stalls at least one hedge).
 	metricsText := getText(t, base+"/metrics")
-	for i, line := range strings.Split(strings.TrimRight(metricsText, "\n"), "\n") {
-		if !promLineRe.MatchString(line) {
-			t.Errorf("/metrics line %d violates text grammar: %q", i+1, line)
-		}
-	}
+	samples := parseExposition(t, "/metrics", metricsText)
 	for _, want := range []string{
 		"router_replica_requests_total{replica=",
 		"router_retries_total",
@@ -202,10 +197,10 @@ func TestRouterChaosE2E(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if v := metricValue(t, metricsText, "router_retries_total"); v < 1 {
+	if v := seriesValue(t, samples, "router_retries_total"); v < 1 {
 		t.Errorf("router_retries_total = %g, want >= 1 with every replica corrupting its first batch", v)
 	}
-	if v := metricValue(t, metricsText, "router_hedges_total"); v < 1 {
+	if v := seriesValue(t, samples, "router_hedges_total"); v < 1 {
 		t.Errorf("router_hedges_total = %g, want >= 1 with every replica stalling its first batch", v)
 	}
 
@@ -223,23 +218,6 @@ func TestRouterChaosE2E(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("router did not exit after SIGINT")
 	}
-}
-
-// metricValue extracts one unlabeled counter's value from Prometheus
-// text.
-func metricValue(t *testing.T, text, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(text, "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				t.Fatalf("parsing %s value %q: %v", name, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not found", name)
-	return 0
 }
 
 // waitForAddr scans JSON log lines on r until a record with the given
