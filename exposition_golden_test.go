@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -119,75 +118,9 @@ func TestServeMetricsGolden(t *testing.T) {
 	checkGolden(t, "serve_metrics", get(t, m.Handler(), "/metrics"))
 }
 
-// stepClock is the injected router clock: it moves only when the
-// script (or a stub replica "taking" time) advances it.
-type stepClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *stepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *stepClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
 type poolFunc func() []cluster.ReplicaInfo
 
 func (f poolFunc) Snapshot() []cluster.ReplicaInfo { return f() }
-
-// Two stub replicas' /metrics bodies: a counter, a labelled counter, an
-// escaped label value, a plain and a labelled histogram, and one family
-// only r0 has.
-const stubMetricsR0 = `capsnet_build_info{version="devel",go_version="go1.24.0"} 1
-capsnet_requests_total 10
-capsnet_responses_total{code="200"} 9
-capsnet_responses_total{code="429"} 1
-capsnet_arena_bytes 23909824
-capsnet_go_goroutines 14
-capsnet_note{text="a \"quoted\" \\ back\nslash"} 1
-capsnet_request_latency_seconds{quantile="0.5"} 0.0125
-capsnet_request_latency_seconds_bucket{le="0.025"} 8
-capsnet_request_latency_seconds_bucket{le="+Inf"} 10
-capsnet_request_latency_seconds_sum 0.4375
-capsnet_request_latency_seconds_count 10
-capsnet_request_latency_seconds_overflow_total 2
-capsnet_stage_seconds{stage="conv",quantile="0.5"} 0.0005
-capsnet_stage_seconds_bucket{stage="conv",le="0.001"} 3
-capsnet_stage_seconds_bucket{stage="conv",le="+Inf"} 3
-capsnet_stage_seconds_sum{stage="conv"} 0.0015
-capsnet_stage_seconds_count{stage="conv"} 3
-capsnet_stage_seconds_overflow_total{stage="conv"} 0
-capsnet_stage_seconds_bucket{stage="encode",le="0.001"} 1
-capsnet_stage_seconds_bucket{stage="encode",le="+Inf"} 1
-capsnet_stage_seconds_sum{stage="encode"} 2e-05
-capsnet_stage_seconds_count{stage="encode"} 1
-`
-
-const stubMetricsR1 = `capsnet_build_info{version="devel",go_version="go1.24.0"} 1
-capsnet_requests_total 12
-capsnet_responses_total{code="200"} 12
-capsnet_arena_bytes 23909824
-capsnet_go_goroutines 15
-capsnet_request_latency_seconds{quantile="0.5"} 0.02
-capsnet_request_latency_seconds_bucket{le="0.025"} 11
-capsnet_request_latency_seconds_bucket{le="+Inf"} 12
-capsnet_request_latency_seconds_sum 0.25
-capsnet_request_latency_seconds_count 12
-capsnet_request_latency_seconds_overflow_total 1
-capsnet_stage_seconds{stage="conv",quantile="0.5"} 0.0005
-capsnet_stage_seconds_bucket{stage="conv",le="0.001"} 4
-capsnet_stage_seconds_bucket{stage="conv",le="+Inf"} 5
-capsnet_stage_seconds_sum{stage="conv"} 0.0525
-capsnet_stage_seconds_count{stage="conv"} 5
-capsnet_stage_seconds_overflow_total{stage="conv"} 1
-`
 
 // scriptedRouter builds a dispatcher over two stub replicas and runs
 // the fixed script: routed requests whose replica "takes" a scripted
@@ -196,23 +129,30 @@ capsnet_stage_seconds_overflow_total{stage="conv"} 1
 // the families the script's happy paths do not reach.
 func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 	t.Helper()
-	clk := &stepClock{now: time.Unix(1_700_000_000, 0)}
-	var took atomic.Int64 // what the next classify costs on clk, in ms
-	stub := func(metrics string) *httptest.Server {
+	// The injected clock moves only when the script, or a stub replica
+	// "taking" time over a classify, advances it.
+	var nowNs, tookMs atomic.Int64
+	nowNs.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	clock := func() time.Time { return time.Unix(0, nowNs.Load()) }
+	stub := func(file string) *httptest.Server {
+		metrics, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/classify", func(w http.ResponseWriter, r *http.Request) {
-			clk.Advance(time.Duration(took.Load()) * time.Millisecond)
+			nowNs.Add(tookMs.Load() * int64(time.Millisecond))
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, `{"class":1,"probs":[0.1,0.8,0.1],"poses":null,"batch":1}`)
 		})
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, metrics)
+			w.Write(metrics)
 		})
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		return srv
 	}
-	r0, r1 := stub(stubMetricsR0), stub(stubMetricsR1)
+	r0, r1 := stub("stub_r0.metrics"), stub("stub_r1.metrics")
 	pool := poolFunc(func() []cluster.ReplicaInfo {
 		return []cluster.ReplicaInfo{
 			{Name: "r0", URL: r0.URL, Ready: true, Restarts: 2, Load: cluster.Load{QueueDepth: 3, Inflight: 1}},
@@ -221,7 +161,7 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 		}
 	})
 	d, err := cluster.NewDispatcher(cluster.DispatcherConfig{
-		Pool: pool, Clock: clk.Now, HedgeDelay: -1, SLOTarget: 0.99,
+		Pool: pool, Clock: clock, HedgeDelay: -1, SLOTarget: 0.99,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,14 +179,14 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 		}
 	}
 	for i, ms := range []int64{2, 7, 30, 400, 12000} {
-		took.Store(ms)
+		tookMs.Store(ms)
 		classify(`{"image":[0.`+strings.Repeat("3", i+1)+`]}`, nil, http.StatusOK)
 	}
 	expired := http.Header{}
-	deadline.Set(expired, clk.Now().Add(-time.Second))
+	deadline.Set(expired, clock().Add(-time.Second))
 	classify(`{"image":[0.9]}`, expired, http.StatusGatewayTimeout)
-	clk.Advance(2 * time.Minute)
-	took.Store(60)
+	nowNs.Add(int64(2 * time.Minute))
+	tookMs.Store(60)
 	classify(`{"image":[0.5]}`, nil, http.StatusOK)
 
 	m := d.Metrics()

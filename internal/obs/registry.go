@@ -94,10 +94,13 @@ func (v *vec[T]) with(vals ...string) *T {
 	if len(vals) != len(v.keys) {
 		panic("obs: metric vector wants " + strconv.Itoa(len(v.keys)) + " label values")
 	}
-	key := vals[0]
-	if len(vals) > 1 {
-		key = string(appendSeries(nil, "", v.pairs(vals)))
+	if len(vals) == 1 {
+		return v.child(vals[0], vals)
 	}
+	return v.child(string(appendSeries(nil, "", v.pairs(vals))), vals)
+}
+
+func (v *vec[T]) child(key string, vals []string) *T {
 	v.mu.RLock()
 	c, ok := v.children[key]
 	v.mu.RUnlock()
@@ -160,7 +163,7 @@ type HistogramVec struct{ v vec[Histogram] }
 
 // With returns the histogram for the label value, creating it on first
 // use. Observing through a resolved child allocates nothing.
-func (h *HistogramVec) With(val string) *Histogram { return h.v.with(val) }
+func (h *HistogramVec) With(val string) *Histogram { return h.v.child(val, []string{val}) }
 
 // HistogramVec registers a histogram family with one label name; every
 // child shares the bucket layout.
