@@ -30,7 +30,7 @@ func main() {
 
 	benchInput := flag.String("bench-input", "", "path to `go test -bench` output to parse ('-' for stdin); enables gate mode")
 	baseline := flag.String("baseline", "BENCH_BASELINE.json", "benchmark baseline JSON path")
-	updateBaseline := flag.Bool("update-baseline", false, "write -bench-input medians to -baseline (keeps the existing hot list)")
+	updateBaseline := flag.Bool("update-baseline", false, "write -bench-input medians to -baseline, hot list = benchgate.DefaultHot ∩ the benchmarks in the run")
 	checkBaseline := flag.Bool("check-baseline", false, "gate -bench-input medians against -baseline; exit 1 on regression")
 	out := flag.String("out", "", "write -bench-input medians as JSON (the CI artifact)")
 	emitBaselineText := flag.Bool("emit-baseline-text", false, "print -baseline in `go test -bench` text format (for benchstat) and exit")
@@ -95,7 +95,7 @@ func runGate(input, baselinePath string, update, check bool, outPath string) {
 	med := benchgate.Medians(runs)
 
 	if outPath != "" {
-		cur := &benchgate.Baseline{Hot: benchgate.DefaultHot, Benchmarks: med}
+		cur := &benchgate.Baseline{Hot: benchgate.HotIn(med), Benchmarks: med}
 		if err := benchgate.Save(outPath, cur); err != nil {
 			fatal(err)
 		}
@@ -103,10 +103,7 @@ func runGate(input, baselinePath string, update, check bool, outPath string) {
 	}
 
 	if update {
-		hot := benchgate.DefaultHot
-		if prev, err := benchgate.Load(baselinePath); err == nil && len(prev.Hot) > 0 {
-			hot = prev.Hot
-		}
+		hot := benchgate.HotIn(med)
 		if err := benchgate.Save(baselinePath, &benchgate.Baseline{Hot: hot, Benchmarks: med}); err != nil {
 			fatal(err)
 		}

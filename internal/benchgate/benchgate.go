@@ -50,6 +50,27 @@ var DefaultHot = []string{
 	"BenchmarkPredictionVectorsRange/mn1/nb8",
 	"BenchmarkPredictionVectorsRange/cv288/nb1",
 	"BenchmarkPredictionVectorsRange/cv288/nb8",
+	"BenchmarkAggregateRange/rp3872",
+	"BenchmarkAggregateRange/mn1",
+	"BenchmarkAggregateRange/cv288",
+	"BenchmarkAgreementRange/rp3872/nb1",
+	"BenchmarkAgreementRange/rp3872/nb8",
+	"BenchmarkSoftmaxRows/rp3872/nb1",
+	"BenchmarkSoftmaxRows/rp3872/nb8",
+}
+
+// HotIn returns the DefaultHot benchmarks that run has results for, in
+// DefaultHot's order: the hot list a baseline written from that run
+// carries, so a benchmark that was renamed or deleted leaves the gate
+// with the run that no longer has it instead of lingering in the file.
+func HotIn(run map[string]Stat) []string {
+	var hot []string
+	for _, name := range DefaultHot {
+		if _, ok := run[name]; ok {
+			hot = append(hot, name)
+		}
+	}
+	return hot
 }
 
 // Stat holds one benchmark's condensed metrics.

@@ -156,3 +156,20 @@ func TestLoadSaveRoundTrip(t *testing.T) {
 		t.Fatal("benchmark stats lost in round-trip")
 	}
 }
+
+// TestHotInKeepsOnlyWhatRan: a baseline's hot list is DefaultHot cut to
+// the benchmarks the run has, in DefaultHot's order, whatever else ran.
+func TestHotInKeepsOnlyWhatRan(t *testing.T) {
+	run := map[string]Stat{
+		DefaultHot[3]:          {NsPerOp: 1},
+		DefaultHot[0]:          {NsPerOp: 1},
+		"BenchmarkNotHotAtAll": {NsPerOp: 1},
+	}
+	got := HotIn(run)
+	if len(got) != 2 || got[0] != DefaultHot[0] || got[1] != DefaultHot[3] {
+		t.Fatalf("HotIn = %v, want [%s %s]", got, DefaultHot[0], DefaultHot[3])
+	}
+	if got := HotIn(map[string]Stat{"BenchmarkNotHotAtAll": {}}); len(got) != 0 {
+		t.Fatalf("HotIn of a run with no hot benchmark = %v, want none", got)
+	}
+}

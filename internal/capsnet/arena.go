@@ -79,7 +79,7 @@ type scratch struct {
 	// The other arena-carved buffers. batch backs ForwardBatch image
 	// assembly; feats holds the conv outputs batch-wide; u the primary
 	// capsules Eq. 1 reads; lengths the ‖v_j‖ outputs; cols1/cols2/praw
-	// are per-worker conv scratch.
+	// are per-worker conv scratch (as routing.agreeV is Eq. 4's).
 	arena              *tensor.Arena
 	batch, feats, u    []float32
 	lengths            []float32
@@ -146,7 +146,8 @@ func newScratch(n *Network, nb int) *scratch {
 func (s *scratch) alloc(nb int) {
 	perSample := s.imgLen + s.convLen + s.nl*s.cl + s.nl*s.nh*s.ch +
 		2*s.nl*s.nh + 2*s.nh*s.ch + s.nclass
-	perWorker := s.cols1Len + s.cols2Len + s.primRawLen
+	agreeVLen := agreeReplicaLen(s.nh, s.ch)
+	perWorker := s.cols1Len + s.cols2Len + s.primRawLen + agreeVLen
 	total := nb*perSample + s.workers*perWorker
 	old := 0
 	if s.arena != nil {
@@ -168,11 +169,13 @@ func (s *scratch) alloc(nb int) {
 		s.cols1 = make([][]float32, s.workers)
 		s.cols2 = make([][]float32, s.workers)
 		s.praw = make([][]float32, s.workers)
+		s.agreeV = make([][]float32, s.workers)
 	}
 	for w := 0; w < s.workers; w++ {
 		s.cols1[w] = a.Alloc(s.cols1Len)
 		s.cols2[w] = a.Alloc(s.cols2Len)
 		s.praw[w] = a.Alloc(s.primRawLen)
+		s.agreeV[w] = a.Alloc(agreeVLen)
 	}
 	s.capB = nb
 }

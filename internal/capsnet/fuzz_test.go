@@ -2,7 +2,11 @@ package capsnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
+
+	"pimcapsnet/internal/packedtest"
 )
 
 // FuzzLoad feeds mutated checkpoint bytes into Load. The invariant is
@@ -48,6 +52,114 @@ func FuzzLoad(f *testing.F) {
 		}
 		if err != nil && n != nil {
 			t.Fatal("Load returned both a network and an error")
+		}
+	})
+}
+
+// fuzzFloats reads data as little-endian float32 bit patterns, so the
+// fuzzer reaches every NaN payload, both zeros, the denormals and the
+// infinities directly. Where two NaNs of different payloads meet, x86
+// returns the first operand's, and the Go loops do not fix which that
+// is (the fuzzing build's instrumentation alone reorders their adds),
+// so the differential targets demand equal bits of every result that
+// is not a NaN and a NaN of any payload where the Go loop has one.
+func fuzzFloats(data []byte) []float32 {
+	vals := make([]float32, len(data)/4)
+	for i := range vals {
+		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	return vals
+}
+
+// FuzzSoftmaxRowsPacked is the differential target of Eq. 5's packed
+// body: for logits of any bit pattern, any width the body takes (and
+// one past it), separate or in place, softmaxRows with ExactMath must
+// give the bits of its Go loop and leave the margins around c alone.
+// Short inputs are cycled up to three groups of eight rows and a tail.
+func FuzzSoftmaxRowsPacked(f *testing.F) {
+	f.Add(uint8(9), false, []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0, 0xdb, 0x0f, 0x49, 0x40})
+	f.Add(uint8(2), true, []byte{0, 0, 0x80, 0x7f, 0, 0, 0x80, 0xff, 1, 0, 0xc0, 0x7f, 0, 0, 0, 0x80})
+	f.Add(uint8(15), false, []byte{0, 0, 0x2f, 0xc4, 0, 0x20, 0x2f, 0xc4, 1, 0, 0, 0, 0, 0, 0xd0, 0xc2})
+	f.Fuzz(func(t *testing.T, width uint8, inPlace bool, data []byte) {
+		vals := fuzzFloats(data)
+		if len(vals) == 0 {
+			t.Skip("no logits")
+		}
+		nh := 1 + int(width)%(softmaxMaxH+1)
+		nl := min(max(len(vals)/nh, 27), 1024)
+		b := make([]float32, nl*nh)
+		for i := range b {
+			b[i] = vals[i%len(vals)]
+		}
+		run := func(on bool) (c []float32, intact func() bool) {
+			c, intact = guarded(len(b), -12345)
+			src := b
+			if inPlace {
+				copy(c, b)
+				src = c
+			}
+			packedtest.With(t, on, func() { softmaxRows(ExactMath{}, c, src, nl, nh) })
+			return c, intact
+		}
+		want, _ := run(false)
+		got, intact := run(true)
+		if at, ok := sameBitsOrNaN(got, want); !ok {
+			t.Fatalf("nh=%d nl=%d inPlace=%v: c[%d,%d] = %x, want %x", nh, nl, inPlace, at/nh, at%nh,
+				math.Float32bits(got[at]), math.Float32bits(want[at]))
+		}
+		if !intact() {
+			t.Fatalf("nh=%d nl=%d inPlace=%v: wrote outside c", nh, nl, inPlace)
+		}
+	})
+}
+
+// FuzzAgreementPacked is the differential target of Eq. 4's packed
+// body: for û, v and logits of any bit pattern, any capsule count and
+// width the body takes and any row range of a two-sample batch,
+// agreementRows must give the bits of the Go loop, change no logit
+// outside the range and leave every margin alone.
+func FuzzAgreementPacked(f *testing.F) {
+	f.Add(uint8(9), uint8(3), uint8(0), uint8(42), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xbf, 0xdb, 0x0f, 0x49, 0x40})
+	f.Add(uint8(2), uint8(0), uint8(5), uint8(30), []byte{0, 0, 0x80, 0x7f, 1, 0, 0xc0, 0x7f, 2, 0, 0xc0, 0xff, 0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Add(uint8(15), uint8(5), uint8(20), uint8(22), []byte{0, 0, 0x80, 0xff, 0, 0, 0x80, 0x7f, 0xff, 0xff, 0x7f, 0x7f})
+	f.Fuzz(func(t *testing.T, caps, width, from, to uint8, data []byte) {
+		vals := fuzzFloats(data)
+		if len(vals) == 0 {
+			t.Skip("no operands")
+		}
+		const nb, nl = 2, 21
+		nh, ch := 1+int(caps)%20, 4*(1+int(width)%6)
+		lo, hi := int(from)%(nb*nl+1), int(to)%(nb*nl+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		nan := float32(math.NaN())
+		pd, pdOK := guarded(nb*nl*nh*ch, nan)
+		vd, vdOK := guarded(nb*nh*ch, nan)
+		a := agreementCase{nb, nl, nh, ch, pd, vd, make([]float32, nb*nl*nh), func() bool { return pdOK() && vdOK() }}
+		for i := range a.pd {
+			a.pd[i] = vals[i%len(vals)]
+		}
+		for i := range a.vd {
+			a.vd[i] = vals[(7*i+3)%len(vals)]
+		}
+		for i := range a.b0 {
+			a.b0[i] = vals[(13*i+5)%len(vals)]
+		}
+		want, _ := a.run(t, false, lo, hi)
+		got, intact := a.run(t, true, lo, hi)
+		if at, ok := sameBitsOrNaN(got, want); !ok {
+			t.Fatalf("nh=%d ch=%d rows [%d,%d): b[%d,%d] = %x, want %x", nh, ch, lo, hi, at/nh, at%nh,
+				math.Float32bits(got[at]), math.Float32bits(want[at]))
+		}
+		if _, ok := sameBits(got[:lo*nh], a.b0[:lo*nh]); !ok {
+			t.Fatalf("nh=%d ch=%d rows [%d,%d): a logit below the range changed", nh, ch, lo, hi)
+		}
+		if _, ok := sameBits(got[hi*nh:], a.b0[hi*nh:]); !ok {
+			t.Fatalf("nh=%d ch=%d rows [%d,%d): a logit above the range changed", nh, ch, lo, hi)
+		}
+		if !intact() {
+			t.Fatalf("nh=%d ch=%d rows [%d,%d): wrote outside an operand", nh, ch, lo, hi)
 		}
 	})
 }

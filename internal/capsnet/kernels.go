@@ -1,23 +1,32 @@
 package capsnet
 
-import "fmt"
+import (
+	"fmt"
+
+	"pimcapsnet/internal/tensor"
+)
 
 // Range kernels for the routing procedure's three hot loops (Eq. 1
 // prediction vectors, Eq. 2+3 aggregation+squash, Eq. 4 agreement):
 // one kernel per equation, called from the one routing loop
 // (routing.go) and the Eq. 1 dispatches. Each works on a
 // contiguous range of its shard dimension — low-level capsules for
-// Eq. 1, a samples × high-level-capsules rectangle for the other two —
-// and every per-output-element accumulation runs in the same order (d,
-// then i or k ascending) however the range is split or tiled, which is
-// what keeps results bit-identical to a serial sample-at-a-time loop
-// under any B/H partitioning (see Partition) and any batch size.
+// Eq. 1, a samples × high-level-capsules rectangle for the other two,
+// or for per-sample Eq. 4 a run of the flattened (sample, low-level
+// capsule) rows — and every per-output-element accumulation runs in
+// the same order (d, then i or k ascending) however the range is split
+// or tiled, which is what keeps results bit-identical to a serial
+// sample-at-a-time loop under any B/H partitioning (see Partition) and
+// any batch size.
 //
-// Eq. 1 and Eq. 2 each have two bodies: the Go loops in this file and,
-// where the CPU has AVX2 and ch is a multiple of 8, packed micro-kernels
-// (kernels_amd64.s) whose vector lanes are the ch contiguous output
-// elements — the same independent sums, one rounded multiply and one
-// rounded add per term, so either body gives the same bits. The
+// Eqs. 1, 2 and 4 here and Eq. 5 in math.go each have two bodies: the
+// Go loops and, where tensor.Packed reports AVX2 and ch divides into
+// whole vectors, packed micro-kernels (kernels_amd64.s) whose vector
+// lanes are independent sums of the Go loop — the ch contiguous output
+// elements for Eqs. 1 and 2, eight consecutive (i, j) pairs for Eq. 4
+// — with one rounded multiply and one rounded add per term in the same
+// order, so either body gives the same bits. The Go loops are the path
+// off amd64 and the oracle the packed bodies are tested against. The
 // wrappers here check every length first and hand a kernel exactly the
 // region it may touch.
 
@@ -39,7 +48,7 @@ import "fmt"
 //pimcaps:hotpath
 func aggregateRange(mathOps RoutingMath, pd, cd, sd, vd []float32, nl, nh, ch, klo, khi, jlo, jhi int) {
 	checkAggregate(len(pd), len(cd), len(sd), len(vd), nl, nh, ch, klo, khi, jlo, jhi)
-	usePacked := packed && ch > 0 && ch%8 == 0 && nl > 0 && jlo < jhi
+	usePacked := tensor.Packed() && ch > 0 && ch%8 == 0 && nl > 0 && jlo < jhi
 	for k := klo; k < khi; k++ {
 		srow := sd[(k*nh+jlo)*ch : (k*nh+jhi)*ch]
 		if usePacked {
@@ -119,6 +128,90 @@ func agreementRange(pd, vd, bd []float32, bstride, nl, nh, ch, klo, khi, jlo, jh
 	}
 }
 
+// agreementRows performs per-sample Eq. 4 for rows [lo, hi) of the
+// flattened nb·nl × nh logit matrix — row k·nl + i is low-level capsule
+// i of sample k, the rows softmaxRows chunks over. Each (k, i, j) entry
+// takes exactly one increment, so any split of the rows gives the same
+// bits. Per sample the range touches, the rows whose (i, j) pairs fill
+// whole groups of eight go to agreePairs8 where the packed path is
+// on and ch%4 == 0, through vt, the caller's agreeReplicaLen(nh, ch)
+// floats of scratch for fillAgreeReplica; the rest, and every row
+// otherwise, to agreementRange as a one-sample batch that starts at
+// the row.
+//
+//pimcaps:hotpath
+func agreementRows(pd, vd, bd, vt []float32, nl, nh, ch, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	checkAgreementRows(len(pd), len(vd), len(bd), len(vt), nl, nh, ch, lo, hi)
+	usePacked := tensor.Packed() && ch > 0 && ch%4 == 0
+	whole := 8 / gcd8(nh) // rows whose pairs make whole groups of eight
+	for lo < hi {
+		k := lo / nl
+		end := min(hi, (k+1)*nl)
+		vk := vd[k*nh*ch : (k+1)*nh*ch]
+		if rows := (end - lo) / whole * whole; usePacked && rows > 0 {
+			fillAgreeReplica(vt, vk, nh, ch)
+			p0, p1 := lo*nh, (lo+rows)*nh
+			agreePairs8(bd[p0:p1], pd[p0*ch:p1*ch], vt, ch)
+			lo += rows
+		}
+		agreementRange(pd[lo*nh*ch:end*nh*ch], vk, bd[lo*nh:end*nh], 0, end-lo, nh, ch, 0, 1, 0, nh)
+		lo = end
+	}
+}
+
+// checkAgreementRows is agreementRows' contract: the rows lie inside
+// some batch the buffers hold, and vt is the replica scratch.
+//
+//pimcaps:hotpath
+func checkAgreementRows(np, nv, nb, nvt, nl, nh, ch, lo, hi int) {
+	if nl <= 0 || nh <= 0 || ch < 0 || lo < 0 || lo > hi {
+		panic(fmt.Sprintf("capsnet: agreementRows rows [%d,%d) outside L=%d H=%d CH=%d", lo, hi, nl, nh, ch))
+	}
+	if np < hi*nh*ch {
+		panic(fmt.Sprintf("capsnet: agreementRows û length %d, want ≥ %d", np, hi*nh*ch))
+	}
+	if samples := (hi + nl - 1) / nl; nv < samples*nh*ch {
+		panic(fmt.Sprintf("capsnet: agreementRows v length %d, want ≥ %d", nv, samples*nh*ch))
+	}
+	if nb < hi*nh {
+		panic(fmt.Sprintf("capsnet: agreementRows b length %d, want ≥ %d", nb, hi*nh))
+	}
+	if nvt != agreeReplicaLen(nh, ch) {
+		panic(fmt.Sprintf("capsnet: agreementRows replica length %d, want %d", nvt, agreeReplicaLen(nh, ch)))
+	}
+}
+
+// gcd8 is gcd(8, n) for n > 0.
+func gcd8(n int) int { return min(n&-n, 8) }
+
+// agreeReplicaLen is the length of agreePairs8's v replica: lcm(8, nh)
+// rows of ch, the period after which a walk of eight pairs at a time
+// meets the same high-level capsules again.
+func agreeReplicaLen(nh, ch int) int { return 8 / gcd8(nh) * nh * ch }
+
+// fillAgreeReplica lays one sample's v (nh rows of ch, ch%4 == 0) out
+// in the order agreePairs8 reads it: for each group of eight
+// consecutive pairs q..q+7 of the lcm(8, nh) in a period and each four
+// values of d, four vectors, the r-th holding those four values of
+// v_{(q+r) mod nh} and then of v_{(q+r+4) mod nh}.
+//
+//pimcaps:hotpath
+func fillAgreeReplica(vt, vk []float32, nh, ch int) {
+	o := 0
+	for q := 0; o < len(vt); q += 8 {
+		for d := 0; d < ch; d += 4 {
+			for r := q; r < q+4; r++ {
+				copy(vt[o:o+4], vk[r%nh*ch+d:])
+				copy(vt[o+4:o+8], vk[(r+4)%nh*ch+d:])
+				o += 8
+			}
+		}
+	}
+}
+
 // predictionVectorsRange computes Eq. 1 (û_j|i^k = u_i^k × W_ij) for
 // low-level capsules [lo, hi), storing every output element of those
 // capsules' rows (od need not be cleared first).
@@ -155,7 +248,7 @@ func predictionVectorsRange(ud, wd, od []float32, nb, nl, cl, nh, ch, lo, hi int
 	if len(od) < nb*nl*nh*ch {
 		panic(fmt.Sprintf("capsnet: predictionVectorsRange û length %d, want ≥ %d", len(od), nb*nl*nh*ch))
 	}
-	if packed && ch > 0 && ch%8 == 0 && cl > 0 && nh > 0 {
+	if tensor.Packed() && ch > 0 && ch%8 == 0 && cl > 0 && nh > 0 {
 		predictionVectorsPacked(ud, wd, od, nb, nl, cl, nh, ch, lo, hi)
 		return
 	}

@@ -49,6 +49,16 @@ func sameBits(a, b []float32) (int, bool) {
 	return 0, true
 }
 
+// sameBitsOrNaN is sameBits with any NaN equal to any other.
+func sameBitsOrNaN(a, b []float32) (int, bool) {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(math.IsNaN(float64(a[i])) && math.IsNaN(float64(b[i]))) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
 // TestPredictionVectorsRangeTileEdgesBitIdentical walks every way an
 // output element can fall in predictionVectorsRange's tiles, Go and
 // packed — samples in pairs, fours and left over, output widths that
@@ -336,6 +346,74 @@ func BenchmarkAggregateRange(b *testing.B) {
 			}
 			if a := testing.AllocsPerRun(1, run); a != 0 {
 				b.Fatalf("aggregateRange allocates %v times per call, want 0", a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			macs := float64(len(pd))
+			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			b.ReportMetric(4*macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
+}
+
+// BenchmarkSoftmaxRows times Eq. 5 alone with ExactMath — one routing
+// iteration's softmax over every (sample, low-level capsule) row of
+// rp3872's digit layer, in place as the routing loop runs it, one core —
+// and reports ns per logit. The logits are agreement-sized (|b| < 2),
+// so every group of the packed exponential stays on its fast path, as
+// on the serving workloads.
+func BenchmarkSoftmaxRows(b *testing.B) {
+	const nl, nh = 3872, 10
+	for _, nb := range []int{1, 8} {
+		b.Run(fmt.Sprintf("rp3872/nb%d", nb), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			bd := make([]float32, nb*nl*nh)
+			for i := range bd {
+				bd[i] = 4*rng.Float32() - 2
+			}
+			cd := make([]float32, len(bd))
+			run := func() { softmaxRows(ExactMath{}, cd, bd, nb*nl, nh) }
+			if a := testing.AllocsPerRun(1, run); a != 0 {
+				b.Fatalf("softmaxRows allocates %v times per call, want 0", a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(len(bd)), "ns/element")
+		})
+	}
+}
+
+// BenchmarkAgreementRange times per-sample Eq. 4 alone — one routing
+// iteration's agreement over all rows of rp3872's digit layer, one
+// core — and reports GMAC/s next to the GB/s of û it streams: like the
+// aggregate it reads every prediction vector once for one multiply-add
+// each.
+func BenchmarkAgreementRange(b *testing.B) {
+	const nl, nh, ch = 3872, 10, 16
+	for _, nb := range []int{1, 8} {
+		b.Run(fmt.Sprintf("rp3872/nb%d", nb), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			pd := make([]float32, nb*nl*nh*ch)
+			vd := make([]float32, nb*nh*ch)
+			for _, xs := range [][]float32{pd, vd} {
+				for i := range xs {
+					xs[i] = rng.Float32() - 0.5
+				}
+			}
+			bd := make([]float32, nb*nl*nh)
+			vt := make([]float32, agreeReplicaLen(nh, ch))
+			run := func() {
+				clear(bd)
+				agreementRows(pd, vd, bd, vt, nl, nh, ch, 0, nb*nl)
+			}
+			if a := testing.AllocsPerRun(1, run); a != 0 {
+				b.Fatalf("agreementRows allocates %v times per call, want 0", a)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"pimcapsnet/internal/fp32"
+	"pimcapsnet/internal/tensor"
 )
 
 // RoutingMath supplies the three special functions the routing
@@ -72,10 +73,17 @@ func (m PEMath) Recip(x float32) float32 { return fp32.FastRecip(x) * m.Recovery
 // softmaxRows computes, with the given math, the row-wise softmax of
 // Eq. 5: for each low-level capsule i, c_i· = softmax(b_i·) over the
 // high-level capsules. b and c are L×H matrices in row-major order; c
-// may alias b.
+// may alias b. ExactMath has a packed body (softmaxRowsPacked) with
+// the bits of this loop for rows in eights; the loop takes the nl%8
+// left over, every other math, and everything where that body is off.
 //
 //pimcaps:hotpath
 func softmaxRows(mathOps RoutingMath, c, b []float32, nl, nh int) {
+	if _, exact := mathOps.(ExactMath); exact && expProbed && tensor.PackedFMA() && nh > 0 && nh <= softmaxMaxH {
+		n := (nl &^ 7) * nh
+		softmaxRowsPacked(c[:n], b[:n], nh)
+		c, b, nl = c[n:], b[n:], nl&7
+	}
 	for i := 0; i < nl; i++ {
 		row := b[i*nh : (i+1)*nh]
 		out := c[i*nh : (i+1)*nh]
@@ -103,6 +111,95 @@ func softmaxRows(mathOps RoutingMath, c, b []float32, nl, nh int) {
 			out[j] *= inv
 		}
 	}
+}
+
+// softmaxTile is how many floats of rows softmaxRowsPacked takes
+// through its three passes at a time: 16 KB, so a tile written by one
+// pass is still in L1 for the next. softmaxMaxH bounds its on-stack
+// row table.
+const (
+	softmaxTile = 4096
+	softmaxMaxH = 64
+)
+
+// softmaxRowsPacked is softmaxRows for ExactMath over rows in eights
+// (len(c)%(8·nh) == 0, nh ≤ softmaxMaxH), in three packed passes over
+// each tile of rows (kernels_amd64.s): every row's running maximum and
+// out = b − max, the exponential of the whole tile in place, then
+// every row's sum, reciprocal (or the sum == 0 uniform row) and scale.
+// The operations on each element and their order within a row are the
+// Go loop's.
+//
+//pimcaps:hotpath
+func softmaxRowsPacked(c, b []float32, nh int) {
+	var table [8 * softmaxMaxH]int32
+	rowOf := table[:8*nh] // the row, of eight, of each float of a group
+	for r := 0; r < 8; r++ {
+		for j := 0; j < nh; j++ {
+			rowOf[r*nh+j] = int32(r)
+		}
+	}
+	tile := max(softmaxTile/nh&^7, 8) * nh
+	for lo := 0; lo < len(c); lo += tile {
+		hi := min(lo+tile, len(c))
+		out := c[lo:hi]
+		softmaxShift8(out, b[lo:hi], rowOf, nh)
+		expInPlace(out)
+		softmaxScale8(out, rowOf, nh)
+	}
+}
+
+// expInPlace replaces every x with ExactMath's Exp(x): by expPacked8
+// for the groups of eight it takes, by the scalar function for what it
+// stops at — a group holding a value outside [−700, 700] or a NaN, or
+// the len(x)%8 at the end.
+//
+//pimcaps:hotpath
+func expInPlace(x []float32) {
+	for len(x) > 0 {
+		x = x[expPacked8(x):]
+		n := min(len(x), 8)
+		for i, v := range x[:n] {
+			x[i] = ExactMath{}.Exp(v)
+		}
+		x = x[n:]
+	}
+}
+
+// expProbed records that, at init, expPacked8 returned math.Exp's bits
+// on a fixed probe vector. The kernel mirrors the instruction sequence
+// of package math's amd64 exp, which a Go release may change; where the
+// probe disagrees (or the CPU lacks AVX2 or FMA) Eq. 5 stays on the Go
+// loop.
+var expProbed = tensor.PackedFMA() && expProbe()
+
+func expProbe() bool {
+	// Both ends of the kernel's range, the float32 underflow threshold,
+	// ±0, the smallest normal and denormal magnitudes, values either
+	// side of every multiple of ln 2/2 (where k steps) down to −32, and
+	// a run of ordinary logit differences.
+	probe := []float32{-700, 700, -699.99994, 699.99994, -103.97208, -103.972084, -87.33655, -87.33654,
+		0, float32(math.Copysign(0, -1)), 1.1754944e-38, -1.1754944e-38, 1e-45, -1e-45, 1, -1}
+	for k := 1; k <= 92; k++ {
+		edge := float32(-0.34657359027997264 * float64(k))
+		probe = append(probe, math.Nextafter32(edge, 0), edge, math.Nextafter32(edge, -100))
+	}
+	for v := float32(-0.0123); v > -24; v *= 1.37 {
+		probe = append(probe, v)
+	}
+	for len(probe)%8 != 0 {
+		probe = append(probe, -float32(len(probe)))
+	}
+	got := append([]float32(nil), probe...)
+	if expPacked8(got) != len(got) {
+		return false
+	}
+	for i, x := range probe {
+		if math.Float32bits(got[i]) != math.Float32bits(ExactMath{}.Exp(x)) {
+			return false
+		}
+	}
+	return true
 }
 
 // firstIterationCoefficients performs Eq. 5 for the first routing

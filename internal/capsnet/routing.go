@@ -102,6 +102,10 @@ func dynamicRouting(d *chunker, preds *tensor.Tensor, iterations int, mathOps Ro
 	r := &routing{
 		preds: preds.Data(), b: b.Data(), c: c.Data(), v: v.Data(), s: make([]float32, nb*nh*ch),
 		nb: nb, nl: nl, nh: nh, ch: ch, math: mathOps,
+		agreeV: make([][]float32, d.workers),
+	}
+	for w := range r.agreeV {
+		r.agreeV[w] = make([]float32, agreeReplicaLen(nh, ch))
 	}
 	r.bindKernels()
 	r.run(d, mode, iterations, PartitionAuto, nil, timer)
@@ -118,11 +122,15 @@ type routing struct {
 	nb, nl, nh, ch    int
 	math              RoutingMath
 
-	// dim is the run's resolved shard dimension and bstride its logit
-	// row stride per sample (0 when coefficients are shared); run sets
-	// them, aggRange and agreeRange read them.
-	dim     Partition
-	bstride int
+	// agreeV is each chunk worker's agreeReplicaLen(nh, ch) floats of
+	// scratch for agreementRows.
+	agreeV [][]float32
+
+	// dim is the run's resolved shard dimension and shared whether the
+	// logits are one matrix for the batch; run sets them, aggRange and
+	// agreeRange read them.
+	dim    Partition
+	shared bool
 
 	// The chunk kernels as method values, bound once by bindKernels:
 	// they read the fields above at call time, so rebinding the buffers
@@ -151,10 +159,17 @@ func (r *routing) aggRange(_, lo, hi int) {
 	aggregateRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, klo, khi, jlo, jhi)
 }
 
+// agreeRange performs Eq. 4 for a chunk: of the nb·nl flattened rows
+// when every sample has its own logits, of the high-level capsules when
+// the batch shares one matrix (all samples, k ascending per entry).
+//
 //pimcaps:hotpath
-func (r *routing) agreeRange(_, lo, hi int) {
-	klo, khi, jlo, jhi := partitionRect(r.dim, r.nb, r.nh, lo, hi)
-	agreementRange(r.preds, r.v, r.b, r.bstride, r.nl, r.nh, r.ch, klo, khi, jlo, jhi)
+func (r *routing) agreeRange(w, lo, hi int) {
+	if r.shared {
+		agreementRange(r.preds, r.v, r.b, 0, r.nl, r.nh, r.ch, 0, r.nb, lo, hi)
+		return
+	}
+	agreementRows(r.preds, r.v, r.b, r.agreeV[w], r.nl, r.nh, r.ch, lo, hi)
 }
 
 // run executes iterations of the routing procedure over d's workers,
@@ -183,9 +198,9 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Parti
 	if dim == PartitionH {
 		shardN = nh
 	}
-	r.dim, r.bstride = dim, nl*nh
-	if mode == RouteBatchShared {
-		softRows, r.bstride = nl, 0
+	r.dim, r.shared = dim, mode == RouteBatchShared
+	if r.shared {
+		softRows = nl
 	}
 
 	for it := 0; it < iterations; it++ {
@@ -227,17 +242,21 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Parti
 			break
 		}
 
-		// Step 7 (Eq. 4): agreement accumulation. Per-sample mode
-		// shards either dimension freely (disjoint logit entries); the
-		// paper's batch-shared Σ_k accumulates into one matrix, which
-		// B-sharding would reorder, so it runs serial under PartitionB
-		// and shards the disjoint (i, j) entries under PartitionH with
-		// k ascending per entry — bit-identical either way.
+		// Step 7 (Eq. 4): agreement accumulation. Per-sample logits are
+		// disjoint entries with one increment each, so they chunk over
+		// the flattened rows as the softmax does, whatever the shard
+		// dimension; the paper's batch-shared Σ_k accumulates into one
+		// matrix, which B-sharding would reorder, so it runs serial under
+		// PartitionB and shards the disjoint (i, j) entries under
+		// PartitionH with k ascending per entry — bit-identical either way.
 		end = beginStage(st, StageRoutingAgreement, it)
-		if mode == RouteBatchShared && dim == PartitionB {
-			agreementRange(r.preds, r.v, bd, 0, nl, nh, ch, 0, nb, 0, nh)
-		} else {
-			d.runChunks(shardN, r.agreeFn)
+		switch {
+		case !r.shared:
+			d.runChunks(softRows, r.agreeFn)
+		case dim == PartitionH:
+			d.runChunks(nh, r.agreeFn)
+		default:
+			r.agreeRange(0, 0, nh)
 		}
 		endStage(end)
 		endStage(iterEnd)

@@ -136,11 +136,11 @@ type Batcher struct {
 	//pimcaps:guardedby mu
 	closed bool
 
-	// inflight counts requests admitted by Submit whose outcome has not
-	// been returned to the caller yet; lastBatch remembers the size of
-	// the most recently executed batch. Together with the queue depth
-	// they form the /readyz load body the router tier's least-loaded
-	// dispatch reads.
+	// inflight counts requests inside Submit — admitted and not yet
+	// answered, or about to be admitted or refused; lastBatch remembers
+	// the size of the most recently executed batch. Together with the
+	// queue depth they form the /readyz load body the router tier's
+	// least-loaded dispatch reads.
 	inflight  atomic.Int64
 	lastBatch atomic.Int64
 
@@ -238,6 +238,10 @@ func (b *Batcher) Submit(ctx context.Context, img []float32) (Prediction, int, e
 		trace:    obs.TraceFrom(ctx),
 		enqueued: b.clock(),
 	}
+	// Counted before the push, so the gauge never reads below the queue
+	// depth; a refused request is uncounted on the way out like any other.
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -248,8 +252,6 @@ func (b *Batcher) Submit(ctx context.Context, img []float32) (Prediction, int, e
 	if !admitted {
 		return Prediction{}, 0, ErrQueueFull
 	}
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
 	select {
 	case out := <-r.done:
 		return out.pred, out.batch, out.err

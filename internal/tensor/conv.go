@@ -171,7 +171,7 @@ func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w i
 	if bias != nil && len(bias) != spec.Cout {
 		panic(fmt.Sprintf("tensor: Conv2DInto bias length %d, want %d", len(bias), spec.Cout))
 	}
-	if packed {
+	if Packed() {
 		checkIm2Col(cols, input, spec, h, w)
 		convPacked(dst, cols, input, weights, spec, h, w)
 	} else {

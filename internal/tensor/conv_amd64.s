@@ -18,35 +18,6 @@ DATA laneMask<>+48(SB)/8, $0
 DATA laneMask<>+56(SB)/8, $0
 GLOBL laneMask<>(SB), RODATA|NOPTR, $64
 
-// func cpuHasAVX2() bool
-//
-// CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1–2 (the OS saves XMM and YMM
-// state), CPUID.7.0:EBX AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	MOVL $0, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-no:
-	RET
-
 // One reduction step of channel row `mem` into accumulator `acc`:
 // broadcast the weight, multiply by the 8 positions in Y8, add.
 #define MULADD(mem, acc) \

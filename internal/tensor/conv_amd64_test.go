@@ -6,7 +6,7 @@ import "testing"
 // GMAC/s are a share of: convTile8x8's 8 multiplies and 8 adds a step,
 // on registers, counted as 64 multiply-adds.
 func BenchmarkPackedMulAddPeak(b *testing.B) {
-	if !cpuHasPacked {
+	if !Packed() {
 		b.Skip("this CPU has no packed path")
 	}
 	const steps = 1 << 20

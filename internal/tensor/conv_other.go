@@ -2,8 +2,9 @@
 
 package tensor
 
-// packed is never set off amd64: Conv2DInto always takes the Go tile.
-var packed = false
+// packed (cpu.go) is never set off amd64: Conv2DInto always takes the Go
+// tile.
+var packed uint8
 
 func convTile8x8(acc, w, cols []float32, n, kk, kc, lanes int, first bool) {
 	panic("tensor: packed convolution kernel called off amd64")

@@ -1,4 +1,4 @@
-package tensor
+package tensor_test
 
 import (
 	"fmt"
@@ -6,23 +6,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"pimcapsnet/internal/packedtest"
+	"pimcapsnet/internal/tensor"
 )
-
-// withPacked runs fn with Conv2DInto on the packed micro-kernels (on)
-// or on the Go tile (off). It is the only writer of packed after init;
-// tests that use it must not run in parallel.
-func withPacked(t testing.TB, on bool, fn func()) {
-	t.Helper()
-	if on && !cpuHasPacked {
-		t.Skip("this CPU has no packed path")
-	}
-	defer func(was bool) { packed = was }(packed)
-	packed = on
-	fn()
-}
-
-// cpuHasPacked is what init found, whatever withPacked has done since.
-var cpuHasPacked = packed
 
 // guarded returns n floats carved out of the middle of a larger buffer
 // whose margins hold fill, and a check that the margins still do.
@@ -77,7 +64,7 @@ func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
 				for _, stride := range []int{1, 2} {
 					for _, withBias := range []bool{false, true} {
 						name := fmt.Sprintf("Cout=%d n=%d kk=%d stride=%d bias=%v", cout, n, kk, stride, withBias)
-						spec := ConvSpec{Cin: kr.cin, Cout: cout, K: kr.k, Stride: stride}
+						spec := tensor.ConvSpec{Cin: kr.cin, Cout: cout, K: kr.k, Stride: stride}
 						h, w := (o.oh-1)*stride+kr.k, (o.ow-1)*stride+kr.k
 						in, inOK := guarded(kr.cin*h*w, nan)
 						wt, wtOK := guarded(cout*kk, nan)
@@ -90,14 +77,14 @@ func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
 							fill(bias)
 						}
 						want := make([]float32, cout*n)
-						withPacked(t, false, func() {
-							Conv2DInto(want, make([]float32, n*kk), in, wt, bias, spec, h, w)
+						packedtest.With(t, false, func() {
+							tensor.Conv2DInto(want, make([]float32, n*kk), in, wt, bias, spec, h, w)
 						})
 
 						got, gotOK := guarded(cout*n, sentinel)
 						cols, colsOK := guarded(n*kk, sentinel)
-						withPacked(t, true, func() {
-							Conv2DInto(got, cols, in, wt, bias, spec, h, w)
+						packedtest.With(t, true, func() {
+							tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w)
 						})
 						for i := range want {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -121,7 +108,7 @@ func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
 // Go tile, with the same bits, and no neighbouring lane.
 func TestConv2DIntoNonFiniteStaysInItsOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	spec := ConvSpec{Cin: 3, Cout: 9, K: 3, Stride: 1}
+	spec := tensor.ConvSpec{Cin: 3, Cout: 9, K: 3, Stride: 1}
 	const h, w = 6, 7 // n = 4·5 = 20: two full tiles and four masked-in lanes
 	oh, ow := spec.OutSize(h, w)
 	n, kk := oh*ow, spec.Cin*spec.K*spec.K
@@ -137,8 +124,8 @@ func TestConv2DIntoNonFiniteStaysInItsOutput(t *testing.T) {
 	in[1*h*w+2*w+3] = float32(math.Inf(-1))
 	run := func(on bool) []float32 {
 		out := make([]float32, spec.Cout*n)
-		withPacked(t, on, func() {
-			Conv2DInto(out, make([]float32, n*kk), in, wt, nil, spec, h, w)
+		packedtest.With(t, on, func() {
+			tensor.Conv2DInto(out, make([]float32, n*kk), in, wt, nil, spec, h, w)
 		})
 		return out
 	}
@@ -163,7 +150,7 @@ func TestConv2DIntoNonFiniteStaysInItsOutput(t *testing.T) {
 // in Go, with the message it always had, before either path touches
 // memory.
 func TestConv2DIntoRejectsBadLengths(t *testing.T) {
-	spec := ConvSpec{Cin: 2, Cout: 8, K: 3, Stride: 1}
+	spec := tensor.ConvSpec{Cin: 2, Cout: 8, K: 3, Stride: 1}
 	const h, w = 5, 5
 	n, kk := 9, 18
 	for _, on := range []bool{false, true} {
@@ -185,8 +172,8 @@ func TestConv2DIntoRejectsBadLengths(t *testing.T) {
 						t.Fatalf("panic %q, want one naming %q", msg, tc.want)
 					}
 				}()
-				withPacked(t, on, func() {
-					Conv2DInto(make([]float32, tc.dst), make([]float32, tc.cols), make([]float32, tc.input),
+				packedtest.With(t, on, func() {
+					tensor.Conv2DInto(make([]float32, tc.dst), make([]float32, tc.cols), make([]float32, tc.input),
 						make([]float32, tc.weights), make([]float32, tc.bias), spec, h, w)
 				})
 			})
