@@ -131,9 +131,8 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 	t.Helper()
 	// The injected clock moves only when the script, or a stub replica
 	// "taking" time over a classify, advances it.
-	var nowNs, tookMs atomic.Int64
-	nowNs.Store(time.Unix(1_700_000_000, 0).UnixNano())
-	clock := func() time.Time { return time.Unix(0, nowNs.Load()) }
+	var tookMs atomic.Int64
+	clock := obs.NewManualClock(time.Unix(1_700_000_000, 0))
 	stub := func(file string) *httptest.Server {
 		metrics, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
@@ -141,7 +140,7 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/classify", func(w http.ResponseWriter, r *http.Request) {
-			nowNs.Add(tookMs.Load() * int64(time.Millisecond))
+			clock.Advance(time.Duration(tookMs.Load()) * time.Millisecond)
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, `{"class":1,"probs":[0.1,0.8,0.1],"poses":null,"batch":1}`)
 		})
@@ -183,9 +182,9 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 		classify(`{"image":[0.`+strings.Repeat("3", i+1)+`]}`, nil, http.StatusOK)
 	}
 	expired := http.Header{}
-	deadline.Set(expired, clock().Add(-time.Second))
+	deadline.Set(expired, clock.Now().Add(-time.Second))
 	classify(`{"image":[0.9]}`, expired, http.StatusGatewayTimeout)
-	nowNs.Add(int64(2 * time.Minute))
+	clock.Advance(2 * time.Minute)
 	tookMs.Store(60)
 	classify(`{"image":[0.5]}`, nil, http.StatusOK)
 

@@ -59,5 +59,5 @@ func TestGoroleak(t *testing.T) {
 func TestTimerleak(t *testing.T) {
 	t.Parallel()
 	analysistest.Run(t, analysis.Timerleak,
-		"timerleak", "timerleak/internal/serve")
+		"timerleak", "timerleak/internal/serve", "timerleak/internal/cluster")
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Ctxcheck enforces the deadline-propagation contract on the two
@@ -33,20 +32,8 @@ var Ctxcheck = &Analyzer{
 	Run:  runCtxcheck,
 }
 
-// ctxcheckPkgs are the trailing-segment patterns of the packages under
-// the deadline-propagation contract.
-var ctxcheckPkgs = []string{"internal/serve", "internal/cluster"}
-
 func runCtxcheck(pass *Pass) error {
-	pkgPath := strings.TrimSuffix(pass.Pkg.Path(), "_test")
-	target := false
-	for _, p := range ctxcheckPkgs {
-		if hasSegments(pkgPath, p) {
-			target = true
-			break
-		}
-	}
-	if !target || pass.Pkg.Name() == "main" {
+	if !inPkgs(pass, servingTiers) || pass.Pkg.Name() == "main" {
 		return nil
 	}
 	for _, file := range pass.Files {

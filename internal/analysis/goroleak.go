@@ -44,7 +44,7 @@ var Goroleak = &Analyzer{
 var stopChanWords = []string{"stop", "done", "quit", "close", "shutdown", "exit"}
 
 func runGoroleak(pass *Pass) error {
-	if !inConcurrencyPkg(pass) {
+	if !inPkgs(pass, concurrencyPkgs) {
 		return nil
 	}
 	// Index same-package function bodies (for `go b.run()`) and

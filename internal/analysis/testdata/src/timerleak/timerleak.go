@@ -3,7 +3,11 @@
 // NewTimer/NewTicker reaches Stop on all paths.
 package timerleak
 
-import "time"
+import (
+	"time"
+
+	"timerleak/internal/obs"
+)
 
 // WaitOnce is a one-shot time.After outside the concurrency packages:
 // clean.
@@ -89,6 +93,18 @@ func EarlyReturn(ready bool) {
 	}
 	defer t.Stop()
 	<-t.C
+}
+
+// ClockNeverStopped arms a clock timer nothing stops: obs.Clock timers
+// carry the same obligation as time.NewTimer.
+func ClockNeverStopped(clock obs.Clock) {
+	t := clock.NewTimer(time.Second) // want `timer from \(timerleak/internal/obs\.Clock\)\.NewTimer never reaches Stop\(\)`
+	<-t.C()
+}
+
+// ClockDropped discards the only handle.
+func ClockDropped(clock obs.Clock) {
+	clock.NewTimer(time.Second) // want `NewTimer result is dropped`
 }
 
 // Handoff escapes the timer to the caller, who inherits the Stop

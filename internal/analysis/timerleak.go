@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Timerleak enforces the timer-lifetime discipline the serving tiers
-// depend on. time.After allocates a runtime timer that cannot be
+// Timerleak enforces the timer-lifetime and one-clock discipline the
+// serving tiers depend on. time.After allocates a runtime timer that cannot be
 // stopped: harmless for a one-shot wait in a short-lived command, but
 // inside a loop it accumulates one live timer per iteration until each
 // fires (the cluster manager's backoff loop was the motivating leak),
@@ -23,19 +23,25 @@ import (
 //     a reused timer with a drain-safe Reset) so abandoned waits
 //     release the timer.
 //  3. time.Tick never appears outside tests.
-//  4. Every time.NewTimer/time.NewTicker assigned to a local must
-//     reach Stop() on all paths, mirroring releasecheck's flow-light
-//     model: a Stop (called or deferred) discharges the obligation,
-//     any other mention — return, argument, store — escapes it to a
-//     new owner, and a return between the acquisition and the first
-//     Stop/escape is the early-return leak.
+//  4. Every time.NewTimer/time.NewTicker or obs.Clock NewTimer
+//     assigned to a local must reach Stop() on all paths, mirroring
+//     releasecheck's flow-light model: a Stop (called or deferred)
+//     discharges the obligation, any other mention — return, argument,
+//     store — escapes it to a new owner, and a return between the
+//     acquisition and the first Stop/escape is the early-return leak.
+//  5. One clock: in the serving tiers (internal/serve, internal/cluster)
+//     nothing reads the runtime clock or arms a runtime timer directly
+//     — time.Now, Since, Until, Sleep, NewTimer, NewTicker and
+//     AfterFunc, called or passed as func values, all go through the
+//     component's obs.Clock, so a test's ManualClock governs every
+//     wait.
 //
 // Test files are exempt (harness timers die with the test process);
 // deliberate exceptions carry //lint:ignore pimcaps/timerleak with a
 // justification.
 var Timerleak = &Analyzer{
 	Name: "timerleak",
-	Doc:  "no time.After in loops or the concurrency packages, no time.Tick, and every NewTimer/NewTicker reaches Stop() on all paths",
+	Doc:  "no time.After in loops or the concurrency packages, no time.Tick, every NewTimer/NewTicker reaches Stop() on all paths, and the serving tiers read time only through obs.Clock",
 	Run:  runTimerleak,
 }
 
@@ -44,9 +50,15 @@ var Timerleak = &Analyzer{
 // lifetime rules; goroleak scopes to the same set.
 var concurrencyPkgs = []string{"internal/serve", "internal/cluster", "internal/loadgen", "internal/obs", "internal/capsnet"}
 
-func inConcurrencyPkg(pass *Pass) bool {
+// servingTiers are the two request-path tiers: ctxcheck's deadline
+// contract and timerleak's one-clock rule scope to them.
+var servingTiers = []string{"internal/serve", "internal/cluster"}
+
+// inPkgs reports whether the pass's package matches one of the
+// trailing-segment patterns.
+func inPkgs(pass *Pass, patterns []string) bool {
 	pkgPath := strings.TrimSuffix(pass.Pkg.Path(), "_test")
-	for _, p := range concurrencyPkgs {
+	for _, p := range patterns {
 		if hasSegments(pkgPath, p) {
 			return true
 		}
@@ -54,13 +66,32 @@ func inConcurrencyPkg(pass *Pass) bool {
 	return false
 }
 
+// wallReads are the time functions that read the runtime clock or arm a
+// runtime timer.
+var wallReads = map[string]bool{
+	"time.Now": true, "time.Since": true, "time.Until": true, "time.Sleep": true,
+	"time.NewTimer": true, "time.NewTicker": true, "time.AfterFunc": true,
+}
+
 func runTimerleak(pass *Pass) error {
-	strict := inConcurrencyPkg(pass)
+	strict, oneClock := inPkgs(pass, concurrencyPkgs), inPkgs(pass, servingTiers)
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file) {
 			continue
 		}
 		checkUnstoppableTimers(pass, file, strict)
+		if oneClock {
+			// Selectors, not just calls: time.Now handed over as a func
+			// value is a second time source too.
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && wallReads[fn.FullName()] {
+						pass.Reportf(sel.Pos(), "%s bypasses the clock; read the component's obs.Clock", fn.FullName())
+					}
+				}
+				return true
+			})
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -178,13 +209,20 @@ func checkScopeTimers(pass *Pass, body *ast.BlockStmt) {
 }
 
 // timerCtor reports whether call constructs a stoppable timer,
-// returning "timer", "ticker", or "".
+// returning "timer", "ticker", or "". A NewTimer method declared in
+// internal/obs — the Clock interface or one of its clocks — counts as
+// time.NewTimer.
 func timerCtor(pass *Pass, call *ast.CallExpr) string {
 	switch calleeFullName(pass, call) {
 	case "time.NewTimer":
 		return "timer"
 	case "time.NewTicker":
 		return "ticker"
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "NewTimer" {
+		if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && hasSegments(fn.Pkg().Path(), "internal/obs") {
+			return "timer"
+		}
 	}
 	return ""
 }

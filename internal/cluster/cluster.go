@@ -43,6 +43,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"pimcapsnet/internal/obs"
 )
 
 // Load is the replica load signal parsed from the /readyz body — the
@@ -130,10 +132,10 @@ func probeReadyz(client *http.Client, url string) (Load, bool, error) {
 // WaitReady polls p until at least n replicas are ready or ctx is
 // done — the startup barrier callers use before opening traffic.
 // Callers bound the wait with context.WithTimeout (or cancel it to
-// abandon startup).
+// abandon startup); like ctx, the poll runs on obs.Wall.
 func WaitReady(ctx context.Context, p Pool, n int) error {
-	ticker := time.NewTicker(25 * time.Millisecond)
-	defer ticker.Stop()
+	poll := obs.Wall.NewTimer(25 * time.Millisecond)
+	defer poll.Stop()
 	for {
 		if len(Ready(p)) >= n {
 			return nil
@@ -141,7 +143,8 @@ func WaitReady(ctx context.Context, p Pool, n int) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("cluster: %d replicas not ready: %w", n, ctx.Err())
-		case <-ticker.C:
+		case <-poll.C():
+			poll.Reset(25 * time.Millisecond)
 		}
 	}
 }

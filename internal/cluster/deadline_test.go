@@ -1,36 +1,38 @@
 package cluster
 
 import (
+	"context"
 	"io"
 	"net/http"
-	"sync"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pimcapsnet/internal/deadline"
+	"pimcapsnet/internal/obs"
 )
 
-// fakeClock is a mutable time source the deadline tests inject as
-// DispatcherConfig.Clock, so deadline arithmetic is exercised without
-// real waits.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
+// newManualClock is the DispatcherConfig.Clock the deadline tests pass,
+// so deadline arithmetic and backoff waits run without real waits.
+func newManualClock() *obs.ManualClock { return obs.NewManualClock(time.Unix(1_700_000_000, 0)) }
 
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
+// classifyAsync serves one classify request under ctx on its own
+// goroutine, for tests that drive the dispatcher's clock while the
+// request waits on it.
+func classifyAsync(ctx context.Context, d *Dispatcher, body string, hdr map[string]string) <-chan *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify", strings.NewReader(body)).WithContext(ctx)
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, req)
+		done <- w
+	}()
+	return done
 }
 
 // TestDispatchForwardsDeadlineHeader: the client's absolute deadline
@@ -63,11 +65,11 @@ func TestDispatchDefaultBudgetStampsDeadline(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, goodBody)
 	})
-	clk := newFakeClock()
+	clk := newManualClock()
 	d := newTestDispatcher(t, DispatcherConfig{
 		Pool:          &staticPool{reps: []ReplicaInfo{rep}},
 		DefaultBudget: 10 * time.Second,
-		Clock:         clk.Now,
+		Clock:         clk,
 	})
 
 	w := classify(t, d, `{"image":[0.5]}`, nil)
@@ -102,7 +104,7 @@ func TestDispatchInvalidDeadlineRejected(t *testing.T) {
 // counter stays at zero, and the client gets 504 with the exhaustion
 // metric incremented.
 func TestDispatchNoAttemptAfterDeadline(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	var hits atomic.Int64
 	_, rep := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
@@ -115,7 +117,7 @@ func TestDispatchNoAttemptAfterDeadline(t *testing.T) {
 		Pool:        &staticPool{reps: []ReplicaInfo{rep}},
 		MaxAttempts: 4,
 		HedgeDelay:  -1,
-		Clock:       clk.Now,
+		Clock:       clk,
 	})
 
 	dl := clk.Now().Add(time.Second)
@@ -137,12 +139,12 @@ func TestDispatchNoAttemptAfterDeadline(t *testing.T) {
 // TestDispatchExpiredOnArrival: a request whose deadline already
 // passed is answered 504 without any replica contact.
 func TestDispatchExpiredOnArrival(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	var hits atomic.Int64
 	_, rep := fakeReplica(t, "r0", okHandler(&hits))
 	d := newTestDispatcher(t, DispatcherConfig{
 		Pool:  &staticPool{reps: []ReplicaInfo{rep}},
-		Clock: clk.Now,
+		Clock: clk,
 	})
 
 	dl := clk.Now().Add(-time.Second)
@@ -162,7 +164,7 @@ func TestDispatchExpiredOnArrival(t *testing.T) {
 // + ExpectedServiceTime remaining, the hedge is vetoed (counted in
 // router_hedges_skipped_total) and only one replica is contacted.
 func TestDispatchSkipsHedgeNearDeadline(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	var hits0, hits1 atomic.Int64
 	_, rep0 := fakeReplica(t, "r0", okHandler(&hits0))
 	_, rep1 := fakeReplica(t, "r1", okHandler(&hits1))
@@ -171,7 +173,7 @@ func TestDispatchSkipsHedgeNearDeadline(t *testing.T) {
 		HedgeDelay:          10 * time.Millisecond,
 		MaxHedges:           1,
 		ExpectedServiceTime: 100 * time.Millisecond,
-		Clock:               clk.Now,
+		Clock:               clk,
 	})
 
 	// 50ms of budget < 10ms hedge delay + 100ms expected service.
@@ -192,11 +194,13 @@ func TestDispatchSkipsHedgeNearDeadline(t *testing.T) {
 }
 
 // TestDispatchCapsRetryAfterByDeadline: a replica 429's Retry-After
-// backoff is slept only up to the remaining budget, then the request
-// ends 504 instead of sleeping past its own deadline.
+// backoff waits only the remaining budget, then the request ends 504
+// instead of waiting past its own deadline.
 func TestDispatchCapsRetryAfterByDeadline(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
+	var hits atomic.Int64
 	_, rep := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		w.Header().Set("Retry-After", "5")
 		w.WriteHeader(http.StatusTooManyRequests)
 	})
@@ -205,23 +209,51 @@ func TestDispatchCapsRetryAfterByDeadline(t *testing.T) {
 		MaxAttempts:   4,
 		HedgeDelay:    -1,
 		RetryAfterCap: 10 * time.Second, // deliberately above the budget
-		Clock:         clk.Now,
+		Clock:         clk,
 	})
-	var slept []time.Duration
-	d.sleep = func(dur time.Duration) {
-		slept = append(slept, dur)
-		clk.Advance(dur)
-	}
 
 	dl := clk.Now().Add(500 * time.Millisecond)
-	w := classify(t, d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	done := classifyAsync(context.Background(), d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	clk.BlockUntil(1) // the backoff
+	if n := clk.Advance(500 * time.Millisecond); n != 1 {
+		t.Fatalf("the backoff did not end at the 500ms remaining budget (%d timers fired)", n)
+	}
+	w := <-done
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
-	if len(slept) != 1 {
-		t.Fatalf("slept %d times, want 1 (then the deadline check ends the request)", len(slept))
+	if hits.Load() != 1 {
+		t.Fatalf("replica hit %d times, want 1 (one wait, then the deadline check ends the request)", hits.Load())
 	}
-	if slept[0] > 500*time.Millisecond {
-		t.Fatalf("Retry-After sleep %v exceeds the 500ms remaining budget", slept[0])
+}
+
+// TestDispatchBackoffEndsWhenClientLeaves: a disconnected client's
+// handler leaves its Retry-After wait at once instead of holding its
+// goroutine for the full wait — the clock never moves.
+func TestDispatchBackoffEndsWhenClientLeaves(t *testing.T) {
+	clk := newManualClock()
+	_, rep := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "5")
+		w.WriteHeader(http.StatusTooManyRequests)
+	})
+	d := newTestDispatcher(t, DispatcherConfig{
+		Pool:       &staticPool{reps: []ReplicaInfo{rep}},
+		HedgeDelay: -1,
+		Clock:      clk,
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := classifyAsync(ctx, d, `{"image":[0.5]}`, nil)
+	clk.BlockUntil(1) // the backoff
+	cancel()
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
+	select {
+	case <-done:
+	case <-timeout.C:
+		t.Fatal("handler still waiting out its backoff after the client left")
+	}
+	if got := d.Metrics().Retries.Value(); got != 0 {
+		t.Fatalf("router_retries_total = %d, want 0 (no attempt after the client left)", got)
 	}
 }

@@ -55,8 +55,8 @@ type DispatcherConfig struct {
 	// inside the remaining deadline budget (a hedge needs HedgeDelay +
 	// ExpectedServiceTime of runway). Default 100ms.
 	ExpectedServiceTime time.Duration
-	// Clock overrides the dispatcher's time source; nil means time.Now.
-	// Tests inject a fake clock for deterministic deadline arithmetic.
+	// Clock is where the dispatcher reads time and arms its hedge and
+	// backoff timers; nil means obs.Wall. Tests pass an obs.ManualClock.
 	Clock obs.Clock
 	// Client performs replica requests; nil uses a private client.
 	Client *http.Client
@@ -106,6 +106,9 @@ func (c DispatcherConfig) withDefaults() DispatcherConfig {
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
+	if c.Clock == nil {
+		c.Clock = obs.Wall
+	}
 	return c
 }
 
@@ -116,11 +119,6 @@ func (c DispatcherConfig) withDefaults() DispatcherConfig {
 type Dispatcher struct {
 	cfg DispatcherConfig
 	mux *http.ServeMux
-
-	// now/sleep inject the time source and the backoff sleeps so the
-	// deadline arithmetic is testable without wall-clock waits.
-	now   func() time.Time
-	sleep func(time.Duration)
 
 	// tracer records routed-request span timelines (the route span and
 	// per-attempt spans); flight is the tail-sampled recorder (nil when
@@ -137,10 +135,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if cfg.Pool == nil {
 		return nil, fmt.Errorf("cluster: DispatcherConfig.Pool is required")
 	}
-	d := &Dispatcher{cfg: cfg, mux: http.NewServeMux(), now: time.Now, sleep: time.Sleep}
-	if cfg.Clock != nil {
-		d.now = cfg.Clock
-	}
+	d := &Dispatcher{cfg: cfg, mux: http.NewServeMux()}
 	d.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:     cfg.TraceSample,
 		BufferSize: cfg.TraceBuffer,
@@ -362,7 +357,7 @@ func validClassifyBody(body []byte) bool {
 func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaInfo, body []byte, traceID string, hedgesLeft *int, dl time.Time, t *obs.Trace, attemptNo int, rootSpan string) attemptResult {
 	timeout := d.cfg.AttemptTimeout
 	if !dl.IsZero() {
-		if remaining := dl.Sub(d.now()); remaining < timeout {
+		if remaining := dl.Sub(d.cfg.Clock.Now()); remaining < timeout {
 			timeout = remaining
 		}
 	}
@@ -386,7 +381,7 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 			return
 		}
 		t.AddSpan(obs.Span{
-			Name: "attempt", Iter: -1, Start: rec.start, End: d.now(),
+			Name: "attempt", Iter: -1, Start: rec.start, End: d.cfg.Clock.Now(),
 			ID: rec.spanID, Parent: rootSpan,
 			Tags: map[string]string{
 				"replica": rec.replica,
@@ -409,7 +404,7 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 
 	resCh := make(chan attemptResult, 2)
 	launch := func(target ReplicaInfo, hedge bool) {
-		rec := &launchRec{replica: target.Name, hedge: hedge, start: d.now()}
+		rec := &launchRec{replica: target.Name, hedge: hedge, start: d.cfg.Clock.Now()}
 		if t != nil {
 			rec.spanID = obs.NewID()
 		}
@@ -426,18 +421,18 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 
 	var hedgeTimer <-chan time.Time
 	if d.cfg.HedgeDelay > 0 && alt != nil && *hedgesLeft > 0 {
-		if dl.IsZero() || dl.Sub(d.now()) >= d.cfg.HedgeDelay+d.cfg.ExpectedServiceTime {
+		if dl.IsZero() || dl.Sub(d.cfg.Clock.Now()) >= d.cfg.HedgeDelay+d.cfg.ExpectedServiceTime {
 			// A stopped timer (not time.After) so the common case — the
 			// primary answers first — releases the timer immediately
 			// instead of pinning it for the full hedge delay.
-			hedge := time.NewTimer(d.cfg.HedgeDelay)
+			hedge := d.cfg.Clock.NewTimer(d.cfg.HedgeDelay)
 			defer hedge.Stop()
-			hedgeTimer = hedge.C
+			hedgeTimer = hedge.C()
 		} else {
 			d.cfg.Metrics.HedgesSkipped.Inc()
 			d.logger().Debug("hedge skipped, deadline too close",
 				slog.String("trace_id", traceID),
-				slog.Duration("remaining", dl.Sub(d.now())))
+				slog.Duration("remaining", dl.Sub(d.cfg.Clock.Now())))
 		}
 	}
 
@@ -472,7 +467,7 @@ func (d *Dispatcher) attempt(ctx context.Context, rep ReplicaInfo, alt *ReplicaI
 // spend the retry budget placing and re-placing it until a valid
 // replica response (or a deterministic rejection) comes back.
 func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
-	start := d.now()
+	start := d.cfg.Clock.Now()
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
@@ -507,7 +502,7 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// route span, trace retention, the flight-recorder offer, and the
 	// SLO window observation.
 	finish := func(status int, reasons ...string) {
-		end := d.now()
+		end := d.cfg.Clock.Now()
 		if t != nil {
 			t.AddSpan(obs.Span{
 				Name: "route", Iter: -1, Start: start, End: end, ID: rootSpan,
@@ -530,7 +525,7 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !hasDL && d.cfg.DefaultBudget > 0 {
-		dl, hasDL = d.now().Add(d.cfg.DefaultBudget), true
+		dl, hasDL = d.cfg.Clock.Now().Add(d.cfg.DefaultBudget), true
 	}
 
 	key := Key(body)
@@ -541,7 +536,7 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 	for attemptNo := 1; attemptNo <= d.cfg.MaxAttempts; attemptNo++ {
 		// The budget check precedes the retry counter: an attempt that
 		// cannot start before the deadline is never fired (or counted).
-		if hasDL && !d.now().Before(dl) {
+		if hasDL && !d.cfg.Clock.Now().Before(dl) {
 			deadlineHit = true
 			break
 		}
@@ -564,8 +559,10 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 		if len(fresh) == 0 {
 			// Nothing dispatchable: burn the attempt on a short wait
 			// for the manager to bring a replica back.
-			d.sleep(d.capWait(50*time.Millisecond, dl))
 			last = attemptResult{code: "no_replicas"}
+			if !d.backoff(r.Context(), 50*time.Millisecond, dl) {
+				break
+			}
 			continue
 		}
 		pick := d.cfg.Placer.Pick(key, fresh)
@@ -580,7 +577,7 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 		res := d.attempt(r.Context(), rep, alt, body, traceID, &hedgesLeft, dl, t, attemptNo, rootSpan)
 		if res.ok || res.terminal {
-			elapsed := d.now().Sub(start)
+			elapsed := d.cfg.Clock.Now().Sub(start)
 			d.cfg.Metrics.Latency.Observe(elapsed.Seconds())
 			finish(res.status)
 			d.logger().Debug("classify routed",
@@ -595,22 +592,15 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		last = res
-		if res.retryAfter > 0 {
-			wait := res.retryAfter
-			if wait > d.cfg.RetryAfterCap {
-				wait = d.cfg.RetryAfterCap
-			}
-			// A backoff past the deadline is pointless: sleep only the
-			// remaining budget, then the loop's deadline check ends the
-			// request.
-			d.sleep(d.capWait(wait, dl))
+		if res.retryAfter > 0 && !d.backoff(r.Context(), min(res.retryAfter, d.cfg.RetryAfterCap), dl) {
+			break
 		}
 	}
 
 	// Budget exhausted. When the request's deadline ran out first, 504
 	// names the real failure (out of time, not out of replicas) and the
 	// client learns there is no point retrying this request.
-	d.cfg.Metrics.Latency.Observe(d.now().Sub(start).Seconds())
+	d.cfg.Metrics.Latency.Observe(d.cfg.Clock.Now().Sub(start).Seconds())
 	if deadlineHit {
 		d.cfg.Metrics.DeadlineExhausted.Inc()
 		finish(http.StatusGatewayTimeout, obs.FlightReasonDeadlineExhausted)
@@ -636,18 +626,20 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "no replica produced a valid response", http.StatusBadGateway)
 }
 
-// capWait truncates a backoff wait to the request's remaining deadline
-// budget (unchanged when dl is zero / unbounded).
-func (d *Dispatcher) capWait(wait time.Duration, dl time.Time) time.Duration {
-	if dl.IsZero() {
-		return wait
+// backoff waits out wait on the dispatcher's clock, truncated to the
+// request's remaining deadline budget (a wait past the deadline is
+// pointless: the loop's deadline check then ends the request; a zero
+// dl is unbounded). It returns false at once if the client goes away.
+func (d *Dispatcher) backoff(ctx context.Context, wait time.Duration, dl time.Time) bool {
+	if !dl.IsZero() {
+		wait = max(0, min(wait, dl.Sub(d.cfg.Clock.Now())))
 	}
-	remaining := dl.Sub(d.now())
-	if remaining < 0 {
-		return 0
+	t := d.cfg.Clock.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C():
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	if wait > remaining {
-		return remaining
-	}
-	return wait
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -228,22 +229,23 @@ func TestDispatchHonorsRetryAfter(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, goodBody)
 	})
+	clk := newManualClock()
 	d := newTestDispatcher(t, DispatcherConfig{
 		Pool:          &staticPool{reps: []ReplicaInfo{rep}},
 		RetryAfterCap: 50 * time.Millisecond, // cap proves the header is read but bounded
 		HedgeDelay:    -1,
+		Clock:         clk,
 	})
-	start := time.Now()
-	w := classify(t, d, `{"image":[0.5]}`, nil)
-	elapsed := time.Since(start)
-	if w.Code != http.StatusOK {
+	done := classifyAsync(context.Background(), d, `{"image":[0.5]}`, nil)
+	clk.BlockUntil(1) // the backoff
+	if n := clk.Advance(50*time.Millisecond - 1); n != 0 {
+		t.Fatal("backoff ended before RetryAfterCap")
+	}
+	if n := clk.Advance(1); n != 1 {
+		t.Fatal("Retry-After not capped at RetryAfterCap")
+	}
+	if w := <-done; w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 after backoff", w.Code)
-	}
-	if elapsed < 50*time.Millisecond {
-		t.Fatalf("no backoff observed: %v", elapsed)
-	}
-	if elapsed > 800*time.Millisecond {
-		t.Fatalf("Retry-After not capped: waited %v", elapsed)
 	}
 	if got := d.Metrics().ReplicaRequests.With("r0", "429").Value(); got != 1 {
 		t.Fatalf("429 count %d, want 1", got)
@@ -283,9 +285,11 @@ func TestDispatchHedgesStalledReplica(t *testing.T) {
 	// handler before httptest.Server.Close waits on it.
 	t.Cleanup(func() { close(release) })
 	pool := &staticPool{reps: []ReplicaInfo{repSlow, repFast}}
+	clk := newManualClock()
 	d := newTestDispatcher(t, DispatcherConfig{
 		Pool:       pool,
 		HedgeDelay: 30 * time.Millisecond,
+		Clock:      clk,
 	})
 
 	body := ""
@@ -296,13 +300,14 @@ func TestDispatchHedgesStalledReplica(t *testing.T) {
 			break
 		}
 	}
-	start := time.Now()
-	w := classify(t, d, body, nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d, want 200 via hedge", w.Code)
+	done := classifyAsync(context.Background(), d, body, nil)
+	clk.BlockUntil(1) // the hedge timer
+	if n := clk.Advance(30*time.Millisecond - 1); n != 0 {
+		t.Fatal("hedge launched before HedgeDelay")
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedge did not rescue the stall: %v", elapsed)
+	clk.Advance(1)
+	if w := <-done; w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 via hedge", w.Code)
 	}
 	if fastHits.Load() == 0 {
 		t.Fatalf("hedge replica never hit")

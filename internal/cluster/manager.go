@@ -12,6 +12,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"pimcapsnet/internal/obs"
 )
 
 // ManagerConfig tunes the replica supervisor. Zero-value fields fall
@@ -126,6 +128,9 @@ func (r *replica) setDown() {
 type Manager struct {
 	cfg    ManagerConfig
 	client *http.Client
+	// clock times spawns, probes, backoff and shutdown grace: obs.Wall,
+	// replaced by tests inside the package before Start.
+	clock obs.Clock
 
 	replicas []*replica
 
@@ -145,6 +150,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		// Probes are tiny loopback GETs; a short timeout keeps a hung
 		// replica from wedging the prober.
 		client: &http.Client{Timeout: 5 * time.Second},
+		clock:  obs.Wall,
 		stop:   make(chan struct{}),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
@@ -197,20 +203,13 @@ func (m *Manager) logger() *slog.Logger {
 // process lifetime; crashes cost backoff, clean stops end the loop.
 func (m *Manager) supervise(r *replica) {
 	backoff := m.cfg.BackoffMin
-	// One reused timer serves every backoff wait: time.After here would
-	// strand one live runtime timer per restart until each fired.
-	pause := time.NewTimer(0)
-	if !pause.Stop() {
-		<-pause.C
-	}
-	defer pause.Stop()
 	for {
 		select {
 		case <-m.stop:
 			return
 		default:
 		}
-		started := time.Now()
+		started := m.clock.Now()
 		err := m.runOnce(r)
 		r.setDown()
 		select {
@@ -225,7 +224,7 @@ func (m *Manager) supervise(r *replica) {
 		r.restarts++
 		restarts := r.restarts
 		r.mu.Unlock()
-		if time.Since(started) > m.cfg.BackoffMax {
+		if m.clock.Now().Sub(started) > m.cfg.BackoffMax {
 			backoff = m.cfg.BackoffMin
 		}
 		m.logger().Warn("replica exited, restarting",
@@ -233,16 +232,12 @@ func (m *Manager) supervise(r *replica) {
 			slog.Uint64("restarts", restarts),
 			slog.Duration("backoff", backoff),
 			slog.String("error", fmt.Sprint(err)))
-		if !pause.Stop() {
-			select {
-			case <-pause.C:
-			default:
-			}
-		}
-		pause.Reset(backoff)
+		// A stoppable timer, not time.After: shutdown mid-pause releases it.
+		pause := m.clock.NewTimer(backoff)
 		select {
-		case <-pause.C:
+		case <-pause.C():
 		case <-m.stop:
+			pause.Stop()
 			return
 		}
 		if backoff *= 2; backoff > m.cfg.BackoffMax {
@@ -304,14 +299,14 @@ func (m *Manager) runOnce(r *replica) error {
 	exitCh := make(chan error, 1)
 	go func() { exitCh <- cmd.Wait() }()
 
-	deadline := time.NewTimer(m.cfg.StartTimeout)
+	deadline := m.clock.NewTimer(m.cfg.StartTimeout)
 	defer deadline.Stop()
 	var addr string
 	select {
 	case addr = <-addrCh:
 	case err := <-exitCh:
 		return fmt.Errorf("cluster: %s exited before serving: %v", r.name, err)
-	case <-deadline.C:
+	case <-deadline.C():
 		cmd.Process.Kill()
 		<-exitCh
 		return fmt.Errorf("cluster: %s never logged its address within %v", r.name, m.cfg.StartTimeout)
@@ -320,29 +315,29 @@ func (m *Manager) runOnce(r *replica) error {
 	}
 	url := "http://" + addr
 
-	// Readiness barrier: the process serves HTTP, now wait for /readyz
-	// to go 200 before publishing the replica for dispatch.
-	for readyWait := time.NewTicker(20 * time.Millisecond); ; {
+	// Readiness barrier: the process serves HTTP, now poll /readyz every
+	// 20ms until it goes 200 before publishing the replica for dispatch.
+	// The same timer then paces the load probes.
+	tick := m.clock.NewTimer(20 * time.Millisecond)
+	defer tick.Stop()
+	for {
 		load, ready, _ := probeReadyz(m.client, url)
 		if ready {
-			readyWait.Stop()
 			r.mu.Lock()
 			r.url, r.pid, r.ready, r.load = url, cmd.Process.Pid, true, load
 			r.mu.Unlock()
 			break
 		}
 		select {
-		case <-readyWait.C:
+		case <-tick.C():
+			tick.Reset(20 * time.Millisecond)
 		case err := <-exitCh:
-			readyWait.Stop()
 			return fmt.Errorf("cluster: %s exited before ready: %v", r.name, err)
-		case <-deadline.C:
-			readyWait.Stop()
+		case <-deadline.C():
 			cmd.Process.Kill()
 			<-exitCh
 			return fmt.Errorf("cluster: %s not ready within %v", r.name, m.cfg.StartTimeout)
 		case <-m.stop:
-			readyWait.Stop()
 			return m.terminate(cmd, exitCh)
 		}
 	}
@@ -356,11 +351,10 @@ func (m *Manager) runOnce(r *replica) error {
 	// replica not-ready — drain-aware rebalancing — without touching
 	// the process; probes that fail entirely do the same and leave the
 	// crash handling to exitCh.
-	probe := time.NewTicker(m.cfg.ProbeInterval)
-	defer probe.Stop()
 	for {
+		tick.Reset(m.cfg.ProbeInterval)
 		select {
-		case <-probe.C:
+		case <-tick.C():
 			load, ready, err := probeReadyz(m.client, url)
 			r.mu.Lock()
 			if err == nil {
@@ -381,12 +375,12 @@ func (m *Manager) runOnce(r *replica) error {
 // SIGTERM (the serve binary drains on it), bounded wait, SIGKILL.
 func (m *Manager) terminate(cmd *exec.Cmd, exitCh <-chan error) error {
 	cmd.Process.Signal(syscall.SIGTERM)
-	grace := time.NewTimer(m.cfg.StopTimeout)
+	grace := m.clock.NewTimer(m.cfg.StopTimeout)
 	defer grace.Stop()
 	select {
 	case err := <-exitCh:
 		return err
-	case <-grace.C:
+	case <-grace.C():
 		cmd.Process.Kill()
 		return <-exitCh
 	}

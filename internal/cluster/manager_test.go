@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/testutil"
 )
 
@@ -181,6 +182,10 @@ func TestManagerMarksDrainingNotReady(t *testing.T) {
 	}
 }
 
+// TestManagerSurvivesUnrunnableBinary walks the restart backoff ladder
+// on a ManualClock: each failed spawn arms exactly one pause, doubling
+// from BackoffMin and capped at BackoffMax, firing neither early nor
+// late.
 func TestManagerSurvivesUnrunnableBinary(t *testing.T) {
 	m, err := NewManager(ManagerConfig{
 		Binary:     "/nonexistent/definitely-not-a-binary",
@@ -191,13 +196,25 @@ func TestManagerSurvivesUnrunnableBinary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
+	clk := obs.NewManualClock(time.Unix(1_700_000_000, 0))
+	m.clock = clk
 	m.Start()
-	time.Sleep(200 * time.Millisecond)
-	if r := m.Snapshot()[0]; r.Ready {
-		t.Fatalf("unrunnable binary marked ready: %+v", r)
-	}
-	if r := m.Snapshot()[0]; r.Restarts < 2 {
-		t.Fatalf("restart loop not spinning with backoff: %+v", r)
+	for i, pause := range []time.Duration{10, 20, 40, 50, 50} {
+		pause *= time.Millisecond
+		clk.BlockUntil(1)
+		r := m.Snapshot()[0]
+		if r.Ready {
+			t.Fatalf("unrunnable binary marked ready: %+v", r)
+		}
+		if r.Restarts != uint64(i+1) {
+			t.Fatalf("pause %d armed after %d restarts, want %d", i, r.Restarts, i+1)
+		}
+		if n := clk.Advance(pause - 1); n != 0 {
+			t.Fatalf("pause %d ended before %v", i, pause)
+		}
+		if n := clk.Advance(1); n != 1 {
+			t.Fatalf("pause %d did not end at %v", i, pause)
+		}
 	}
 	done := make(chan struct{})
 	go func() { m.Stop(); close(done) }()

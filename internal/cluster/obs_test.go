@@ -315,9 +315,8 @@ func TestFleetTraceEndpointMergesRouterAndReplica(t *testing.T) {
 // TestSLOTrackerWindows verifies availability, burn rate, and window
 // expiry against an injected clock.
 func TestSLOTrackerWindows(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	clock := func() time.Time { return now }
-	s := NewSLOTracker(0.99, clock)
+	clk := obs.NewManualClock(time.Unix(1_000_000, 0))
+	s := NewSLOTracker(0.99, clk)
 
 	for i := 0; i < 98; i++ {
 		s.Observe(http.StatusOK, 10*time.Millisecond)
@@ -347,7 +346,7 @@ func TestSLOTrackerWindows(t *testing.T) {
 	}
 
 	// The 1m window forgets, the 10m window remembers.
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if _, total := s.Availability(time.Minute); total != 0 {
 		t.Fatalf("1m window still holds %d observations after 2m", total)
 	}

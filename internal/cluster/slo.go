@@ -45,13 +45,13 @@ type SLOTracker struct {
 }
 
 // NewSLOTracker builds a tracker with the given availability target
-// (0 means DefaultSLOTarget) and clock (nil means time.Now).
+// (0 means DefaultSLOTarget) and clock (nil means obs.Wall).
 func NewSLOTracker(target float64, clock obs.Clock) *SLOTracker {
 	if target <= 0 || target >= 1 {
 		target = DefaultSLOTarget
 	}
 	if clock == nil {
-		clock = time.Now
+		clock = obs.Wall
 	}
 	return &SLOTracker{target: target, clock: clock}
 }
@@ -63,7 +63,7 @@ func (s *SLOTracker) Observe(status int, latency time.Duration) {
 	if s == nil {
 		return
 	}
-	sec := s.clock().Unix()
+	sec := s.clock.Now().Unix()
 	lat := latency.Seconds()
 	if lat < 0 {
 		lat = 0
@@ -85,7 +85,7 @@ func (s *SLOTracker) Observe(status int, latency time.Duration) {
 // windowSums aggregates the slots covering the last window seconds.
 func (s *SLOTracker) windowSums(window time.Duration) (total, errors uint64, buckets []uint64) {
 	buckets = make([]uint64, len(latencyBounds)+1)
-	now := s.clock().Unix()
+	now := s.clock.Now().Unix()
 	oldest := now - int64(window/time.Second) + 1
 	s.mu.Lock()
 	defer s.mu.Unlock()

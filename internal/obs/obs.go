@@ -28,9 +28,10 @@
 //   - Near-zero overhead when disabled: an unsampled request carries a
 //     nil *Trace, and every Trace method is nil-receiver safe, so the
 //     hot path pays one pointer check per span site.
-//   - Deterministic under test: the clock, the trace-ID source, and
-//     the sampling decision (a counter, not a PRNG) are all
-//     injectable.
+//   - Deterministic under test: one Clock (Now + NewTimer; Wall in
+//     production, ManualClock in tests) is where serve, cluster and
+//     this package read time and arm timers; the trace-ID source and
+//     the sampling decision (a counter, not a PRNG) are injectable.
 //   - internal/capsnet never imports this package; it exposes a
 //     StageTimer hook interface that StageRecorder satisfies
 //     structurally.
@@ -43,9 +44,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Clock is the time source; injectable for deterministic tests.
-type Clock func() time.Time
 
 // Wire headers carrying trace identity across process boundaries.
 // X-Trace-Id names the whole request story; X-Parent-Span names the

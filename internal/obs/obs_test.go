@@ -8,20 +8,8 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced time source.
-type fakeClock struct {
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time { return c.now }
-
-func (c *fakeClock) Advance(d time.Duration) time.Time {
-	c.now = c.now.Add(d)
-	return c.now
+func newManualClock() *ManualClock {
+	return NewManualClock(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
 }
 
 // seqIDs returns a deterministic IDSource: "t0001", "t0002", ...
@@ -63,7 +51,7 @@ func TestNewIDFormat(t *testing.T) {
 // TestTracerSamplingDeterministic pins the counter-based sampling:
 // rate 0 never samples, rate 1 always, rate 0.5 exactly every 2nd.
 func TestTracerSamplingDeterministic(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	cases := []struct {
 		sample float64
 		want   []bool // sampled? for requests 1..6
@@ -74,7 +62,7 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 		{0.25, []bool{false, false, false, true, false, false}},
 	}
 	for _, c := range cases {
-		tr := NewTracer(TracerConfig{Sample: c.sample, Clock: clk.Now, IDSource: seqIDs()})
+		tr := NewTracer(TracerConfig{Sample: c.sample, Clock: clk, IDSource: seqIDs()})
 		if got := tr.Enabled(); got != (c.sample > 0) {
 			t.Errorf("sample %g: Enabled() = %v", c.sample, got)
 		}
@@ -90,14 +78,15 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 // TestTracerRingEviction fills a 2-slot ring with 3 traces and checks
 // the oldest is evicted and ordering is oldest-first.
 func TestTracerRingEviction(t *testing.T) {
-	clk := newFakeClock()
-	tr := NewTracer(TracerConfig{Sample: 1, BufferSize: 2, Clock: clk.Now, IDSource: seqIDs()})
+	clk := newManualClock()
+	tr := NewTracer(TracerConfig{Sample: 1, BufferSize: 2, Clock: clk, IDSource: seqIDs()})
 	for i := 0; i < 3; i++ {
 		tc := tr.StartRequest(tr.NewID(), clk.Now())
 		if tc == nil {
 			t.Fatal("sample 1 returned nil trace")
 		}
-		tr.Finish(tc, clk.Advance(time.Millisecond))
+		clk.Advance(time.Millisecond)
+		tr.Finish(tc, clk.Now())
 	}
 	if tr.Completed() != 3 {
 		t.Fatalf("Completed() = %d, want 3", tr.Completed())
@@ -150,14 +139,14 @@ func TestContextPropagation(t *testing.T) {
 // both the histogram callback and the span landing on the attached
 // trace.
 func TestStageRecorder(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	type obsCall struct {
 		stage   string
 		iter    int
 		seconds float64
 	}
 	var calls []obsCall
-	rec := NewStageRecorder(clk.Now, func(stage string, iter int, seconds float64) {
+	rec := NewStageRecorder(clk, func(stage string, iter int, seconds float64) {
 		calls = append(calls, obsCall{stage, iter, seconds})
 	})
 	tc := &Trace{ID: "x"}
@@ -192,8 +181,8 @@ func TestStageRecorder(t *testing.T) {
 // contract: a stage begun against trace A keeps writing to A even if
 // the runner re-attaches trace B before the stage ends.
 func TestStageRecorderCapturesTraceAtBegin(t *testing.T) {
-	clk := newFakeClock()
-	rec := NewStageRecorder(clk.Now, nil)
+	clk := newManualClock()
+	rec := NewStageRecorder(clk, nil)
 	a, b := &Trace{ID: "a"}, &Trace{ID: "b"}
 	rec.SetCurrent(a)
 	end := rec.BeginStage("forward", -1)
@@ -208,9 +197,9 @@ func TestStageRecorderCapturesTraceAtBegin(t *testing.T) {
 // TestStageRecorderDetached checks a detached (nil) recorder still
 // feeds histograms and drops spans silently.
 func TestStageRecorderDetached(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	n := 0
-	rec := NewStageRecorder(clk.Now, func(string, int, float64) { n++ })
+	rec := NewStageRecorder(clk, func(string, int, float64) { n++ })
 	end := rec.BeginStage("conv", -1)
 	clk.Advance(time.Millisecond)
 	end()

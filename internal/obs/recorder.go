@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // StageRecorder adapts this package to capsnet's StageTimer hook: it
 // times each forward-pass stage with its own clock (so internal/
@@ -25,11 +22,11 @@ type StageRecorder struct {
 	cur     atomic.Pointer[Trace]
 }
 
-// NewStageRecorder builds a recorder. clock may be nil (time.Now);
+// NewStageRecorder builds a recorder. clock may be nil (Wall);
 // onStage may be nil when only span recording is wanted.
 func NewStageRecorder(clock Clock, onStage func(stage string, iter int, seconds float64)) *StageRecorder {
 	if clock == nil {
-		clock = time.Now
+		clock = Wall
 	}
 	return &StageRecorder{clock: clock, onStage: onStage}
 }
@@ -41,10 +38,10 @@ func (r *StageRecorder) SetCurrent(t *Trace) { r.cur.Store(t) }
 // BeginStage implements capsnet.StageTimer (structurally): it stamps
 // the stage start and returns the closure that completes the stage.
 func (r *StageRecorder) BeginStage(stage string, iteration int) func() {
-	start := r.clock()
+	start := r.clock.Now()
 	t := r.cur.Load()
 	return func() {
-		end := r.clock()
+		end := r.clock.Now()
 		if r.onStage != nil {
 			r.onStage(stage, iteration, end.Sub(start).Seconds())
 		}

@@ -21,7 +21,7 @@ type TracerConfig struct {
 	// The ring holds the last BufferSize finished requests for
 	// /debug/requests/trace.
 	BufferSize int
-	// Clock overrides the time source (default time.Now).
+	// Clock stamps the epoch (default Wall).
 	Clock Clock
 	// IDSource overrides trace-ID generation (default NewID); tests
 	// inject a counter for stable IDs.
@@ -36,7 +36,6 @@ const DefaultTraceBuffer = 256
 // concurrent use.
 type Tracer struct {
 	every uint64 // sample every Nth request; 0 = never
-	clock Clock
 	newID func() string
 	epoch time.Time
 
@@ -54,7 +53,7 @@ type Tracer struct {
 // NewTracer builds a tracer from cfg.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+		cfg.Clock = Wall
 	}
 	if cfg.IDSource == nil {
 		cfg.IDSource = NewID
@@ -72,19 +71,14 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	}
 	return &Tracer{
 		every: every,
-		clock: cfg.Clock,
 		newID: cfg.IDSource,
-		epoch: cfg.Clock(),
+		epoch: cfg.Clock.Now(),
 		ring:  make([]*Trace, 0, cfg.BufferSize),
 	}
 }
 
 // Enabled reports whether any request can be sampled.
 func (tr *Tracer) Enabled() bool { return tr.every > 0 }
-
-// Now reads the tracer's clock (the single time source the serving
-// layer shares so fake clocks line up across components).
-func (tr *Tracer) Now() time.Time { return tr.clock() }
 
 // Epoch is the tracer's construction time — the zero point of the
 // Chrome trace timestamps it exports.

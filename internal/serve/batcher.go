@@ -104,17 +104,6 @@ type Batcher struct {
 	q     *queue
 	runCh chan []*request
 
-	// timer creates the batch-fill deadline; tests inject a manual
-	// channel here for deterministic timer control.
-	timer func(time.Duration) <-chan time.Time
-	// wdTimer creates the per-batch watchdog deadline, separately
-	// injectable so fill-timer tests stay unaffected.
-	wdTimer func(time.Duration) <-chan time.Time
-	// abortTimer creates the all-expired abort check timer (armed at
-	// the latest context deadline across the running batch's
-	// requests), injectable like the other two.
-	abortTimer func(time.Duration) <-chan time.Time
-
 	// cancelArmed flips true while the currently running batch should
 	// abort (every rider's context expired); the network's Cancel hook
 	// reads it between routing iterations via CancelRequested.
@@ -124,9 +113,6 @@ type Batcher struct {
 	// feeds it each launched batch's worst queue wait.
 	brown *brownout
 
-	// clock stamps queue/pipeline stage boundaries (Config.Clock, or
-	// time.Now).
-	clock obs.Clock
 	// rec, when non-nil, is the forward-pass stage recorder shared
 	// with the network; the runner attaches each batch's trace to it
 	// before inference so stage spans land on the right timeline.
@@ -153,10 +139,6 @@ type Batcher struct {
 // the caller) that executes batches with run. Call Start before
 // Submit.
 func NewBatcher(cfg Config, run RunFunc, m *Metrics, routingIterations int) *Batcher {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	return &Batcher{
 		cfg:               cfg,
 		run:               run,
@@ -164,44 +146,26 @@ func NewBatcher(cfg Config, run RunFunc, m *Metrics, routingIterations int) *Bat
 		routingIterations: routingIterations,
 		q:                 newQueue(cfg.QueueSize),
 		runCh:             make(chan []*request, 1),
-		timer:             reusableTimer(),
-		wdTimer:           reusableTimer(),
-		abortTimer:        reusableTimer(),
-		clock:             clock,
 		stop:              make(chan struct{}),
 		dispatcherDone:    make(chan struct{}),
 		runnerDone:        make(chan struct{}),
 	}
 }
 
-// reusableTimer returns a timer factory backed by one lazily created
-// time.Timer: each call re-arms it with a drain-safe reset and hands
-// back its channel, so arming a deadline per batch stops costing one
-// unstoppable time.After timer per batch. A factory (like the Batcher
-// field it populates) must only ever be called from one goroutine: the
-// dispatcher owns timer, the runner owns wdTimer and abortTimer.
-func reusableTimer() func(time.Duration) <-chan time.Time {
-	var t *time.Timer
-	return func(d time.Duration) <-chan time.Time {
-		if t == nil {
-			t = time.NewTimer(d)
-			return t.C
-		}
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		t.Reset(d)
-		return t.C
-	}
+// Start launches the dispatcher and runner goroutines. Their timers —
+// the dispatcher's fill timer, the runner's watchdog and abort timers —
+// are made here, disarmed, once for the batcher's lifetime, and re-armed
+// per batch with Reset.
+func (b *Batcher) Start() {
+	go b.dispatch(b.idleTimer())
+	go b.runLoop(b.idleTimer(), b.idleTimer())
 }
 
-// Start launches the dispatcher and runner goroutines.
-func (b *Batcher) Start() {
-	go b.dispatch()
-	go b.runLoop()
+// idleTimer returns a disarmed timer on the batcher's clock.
+func (b *Batcher) idleTimer() obs.Timer {
+	t := b.cfg.Clock.NewTimer(time.Hour)
+	t.Stop()
+	return t
 }
 
 // QueueDepth is the current admission-queue depth.
@@ -236,7 +200,7 @@ func (b *Batcher) Submit(ctx context.Context, img []float32) (Prediction, int, e
 		img:      img,
 		done:     make(chan outcome, 1),
 		trace:    obs.TraceFrom(ctx),
-		enqueued: b.clock(),
+		enqueued: b.cfg.Clock.Now(),
 	}
 	// Counted before the push, so the gauge never reads below the queue
 	// depth; a refused request is uncounted on the way out like any other.
@@ -264,33 +228,36 @@ func (b *Batcher) Submit(ctx context.Context, img []float32) (Prediction, int, e
 
 // dispatch collects requests into micro-batches. One batch at a time
 // is under collection; handing it to runCh (capacity 1) lets the next
-// collection overlap the previous batch's execution.
-func (b *Batcher) dispatch() {
+// collection overlap the previous batch's execution. fill times each
+// batch's MaxDelay.
+func (b *Batcher) dispatch(fill obs.Timer) {
 	defer close(b.dispatcherDone)
+	defer fill.Stop()
 	for {
 		var first *request
 		select {
 		case first = <-b.q.C():
-			first.collected = b.clock()
+			first.collected = b.cfg.Clock.Now()
 		case <-b.stop:
 			b.drain(nil)
 			return
 		}
 		batch := []*request{first}
-		timeout := b.timer(b.cfg.MaxDelay)
+		fill.Reset(b.cfg.MaxDelay)
 	collect:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
 			case r := <-b.q.C():
-				r.collected = b.clock()
+				r.collected = b.cfg.Clock.Now()
 				batch = append(batch, r)
-			case <-timeout:
+			case <-fill.C():
 				break collect
 			case <-b.stop:
 				b.drain(batch)
 				return
 			}
 		}
+		fill.Stop()
 		b.runCh <- batch
 	}
 }
@@ -306,7 +273,7 @@ func (b *Batcher) drain(batch []*request) {
 			if !ok {
 				break
 			}
-			r.collected = b.clock()
+			r.collected = b.cfg.Clock.Now()
 			batch = append(batch, r)
 		}
 		if len(batch) == 0 {
@@ -318,11 +285,12 @@ func (b *Batcher) drain(batch []*request) {
 	close(b.runCh)
 }
 
-// runLoop executes assembled batches one at a time.
-func (b *Batcher) runLoop() {
+// runLoop executes assembled batches one at a time, with the watchdog
+// and abort timers it owns.
+func (b *Batcher) runLoop(watchdog, abort obs.Timer) {
 	defer close(b.runnerDone)
 	for batch := range b.runCh {
-		b.runBatch(batch)
+		b.runBatch(batch, watchdog, abort)
 	}
 }
 
@@ -345,8 +313,9 @@ type runResult struct {
 // with ErrBatchPanic, and a stall beyond Config.BatchDeadline is failed by
 // the watchdog with ErrBatchTimeout so the queue keeps draining. An
 // abandoned (timed-out) inference goroutine parks its late result in
-// the buffered channel and is garbage collected.
-func (b *Batcher) runBatch(batch []*request) {
+// the buffered channel and is garbage collected. Both timers are
+// disarmed again when runBatch returns.
+func (b *Batcher) runBatch(batch []*request, watchdog, abort obs.Timer) {
 	live := batch[:0]
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
@@ -362,7 +331,7 @@ func (b *Batcher) runBatch(batch []*request) {
 	// launch closes the batch-assembly stage and opens the forward
 	// stage: one stamp, so the pipeline stages partition each request's
 	// time in the batcher exactly.
-	launch := b.clock()
+	launch := b.cfg.Clock.Now()
 	var batchTrace *obs.Trace
 	var worstWait time.Duration
 	images := make([][]float32, len(live))
@@ -416,15 +385,14 @@ func (b *Batcher) runBatch(batch []*request) {
 		}
 		resCh <- runResult{preds: b.run(images)}
 	}()
-	var deadline <-chan time.Time
-	if b.cfg.BatchDeadline > 0 {
-		deadline = b.wdTimer(b.cfg.BatchDeadline)
-	}
-	abortCh := b.armAbort(live)
+	watchdog.Reset(b.cfg.BatchDeadline)
+	defer watchdog.Stop()
+	defer abort.Stop()
+	abortCh := armAbort(live, abort)
 	for {
 		select {
 		case res := <-resCh:
-			fwdEnd := b.clock()
+			fwdEnd := b.cfg.Clock.Now()
 			if res.panicked {
 				if b.metrics != nil {
 					b.metrics.PanicsRecovered.Inc()
@@ -452,7 +420,7 @@ func (b *Batcher) runBatch(batch []*request) {
 				r.done <- outcome{pred: res.preds[i], batch: len(live), err: res.preds[i].Err}
 			}
 			return
-		case <-deadline:
+		case <-watchdog.C():
 			if b.metrics != nil {
 				b.metrics.WatchdogBatches.Inc()
 			}
@@ -472,19 +440,19 @@ func (b *Batcher) runBatch(batch []*request) {
 				b.cancelArmed.Store(true)
 				abortCh = nil
 			} else {
-				abortCh = b.armAbort(live)
+				abortCh = armAbort(live, abort)
 			}
 		}
 	}
 }
 
-// armAbort returns a timer channel firing just after the latest
-// context deadline across the batch's still-live requests — the
-// earliest instant at which the whole batch could be expired. It
+// armAbort arms abort to fire just after the latest context deadline
+// across the batch's still-live requests — the earliest instant at
+// which the whole batch could be expired — and returns its channel. It
 // returns nil (never fires) when some request has no deadline at all.
 // The millisecond of slack keeps the common case to a single firing:
 // by then every ctx.Err() has actually flipped.
-func (b *Batcher) armAbort(live []*request) <-chan time.Time {
+func armAbort(live []*request, abort obs.Timer) <-chan time.Time {
 	var latest time.Time
 	for _, r := range live {
 		if r.ctx.Err() != nil {
@@ -501,9 +469,12 @@ func (b *Batcher) armAbort(live []*request) <-chan time.Time {
 	if latest.IsZero() {
 		// Everything expired between the live-filter and now; fire
 		// immediately so the select arms the cancel.
-		return b.abortTimer(0)
+		abort.Reset(0)
+		return abort.C()
 	}
-	return b.abortTimer(time.Until(latest) + time.Millisecond)
+	//lint:ignore pimcaps/timerleak context deadlines run on the runtime's clock; this is the one place one becomes a clock timer
+	abort.Reset(time.Until(latest) + time.Millisecond)
+	return abort.C()
 }
 
 // allExpired reports whether every request in the batch has an expired

@@ -146,12 +146,14 @@ func TestBrownoutConfigValidate(t *testing.T) {
 }
 
 // TestBatchAbortWhenAllExpired exercises the cooperative-cancel path
-// end to end at the batcher layer with injected timers: the abort
-// timer fires while a rider is still live (re-arm, no cancel), then
-// fires again after every rider expired (cancel armed, the run
-// function observes it, the abort is counted).
+// end to end at the batcher layer on a ManualClock: the abort timer
+// fires while a rider is still live (re-arm, no cancel), then fires
+// again after every rider expired (cancel armed, the run function
+// observes it, the abort is counted). The riders' deadlines are
+// context deadlines on the runtime's clock, so advancing the manual
+// clock past one fires the timer "early" without expiring anyone.
 func TestBatchAbortWhenAllExpired(t *testing.T) {
-	cfg := Config{MaxBatch: 2, MaxDelay: time.Hour, QueueSize: 4}.withDefaults()
+	cfg, clk := onManualClock(Config{MaxBatch: 2, QueueSize: 4, BatchDeadline: 1000 * time.Hour})
 	m := NewMetrics()
 	runEntered := make(chan struct{})
 	var b *Batcher
@@ -169,13 +171,6 @@ func TestBatchAbortWhenAllExpired(t *testing.T) {
 		return preds
 	}
 	b = NewBatcher(cfg, run, m, 3)
-	b.timer = neverTimer
-	abortTick := make(chan time.Time)
-	armed := make(chan time.Duration, 4)
-	b.abortTimer = func(d time.Duration) <-chan time.Time {
-		armed <- d
-		return abortTick
-	}
 	b.Start()
 	defer b.Close(context.Background())
 
@@ -195,12 +190,14 @@ func TestBatchAbortWhenAllExpired(t *testing.T) {
 		errs <- err
 	}()
 
-	<-runEntered // batch launched; run is blocked on the cancel flag
-	<-armed      // abort timer armed at batch start
+	<-runEntered      // batch launched; run is blocked on the cancel flag
+	clk.BlockUntil(2) // the watchdog, and the abort timer ~1h out
 
 	// Premature firing: riders still live → no cancel, timer re-armed.
-	abortTick <- time.Time{}
-	<-armed
+	if n := clk.Advance(2 * time.Hour); n != 1 {
+		t.Fatalf("advancing past the abort deadline fired %d timers, want 1", n)
+	}
+	clk.BlockUntil(2)
 	if b.CancelRequested() {
 		t.Fatal("cancel armed while riders were still live")
 	}
@@ -212,7 +209,7 @@ func TestBatchAbortWhenAllExpired(t *testing.T) {
 	<-errs
 
 	// Now the abort fires for real.
-	abortTick <- time.Time{}
+	clk.Advance(2 * time.Hour)
 	for i := 0; m.BatchesAborted.Value() != 1; i++ {
 		if i > 1e8 {
 			t.Fatalf("batch abort not counted; cancel requested=%v", b.CancelRequested())
@@ -264,18 +261,27 @@ func TestBrownoutIdleBitIdentical(t *testing.T) {
 
 // TestAbortTimerNotArmedWithoutDeadlines: a batch containing a rider
 // with no context deadline can never fully expire on its own, so the
-// abort timer must stay unarmed.
+// abort timer must stay unarmed — while the batch runs, the watchdog is
+// the only timer that can fire.
 func TestAbortTimerNotArmedWithoutDeadlines(t *testing.T) {
-	cfg := Config{MaxBatch: 1, MaxDelay: time.Hour, QueueSize: 4}.withDefaults()
-	b := NewBatcher(cfg, echoRun, nil, 1)
-	b.timer = neverTimer
-	b.abortTimer = func(d time.Duration) <-chan time.Time {
-		t.Error("abort timer armed for a batch with no deadlines")
-		return nil
-	}
+	cfg, clk := onManualClock(Config{MaxBatch: 1, QueueSize: 4, BatchDeadline: 1 << 62})
+	run, entered, release := gatedRun()
+	b := NewBatcher(cfg, run, nil, 1)
 	b.Start()
 	defer b.Close(context.Background())
-	if _, _, err := b.Submit(context.Background(), []float32{1}); err != nil {
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, _, err := b.Submit(context.Background(), []float32{1})
+		errCh <- err
+	}()
+	<-entered
+	clk.BlockUntil(1) // the watchdog
+	if n := clk.Advance(cfg.BatchDeadline - 1); n != 0 {
+		t.Errorf("%d timers besides the watchdog fired for a batch with no deadlines", n)
+	}
+	close(release)
+	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -77,9 +77,9 @@ type Config struct {
 	// classify request (trace ID, status, latency, batch size). Nil
 	// disables request logging.
 	Logger *slog.Logger
-	// Clock overrides the observability time source (trace spans,
-	// queue-wait measurement); nil means time.Now. Tests inject a fake
-	// clock here for deterministic span timings.
+	// Clock is where the server reads time and arms its timers: stage
+	// stamps, deadline arithmetic, and the fill, watchdog and abort
+	// timers. Nil means obs.Wall; tests pass an obs.ManualClock.
 	Clock obs.Clock
 	// Brownout configures the adaptive-fidelity overload controller:
 	// under sustained queue pressure the server sheds routing
@@ -133,6 +133,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Brownout.Enabled {
 		c.Brownout = c.Brownout.withDefaults()
+	}
+	if c.Clock == nil {
+		c.Clock = obs.Wall
 	}
 	return c
 }

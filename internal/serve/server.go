@@ -12,7 +12,6 @@ import (
 	"os"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/deadline"
@@ -68,9 +67,6 @@ type Server struct {
 	// flight is the tail-sampled flight recorder behind
 	// /debug/requests/flight; nil when Config.FlightBuffer is 0.
 	flight *obs.FlightRecorder
-	// clock is the observability time source (Config.Clock or
-	// time.Now).
-	clock obs.Clock
 	// logger receives one structured record per classify request when
 	// non-nil.
 	logger *slog.Logger
@@ -192,13 +188,8 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 // batcher; split from New so tests can inject instrumented batchers.
 func newServer(network *capsnet.Network, cfg Config, b *Batcher, m *Metrics) *Server {
 	m.QueueDepth = b.QueueDepth
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	s := &Server{
 		cfg: cfg, net: network, batcher: b, metrics: m, imgLen: network.ImageLen(),
-		clock:  clock,
 		logger: cfg.Logger,
 		tracer: obs.NewTracer(obs.TracerConfig{
 			Sample:     cfg.TraceSample,
@@ -263,7 +254,7 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Inc()
-	start := s.clock()
+	start := s.cfg.Clock.Now()
 	// Every request gets a trace ID (response header + log
 	// correlation); only sampled requests get a live span trace. A
 	// caller-supplied X-Trace-Id is honored so IDs can follow a request
@@ -296,9 +287,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(obs.TraceIDHeader, id)
 	w.WriteHeader(code)
-	encStart := s.clock()
+	encStart := s.cfg.Clock.Now()
 	json.NewEncoder(w).Encode(body)
-	end := s.clock()
+	end := s.cfg.Clock.Now()
 	s.metrics.Stages.With(StageEncode).Observe(end.Sub(encStart).Seconds())
 	t.Add(StageEncode, -1, encStart, end)
 	if t != nil {
@@ -405,7 +396,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	if r.Method != http.MethodPost {
 		return http.StatusMethodNotAllowed, errorBody{Error: "POST only"}, nil
 	}
-	aStart := s.clock()
+	aStart := s.cfg.Clock.Now()
 	var req ClassifyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding body: %v", err)}, nil
@@ -426,7 +417,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	// Admission closes here: decode + validation done, the request
 	// enters the batching pipeline. Rejected requests never reach the
 	// pipeline, so they record no admission stage.
-	aEnd := s.clock()
+	aEnd := s.cfg.Clock.Now()
 	s.metrics.Stages.With(StageAdmission).Observe(aEnd.Sub(aStart).Seconds())
 	obs.TraceFrom(r.Context()).Add(StageAdmission, -1, aStart, aEnd)
 	// End-to-end deadline propagation: an upstream-supplied absolute
@@ -438,21 +429,16 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	if err != nil {
 		return http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid %s header: %v", deadline.Header, err)}, nil
 	}
-	now := time.Now()
+	now := s.cfg.Clock.Now()
 	if hasDL && !dl.After(now) {
 		s.metrics.DeadlinesExpired.Inc()
 		return http.StatusGatewayTimeout, errorBody{Error: "deadline already expired on arrival"}, nil
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
+	budget := s.cfg.RequestTimeout
 	if hasDL {
-		if cap := now.Add(s.cfg.RequestTimeout); dl.After(cap) {
-			dl = cap
-		}
-		ctx, cancel = context.WithDeadline(r.Context(), dl)
-	} else {
-		ctx, cancel = context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		budget = min(dl.Sub(now), budget)
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 	pred, batch, err := s.batcher.Submit(ctx, req.Image)
 	switch {

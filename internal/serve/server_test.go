@@ -16,6 +16,8 @@ import (
 
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/dataset"
+	"pimcapsnet/internal/deadline"
+	"pimcapsnet/internal/obs"
 )
 
 // testNetwork builds a small seeded network plus matching synthetic
@@ -289,10 +291,9 @@ func TestReadyzLoadBody(t *testing.T) {
 func TestBatcherInflightGauge(t *testing.T) {
 	const classes = 3
 	net, images := testNetwork(t, classes)
-	cfg := Config{MaxBatch: 1, MaxDelay: time.Hour, QueueSize: 4}.withDefaults()
+	cfg, _ := onManualClock(Config{MaxBatch: 1, QueueSize: 4})
 	m := NewMetrics()
 	b := NewBatcher(cfg, echoRun, m, net.Config.RoutingIterations)
-	b.timer = neverTimer
 	srv := newServer(net, cfg, b, m) // batcher deliberately not started
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -327,10 +328,9 @@ func TestBatcherInflightGauge(t *testing.T) {
 func TestServerBackpressure429(t *testing.T) {
 	const classes = 3
 	net, images := testNetwork(t, classes)
-	cfg := Config{MaxBatch: 1, MaxDelay: time.Hour, QueueSize: 1}.withDefaults()
+	cfg, _ := onManualClock(Config{MaxBatch: 1, QueueSize: 1})
 	m := NewMetrics()
 	b := NewBatcher(cfg, echoRun, m, net.Config.RoutingIterations)
-	b.timer = neverTimer
 	srv := newServer(net, cfg, b, m) // batcher deliberately not started
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -355,6 +355,35 @@ func TestServerBackpressure429(t *testing.T) {
 	wg.Wait()
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerDeadlineOnItsClock: the X-Deadline budget is judged on the
+// server's clock. On a clock an hour ahead of the runtime's, a deadline
+// a minute out by wall time has already passed: 504 on arrival.
+func TestServerDeadlineOnItsClock(t *testing.T) {
+	net, images := testNetwork(t, 3)
+	srv, err := New(net, capsnet.ExactMath{}, Config{MaxBatch: 1, Clock: obs.NewManualClock(time.Now().Add(time.Hour))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body, _ := json.Marshal(ClassifyRequest{Image: images[0]})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", bytes.NewReader(body))
+	deadline.Set(req.Header, time.Now().Add(time.Minute))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	if got := srv.Metrics().DeadlinesExpired.Value(); got != 1 {
+		t.Fatalf("capsnet_deadline_expired_total = %d, want 1", got)
 	}
 }
 
