@@ -31,7 +31,7 @@
 // Usage:
 //
 //	capsnet-serve -checkpoint net.gob [-addr :8080] [-max-batch 8]
-//	              [-max-delay 2ms] [-queue 64] [-timeout 5s] [-math exact]
+//	              [-max-delay 0] [-queue 64] [-timeout 5s] [-math exact]
 //	              [-log-level info] [-log-format text|json]
 //	              [-trace-sample 0.1] [-trace-buffer 256] [-trace-out run.json]
 //	capsnet-serve -demo-classes 5    # seeded untrained demo network
@@ -69,7 +69,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "CapsNet checkpoint to serve (from capsnet-infer -save)")
 	demoClasses := flag.Int("demo-classes", 0, "serve a seeded untrained TinyConfig network with this many classes instead of a checkpoint")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", serve.DefaultMaxDelay, "max wait for a partial batch to fill")
+	maxDelay := flag.Duration("max-delay", 0, "how long an idle runner waits for a partial batch to fill (0 launches at once)")
 	queueSize := flag.Int("queue", serve.DefaultQueueSize, "admission queue bound (backpressure beyond this)")
 	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
 	drain := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown drain bound")

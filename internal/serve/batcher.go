@@ -83,17 +83,18 @@ type outcome struct {
 	err   error
 }
 
-// Batcher is the dynamic micro-batcher: admitted requests queue until
-// either MaxBatch accumulate or MaxDelay elapses since the batch's
-// first request, then the whole batch runs as one forward call so the
-// routing-procedure work is shared across requests (the software
-// analogue of the paper's batch-shared Alg. 1).
+// Batcher is the dynamic micro-batcher: admitted requests are collected
+// into a batch that launches as soon as the runner is idle (after
+// MaxDelay, when set, if the batch is not yet full), and the whole
+// batch runs as one forward call so the routing-procedure work is
+// shared across requests (the software analogue of the paper's
+// batch-shared Alg. 1).
 //
 // Two goroutines implement the two-stage pipeline of internal/
-// pipeline.TwoStage: the dispatcher collects and assembles batch k+1
-// while the runner executes batch k, so collection/preprocessing
-// overlaps inference exactly like the paper's host stage overlaps the
-// HMC routing stage.
+// pipeline.TwoStage, one batch in each stage: the dispatcher collects
+// batch k+1 while the runner executes batch k, so collection overlaps
+// inference exactly like the paper's host stage overlaps the HMC
+// routing stage, and a request never waits on an idle runner.
 type Batcher struct {
 	cfg     Config
 	run     RunFunc
@@ -101,7 +102,9 @@ type Batcher struct {
 	// routingIterations is reported to metrics per launched batch.
 	routingIterations int
 
-	q     *queue
+	q *queue
+	// runCh hands a batch from the dispatcher to the runner. It is
+	// unbuffered: a send completes only when the runner is idle.
 	runCh chan []*request
 
 	// cancelArmed flips true while the currently running batch should
@@ -145,7 +148,7 @@ func NewBatcher(cfg Config, run RunFunc, m *Metrics, routingIterations int) *Bat
 		metrics:           m,
 		routingIterations: routingIterations,
 		q:                 newQueue(cfg.QueueSize),
-		runCh:             make(chan []*request, 1),
+		runCh:             make(chan []*request),
 		stop:              make(chan struct{}),
 		dispatcherDone:    make(chan struct{}),
 		runnerDone:        make(chan struct{}),
@@ -227,38 +230,58 @@ func (b *Batcher) Submit(ctx context.Context, img []float32) (Prediction, int, e
 }
 
 // dispatch collects requests into micro-batches. One batch at a time
-// is under collection; handing it to runCh (capacity 1) lets the next
-// collection overlap the previous batch's execution. fill times each
-// batch's MaxDelay.
+// is under collection, and it launches when the runner can take it:
+// runCh is unbuffered, so the send succeeds exactly when the runner is
+// idle. The send is offered once the batch is full, or — with the
+// runner idle — at once when MaxDelay is 0, else after fill fires
+// MaxDelay past the batch's first request. While the runner is busy
+// the batch keeps filling up to MaxBatch, so collection overlaps the
+// previous batch's execution and no batch waits in a buffer.
 func (b *Batcher) dispatch(fill obs.Timer) {
 	defer close(b.dispatcherDone)
 	defer fill.Stop()
+	var batch []*request
+	// filling is fill's channel while the timer is armed for this batch
+	// and has not fired, nil otherwise.
+	var filling <-chan time.Time
+	collect := func(r *request) {
+		r.collected = b.cfg.Clock.Now()
+		if len(batch) == 0 && b.cfg.MaxDelay > 0 {
+			fill.Reset(b.cfg.MaxDelay)
+			filling = fill.C()
+		}
+		batch = append(batch, r)
+	}
 	for {
-		var first *request
+		// Queued requests join before the select, whose random choice
+		// would otherwise launch a short batch while more wait in q.
+		for len(batch) < b.cfg.MaxBatch {
+			r, ok := b.q.TryPop()
+			if !ok {
+				break
+			}
+			collect(r)
+		}
+		var in <-chan *request
+		if len(batch) < b.cfg.MaxBatch {
+			in = b.q.C()
+		}
+		var out chan<- []*request
+		if len(batch) == b.cfg.MaxBatch || (len(batch) > 0 && filling == nil) {
+			out = b.runCh
+		}
 		select {
-		case first = <-b.q.C():
-			first.collected = b.cfg.Clock.Now()
+		case r := <-in:
+			collect(r)
+		case out <- batch:
+			fill.Stop()
+			batch, filling = nil, nil
+		case <-filling:
+			filling = nil
 		case <-b.stop:
-			b.drain(nil)
+			b.drain(batch)
 			return
 		}
-		batch := []*request{first}
-		fill.Reset(b.cfg.MaxDelay)
-	collect:
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case r := <-b.q.C():
-				r.collected = b.cfg.Clock.Now()
-				batch = append(batch, r)
-			case <-fill.C():
-				break collect
-			case <-b.stop:
-				b.drain(batch)
-				return
-			}
-		}
-		fill.Stop()
-		b.runCh <- batch
 	}
 }
 

@@ -31,23 +31,26 @@ func onManualClock(cfg Config) (Config, *obs.ManualClock) {
 	return cfg.withDefaults(), clk
 }
 
-// gatedRun returns a RunFunc for one batch that closes entered and then
-// blocks until release is closed, echoing its images.
+// gatedRun returns a RunFunc whose first batch closes entered and then
+// blocks until release is closed; every batch echoes its images.
 func gatedRun() (run RunFunc, entered, release chan struct{}) {
 	entered, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	return func(images [][]float32) []Prediction {
-		close(entered)
-		<-release
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
 		return echoRun(images)
 	}, entered, release
 }
 
-// waitDepth spins (no sleeps) until the admission queue holds want
-// requests; Submit pushes synchronously before blocking, so this
+// waitDepth spins (no sleeps) until the admission queue holds exactly
+// want requests; Submit pushes synchronously before blocking, so this
 // settles deterministically.
 func waitDepth(t *testing.T, b *Batcher, want int) {
 	t.Helper()
-	for i := 0; b.QueueDepth() < want; i++ {
+	for i := 0; b.QueueDepth() != want; i++ {
 		if i > 1e8 {
 			t.Fatalf("queue depth stuck at %d, want %d", b.QueueDepth(), want)
 		}
@@ -55,10 +58,151 @@ func waitDepth(t *testing.T, b *Batcher, want int) {
 	}
 }
 
+// enqueue admits a request for img straight onto b's queue, as Submit
+// does, and returns it without waiting for its outcome: once enqueue
+// returns the dispatcher can see the request, which a Submit goroutine
+// does not promise.
+func enqueue(t *testing.T, b *Batcher, img float32) *request {
+	t.Helper()
+	r := &request{
+		ctx:      context.Background(),
+		img:      []float32{img},
+		done:     make(chan outcome, 1),
+		enqueued: b.cfg.Clock.Now(),
+	}
+	if !b.q.TryPush(r) {
+		t.Fatalf("request %g refused with %d queued", img, b.QueueDepth())
+	}
+	return r
+}
+
+// TestBatchLaunchesWhenIdle: under the default Config a lone request
+// launches the moment it is collected, on a clock that never moves, so
+// its batch_assembly stage is exactly zero.
+func TestBatchLaunchesWhenIdle(t *testing.T) {
+	cfg, _ := onManualClock(Config{})
+	m := NewMetrics()
+	b := NewBatcher(cfg, echoRun, m, 1)
+	b.Start()
+	defer b.Close(context.Background())
+
+	tr := &obs.Trace{ID: "idle"}
+	pred, batch, err := b.Submit(obs.WithTrace(context.Background(), tr.ID, tr), []float32{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Class != 5 || batch != 1 {
+		t.Fatalf("got class %d batch %d, want class 5 batch 1", pred.Class, batch)
+	}
+	assembled := false
+	for _, sp := range tr.Spans() {
+		if sp.Name == StageBatchAssembly {
+			assembled = true
+			if d := sp.End.Sub(sp.Start); d != 0 {
+				t.Fatalf("batch_assembly span %v, want 0", d)
+			}
+		}
+	}
+	if !assembled {
+		t.Fatal("no batch_assembly span recorded")
+	}
+	if h := m.Stages.With(StageBatchAssembly); h.Count() != 1 || h.Sum() != 0 {
+		t.Fatalf("batch_assembly observed %d times summing %gs, want once at 0", h.Count(), h.Sum())
+	}
+}
+
+// TestBatchTopsUpFromQueue: requests already queued when the runner
+// can take a batch all ride it, instead of select's random choice
+// launching the first one alone.
+func TestBatchTopsUpFromQueue(t *testing.T) {
+	cfg, _ := onManualClock(Config{MaxBatch: 8, QueueSize: 16})
+	run, entered, release := gatedRun()
+	b := NewBatcher(cfg, run, nil, 1)
+	reqs := make([]*request, 6)
+	for i := range reqs {
+		reqs[i] = enqueue(t, b, float32(i))
+	}
+	b.Start()
+	defer b.Close(context.Background())
+	<-entered
+	close(release)
+	for i, r := range reqs {
+		if out := <-r.done; out.err != nil || out.pred.Class != i || out.batch != 6 {
+			t.Fatalf("request %d: class %d batch %d err %v, want class %d batch 6", i, out.pred.Class, out.batch, out.err, i)
+		}
+	}
+}
+
+// TestBatchKeepsFillingWhileRunnerBusy: a batch whose fill timer fires
+// while the runner is busy keeps collecting instead of closing, so the
+// cohort that arrived during batch 1 rides batch 2 whole.
+func TestBatchKeepsFillingWhileRunnerBusy(t *testing.T) {
+	cfg, clk := onManualClock(Config{MaxBatch: 4, MaxDelay: time.Millisecond, QueueSize: 16})
+	run, entered, release := gatedRun()
+	b := NewBatcher(cfg, run, nil, 1)
+	b.Start()
+	defer b.Close(context.Background())
+
+	first := enqueue(t, b, 0)
+	clk.BlockUntil(1) // the fill timer
+	clk.Advance(cfg.MaxDelay)
+	<-entered // batch 1 runs, and holds the runner
+
+	cohort := []*request{enqueue(t, b, 1)}
+	clk.BlockUntil(2) // the watchdog, and batch 2's fill timer
+	if n := clk.Advance(cfg.MaxDelay); n != 1 {
+		t.Fatalf("advancing MaxDelay fired %d timers, want batch 2's fill timer", n)
+	}
+	for i := 2; i <= 4; i++ {
+		cohort = append(cohort, enqueue(t, b, float32(i)))
+	}
+	waitDepth(t, b, 0) // all collected: the batch is full
+	close(release)
+
+	if out := <-first.done; out.err != nil || out.batch != 1 {
+		t.Fatalf("batch 1: batch %d err %v, want 1", out.batch, out.err)
+	}
+	for i, r := range cohort {
+		if out := <-r.done; out.err != nil || out.pred.Class != i+1 || out.batch != 4 {
+			t.Fatalf("request %d: class %d batch %d err %v, want class %d batch 4", i+1, out.pred.Class, out.batch, out.err, i+1)
+		}
+	}
+}
+
+// TestBatchAdmissionBound: at most the running batch + MaxBatch under
+// collection + QueueSize requests are admitted; the next is refused.
+func TestBatchAdmissionBound(t *testing.T) {
+	cfg, _ := onManualClock(Config{MaxBatch: 2, QueueSize: 2})
+	run, entered, release := gatedRun()
+	b := NewBatcher(cfg, run, nil, 1)
+	reqs := []*request{enqueue(t, b, 0), enqueue(t, b, 1)}
+	b.Start()
+	defer b.Close(context.Background())
+	<-entered // requests 0 and 1 run
+
+	reqs = append(reqs, enqueue(t, b, 2), enqueue(t, b, 3))
+	waitDepth(t, b, 0) // 2 and 3 collected: the batch is full
+	reqs = append(reqs, enqueue(t, b, 4), enqueue(t, b, 5))
+
+	// A cancelled context returns at once if it is admitted after all.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := b.Submit(ctx, []float32{6})
+	close(release)
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("7th submit returned %v, want ErrQueueFull", err)
+	}
+	for i, r := range reqs {
+		if out := <-r.done; out.err != nil || out.pred.Class != i {
+			t.Fatalf("request %d: class %d err %v", i, out.pred.Class, out.err)
+		}
+	}
+}
+
 // TestFullBatchFiresImmediately: MaxBatch requests launch without the
 // MaxDelay timer ever firing.
 func TestFullBatchFiresImmediately(t *testing.T) {
-	cfg, _ := onManualClock(Config{MaxBatch: 4, QueueSize: 16})
+	cfg, _ := onManualClock(Config{MaxBatch: 4, MaxDelay: time.Hour, QueueSize: 16})
 	b := NewBatcher(cfg, echoRun, nil, 1)
 	b.Start()
 	defer b.Close(context.Background())
@@ -201,7 +345,9 @@ func TestQueueOverflowRejects(t *testing.T) {
 // TestCloseDrainsInFlight: requests admitted before shutdown complete
 // with real results, and submits after shutdown are rejected.
 func TestCloseDrainsInFlight(t *testing.T) {
-	cfg, _ := onManualClock(Config{MaxBatch: 8, QueueSize: 16}) // only shutdown can launch the batch
+	// The fill timer never fires on the manual clock, so only shutdown
+	// can launch the partial batch.
+	cfg, _ := onManualClock(Config{MaxBatch: 8, MaxDelay: time.Second, QueueSize: 16})
 	b := NewBatcher(cfg, echoRun, nil, 1)
 
 	var wg sync.WaitGroup

@@ -171,11 +171,10 @@ func TestBatchAbortWhenAllExpired(t *testing.T) {
 		return preds
 	}
 	b = NewBatcher(cfg, run, m, 3)
-	b.Start()
-	defer b.Close(context.Background())
 
 	// Two riders with deadlines far in the future (so armAbort arms a
-	// timer) that the test expires by cancelation.
+	// timer) that the test expires by cancelation. Both queue before
+	// Start, so they launch together as one batch.
 	ctx1, cancel1 := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
 	defer cancel1()
 	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
@@ -189,6 +188,9 @@ func TestBatchAbortWhenAllExpired(t *testing.T) {
 		_, _, err := b.Submit(ctx2, []float32{2})
 		errs <- err
 	}()
+	waitDepth(t, b, 2)
+	b.Start()
+	defer b.Close(context.Background())
 
 	<-runEntered      // batch launched; run is blocked on the cancel flag
 	clk.BlockUntil(2) // the watchdog, and the abort timer ~1h out

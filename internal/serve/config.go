@@ -7,12 +7,13 @@
 // scheduling.
 //
 // The subsystem mirrors the two-stage host/HMC pipeline modeled in
-// internal/pipeline: request decode/validation (stage one, done per
-// connection by net/http handler goroutines) overlaps the batched
-// Network.Forward of the previous batch (stage two, one in-flight
-// batch executed by a dedicated runner goroutine), so steady-state
-// throughput is set by the slower of the two sides, as in
-// pipeline.TwoStage. Inside a batch, Forward splits every stage over
+// internal/pipeline, one batch in each stage: request decode,
+// validation and batch collection (stage one, net/http handler
+// goroutines feeding the batcher's dispatcher) overlap the batched
+// Network.Forward of the previous batch (stage two, executed by a
+// dedicated runner goroutine). A collected batch launches the moment
+// the runner is idle, so steady-state throughput is set by the slower
+// of the two sides, as in pipeline.TwoStage. Inside a batch, Forward splits every stage over
 // the Network's GOMAXPROCS chunk workers.
 //
 // Everything is standard library only.
@@ -32,12 +33,15 @@ type Config struct {
 	// MaxBatch is the micro-batch size cap: a batch launches as soon
 	// as this many requests are queued. Default 8.
 	MaxBatch int
-	// MaxDelay is how long the batcher waits for a partial batch to
-	// fill before launching it anyway. Default 2ms.
+	// MaxDelay is how long an idle runner waits for a partial batch to
+	// fill before launching it. While the runner is busy the batch keeps
+	// filling regardless. Default 0: a batch launches as soon as the
+	// runner is idle.
 	MaxDelay time.Duration
 	// QueueSize bounds the admission queue; requests arriving while it
-	// is full are rejected with 429 + Retry-After (backpressure).
-	// Default 64.
+	// is full are rejected with 429 + Retry-After (backpressure). At
+	// most the running batch + MaxBatch (the batch under collection) +
+	// QueueSize requests are admitted at once. Default 64.
 	QueueSize int
 	// RequestTimeout is the per-request deadline covering queueing and
 	// inference; expiry yields 504. Default 5s.
@@ -100,7 +104,6 @@ type Config struct {
 // Defaults for the zero Config.
 const (
 	DefaultMaxBatch       = 8
-	DefaultMaxDelay       = 2 * time.Millisecond
 	DefaultQueueSize      = 64
 	DefaultRequestTimeout = 5 * time.Second
 	DefaultDrainTimeout   = 10 * time.Second
@@ -112,9 +115,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = DefaultMaxDelay
 	}
 	if c.QueueSize == 0 {
 		c.QueueSize = DefaultQueueSize

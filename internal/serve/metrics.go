@@ -18,7 +18,8 @@ const (
 	// dispatcher collecting the request.
 	StageQueueWait = "queue_wait"
 	// StageBatchAssembly is time between collection and the batch
-	// launching (waiting for batchmates or the fill timer).
+	// launching (waiting for the busy runner, or for an idle runner's
+	// fill timer when MaxDelay > 0).
 	StageBatchAssembly = "batch_assembly"
 	// StageForward is the batched forward pass (whose interior the
 	// capsnet.Stage* stages further decompose).
