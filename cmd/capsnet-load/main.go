@@ -22,21 +22,21 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"pimcapsnet/internal/cluster"
 	"pimcapsnet/internal/dataset"
 	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/loadgen"
@@ -91,20 +91,36 @@ func run() int {
 	}
 
 	// Ctrl-C stops dispatching and returns through the normal path, so
-	// the deferred stop() below still reaps a -spawn'ed replica instead
+	// the deferred Stop below still reaps a -spawn'ed replica instead
 	// of orphaning it.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
 	base := *addr
 	if *spawn != "" {
-		srv, err := spawnServe(*spawn, flag.Args())
+		// The replica runs under the router tier's supervisor: spawn,
+		// "serving" line, /readyz barrier, restart with backoff, and a
+		// SIGTERM drain (SIGKILL after its bound) when Stop runs.
+		cfg := cluster.ManagerConfig{
+			Binary: *spawn, Args: flag.Args(),
+			StartTimeout: 30 * time.Second,
+			Logger:       slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		}
+		m, err := cluster.NewManager(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		defer srv.stop()
-		base = srv.base
+		m.Start()
+		defer m.Stop()
+		readyCtx, readyCancel := context.WithTimeout(ctx, cfg.StartTimeout)
+		err = cluster.WaitReady(readyCtx, m, 1)
+		readyCancel()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		base = m.Snapshot()[0].URL
 	} else if base == "" {
 		if *target == "router" {
 			base = "http://localhost:8090"
@@ -248,80 +264,6 @@ func run() int {
 		fmt.Println("  SLO gate passed")
 	}
 	return 0
-}
-
-// spawnedServe is one capsnet-serve subprocess owned by the load run.
-type spawnedServe struct {
-	cmd  *exec.Cmd
-	base string
-}
-
-// spawnServe boots the binary on an ephemeral port and waits for its
-// "serving" log line and a 200 /readyz, mirroring how the router tier
-// adopts replicas.
-func spawnServe(binary string, extraArgs []string) (*spawnedServe, error) {
-	args := append(append([]string{}, extraArgs...),
-		"-addr", "127.0.0.1:0", "-log-format", "json", "-log-level", "info")
-	cmd := exec.Command(binary, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("spawning %s: %w", binary, err)
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			var rec struct {
-				Msg  string `json:"msg"`
-				Addr string `json:"addr"`
-			}
-			if json.Unmarshal(sc.Bytes(), &rec) == nil && rec.Msg == "serving" && rec.Addr != "" {
-				select {
-				case addrCh <- rec.Addr:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		s := &spawnedServe{cmd: cmd, base: "http://" + addr}
-		client := &http.Client{Timeout: time.Second}
-		for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
-			resp, err := client.Get(s.base + "/readyz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return s, nil
-				}
-			}
-		}
-		s.stop()
-		return nil, fmt.Errorf("spawned server never went ready")
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("spawned server never logged its address")
-	}
-}
-
-// stop drains the spawned server: SIGTERM, bounded wait, then kill.
-func (s *spawnedServe) stop() {
-	if s.cmd.Process == nil {
-		return
-	}
-	s.cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() { s.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		s.cmd.Process.Kill()
-		<-done
-	}
 }
 
 // buildBodies pre-serializes one classify body per class so request

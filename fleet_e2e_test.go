@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os/exec"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -41,13 +39,10 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		t.Skip("builds and boots the router and two replicas; skipped in -short")
 	}
 
-	dir := t.TempDir()
-	serveBin := buildBinary(t, dir, "capsnet-serve")
-	routerBin := buildBinary(t, dir, "capsnet-router")
-
-	router := exec.Command(routerBin,
+	bins := buildCmds(t, "capsnet-serve", "capsnet-router")
+	router := startProc(t, bins[1], "routing",
 		"-addr", "127.0.0.1:0",
-		"-serve-bin", serveBin,
+		"-serve-bin", bins[0],
 		"-replicas", "2",
 		"-wait-ready", "2",
 		"-probe-interval", "250ms",
@@ -62,15 +57,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		"-chaos-stall", "400ms", "-chaos-stall-arm", "1",
 		"-chaos-corrupt", "4", "-chaos-corrupt-arm", "1",
 	)
-	stderr, err := router.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer router.Process.Kill()
-	base := "http://" + waitForAddr(t, stderr, "routing", 120*time.Second)
+	base := router.base
 
 	var info struct {
 		Channels, Height, Width int
@@ -250,19 +237,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	assertMergedHistogram(t, fleetSamples, "capsnet_request_latency_seconds_count")
 
 	// Graceful shutdown.
-	if err := router.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- router.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("router exited non-zero: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("router did not exit after SIGINT")
-	}
+	router.interrupt()
 }
 
 func hasReason(reasons []string, want string) bool {

@@ -1,8 +1,8 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -104,87 +104,10 @@ func checkFuncReleases(pass *Pass, fn *ast.FuncDecl) {
 				if obj == nil || !isCapsnetOutput(obj.Type()) {
 					continue
 				}
-				checkOutputVar(pass, fn, n, call, obj)
+				mustReach(pass, fn.Body, n, obj, "Release",
+					fmt.Sprintf("capsnet.Output from %s is never released; call or defer %s.Release()", calleeName(call), obj.Name()),
+					"return may leak the capsnet.Output acquired at line %d: Release is not yet deferred on this path")
 			}
-		}
-		return true
-	})
-}
-
-// checkOutputVar traces one acquired Output variable through the
-// function body: a Release (called or deferred) discharges the
-// obligation, a field read (out.Lengths) or method call
-// (out.Predictions()) merely uses it, and any other mention — return,
-// argument, store, alias — escapes it to a new owner. A return
-// statement positioned between the acquisition and the first
-// Release/escape is the classic early-return leak and is reported.
-func checkOutputVar(pass *Pass, fn *ast.FuncDecl, acq *ast.AssignStmt, call *ast.CallExpr, obj types.Object) {
-	guardPos := token.Pos(-1) // position of the first Release or escape
-	note := func(pos token.Pos) {
-		if guardPos < 0 || pos < guardPos {
-			guardPos = pos
-		}
-	}
-	var deferStack []*ast.DeferStmt
-	released, escaped := false, false
-
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferStack = append(deferStack, n)
-			ast.Inspect(n.Call, visit)
-			deferStack = deferStack[:len(deferStack)-1]
-			return false
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					if sel.Sel.Name == "Release" {
-						released = true
-						// A deferred release guards from the defer
-						// statement onward.
-						pos := n.Pos()
-						if len(deferStack) > 0 {
-							pos = deferStack[len(deferStack)-1].Pos()
-						}
-						note(pos)
-					}
-					// Method call on the Output: receiver use, not an
-					// escape; still scan the arguments.
-					for _, arg := range n.Args {
-						ast.Inspect(arg, visit)
-					}
-					return false
-				}
-			}
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-				return false // field read like out.Lengths: not an escape
-			}
-		case *ast.Ident:
-			if pass.TypesInfo.Uses[n] == obj && n.Pos() > acq.End() {
-				// Any other use after acquisition — argument, return,
-				// store, alias — conservatively transfers the release
-				// obligation to the new holder.
-				escaped = true
-				note(n.Pos())
-			}
-		}
-		return true
-	}
-	ast.Inspect(fn.Body, visit)
-
-	if !released && !escaped {
-		pass.Reportf(acq.Pos(), "capsnet.Output from %s is never released; call or defer %s.Release()", calleeName(call), obj.Name())
-		return
-	}
-	// Early-return leak: a return reachable between acquisition and the
-	// first Release/escape abandons the arena on that path. Comparing
-	// the return's END against the guard keeps `return out` clean: the
-	// escape there is inside the return statement itself.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok && ret.Pos() > acq.End() && (guardPos < 0 || ret.End() <= guardPos) {
-			pass.Reportf(ret.Pos(), "return may leak the capsnet.Output acquired at line %d: Release is not yet deferred on this path", pass.Fset.Position(acq.Pos()).Line)
 		}
 		return true
 	})

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -24,8 +25,8 @@ import (
 //     release the timer.
 //  3. time.Tick never appears outside tests.
 //  4. Every time.NewTimer/time.NewTicker or obs.Clock NewTimer
-//     assigned to a local must reach Stop() on all paths, mirroring
-//     releasecheck's flow-light model: a Stop (called or deferred)
+//     assigned to a local must reach Stop() on all paths, through the
+//     must-reach walk shared with releasecheck: a Stop (called or deferred)
 //     discharges the obligation, any other mention — return, argument,
 //     store — escapes it to a new owner, and a return between the
 //     acquisition and the first Stop/escape is the early-return leak.
@@ -201,7 +202,9 @@ func checkScopeTimers(pass *Pass, body *ast.BlockStmt) {
 				if obj == nil || obj.Pos() < body.Pos() || obj.Pos() > body.End() {
 					continue
 				}
-				checkTimerVar(pass, body, n, call, obj, kind)
+				mustReach(pass, body, n, obj, "Stop",
+					fmt.Sprintf("%s from %s never reaches Stop(); call or defer %s.Stop()", kind, calleeFullName(pass, call), obj.Name()),
+					"return may abandon the running "+kind+" acquired at line %d: Stop is not yet deferred on this path")
 			}
 		}
 		return true
@@ -225,77 +228,4 @@ func timerCtor(pass *Pass, call *ast.CallExpr) string {
 		}
 	}
 	return ""
-}
-
-// checkTimerVar traces one acquired timer variable through its scope,
-// mirroring releasecheck's flow-light model: Stop (called or deferred)
-// discharges the obligation, selector uses (t.C, t.Reset) merely use
-// it, and any other mention escapes it to a new owner. A return
-// between the acquisition and the first Stop/escape abandons a running
-// timer on that path.
-func checkTimerVar(pass *Pass, scope *ast.BlockStmt, acq *ast.AssignStmt, call *ast.CallExpr, obj types.Object, kind string) {
-	guardPos := token.Pos(-1) // position of the first Stop or escape
-	note := func(pos token.Pos) {
-		if guardPos < 0 || pos < guardPos {
-			guardPos = pos
-		}
-	}
-	var deferStack []*ast.DeferStmt
-	stopped, escaped := false, false
-
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferStack = append(deferStack, n)
-			ast.Inspect(n.Call, visit)
-			deferStack = deferStack[:len(deferStack)-1]
-			return false
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					if sel.Sel.Name == "Stop" {
-						stopped = true
-						// A deferred Stop guards from the defer
-						// statement onward.
-						pos := n.Pos()
-						if len(deferStack) > 0 {
-							pos = deferStack[len(deferStack)-1].Pos()
-						}
-						note(pos)
-					}
-					// Method call on the timer (Stop, Reset): receiver
-					// use, not an escape; still scan the arguments.
-					for _, arg := range n.Args {
-						ast.Inspect(arg, visit)
-					}
-					return false
-				}
-			}
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-				return false // t.C: channel use, not an escape
-			}
-		case *ast.Ident:
-			if pass.TypesInfo.Uses[n] == obj && n.Pos() > acq.End() {
-				// Any other use — argument, return, store, alias —
-				// conservatively transfers the Stop obligation.
-				escaped = true
-				note(n.Pos())
-			}
-		}
-		return true
-	}
-	ast.Inspect(scope, visit)
-
-	if !stopped && !escaped {
-		pass.Reportf(acq.Pos(), "%s from %s never reaches Stop(); call or defer %s.Stop()", kind, calleeFullName(pass, call), obj.Name())
-		return
-	}
-	ast.Inspect(scope, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok && ret.Pos() > acq.End() && (guardPos < 0 || ret.End() <= guardPos) {
-			pass.Reportf(ret.Pos(), "return may abandon the running %s acquired at line %d: Stop is not yet deferred on this path", kind, pass.Fset.Position(acq.Pos()).Line)
-		}
-		return true
-	})
 }

@@ -3,8 +3,8 @@
 // model (internal/gpusim), the HMC vault/crossbar simulator
 // (internal/hmc), the PE array model (internal/pe), the inter-vault
 // workload distributor (internal/distribute), the RMAS scheduler
-// (internal/sched), the host/HMC pipeline (internal/pipeline) and the
-// energy accounting (internal/energy) into one evaluator that
+// (internal/sched) and the energy accounting (internal/energy), with
+// the host/HMC batch pipeline (twoStage), into one evaluator that
 // reproduces every design point of the paper's evaluation:
 //
 //	Baseline    — GPU with HBM (§6.1 design 1)

@@ -5,7 +5,6 @@ import (
 
 	"pimcapsnet/internal/energy"
 	"pimcapsnet/internal/pe"
-	"pimcapsnet/internal/pipeline"
 	"pimcapsnet/internal/sched"
 	"pimcapsnet/internal/workload"
 )
@@ -126,7 +125,7 @@ func (e *Engine) hybridInference(b workload.Benchmark, d Design) InferenceResult
 	hostBatch := host + hostFrac*overlap
 	devBatch := rp.Time + pimFrac*overlap
 
-	total := pipeline.TwoStage(hostBatch, devBatch, RunBatches)
+	total := twoStage(hostBatch, devBatch, RunBatches)
 
 	// Energy: GPU active for its layers each batch, idle for the rest
 	// of the makespan; HMC active for RP, idle otherwise; host layer
@@ -152,6 +151,18 @@ func (e *Engine) hybridInference(b workload.Benchmark, d Design) InferenceResult
 		Energy: gpuActive.Plus(gpuIdle).Plus(hmcActive).Plus(hmcIdle).Plus(ext),
 		RP:     rp,
 	}
+}
+
+// twoStage returns the makespan of n batches through the host/HMC
+// batch pipeline (paper §4): while the HMC executes batch k's routing
+// procedure, the host GPU runs batch k+1's Conv/PrimaryCaps and batch
+// k−1's FC decoder. It fills with the first host stage, streams at
+// max(host, device) and drains with the last device stage.
+func twoStage(host, device float64, n int) float64 {
+	if n <= 0 {
+		return 0
+	}
+	return host + maxf(host, device)*float64(n-1) + device
 }
 
 // allInPIM runs the whole network, Conv/PrimaryCaps/FC included, on

@@ -90,8 +90,8 @@ type outcome struct {
 // shared across requests (the software analogue of the paper's
 // batch-shared Alg. 1).
 //
-// Two goroutines implement the two-stage pipeline of internal/
-// pipeline.TwoStage, one batch in each stage: the dispatcher collects
+// Two goroutines implement the paper's two-stage host/HMC pipeline
+// (§4), one batch in each stage: the dispatcher collects
 // batch k+1 while the runner executes batch k, so collection overlaps
 // inference exactly like the paper's host stage overlaps the HMC
 // routing stage, and a request never waits on an idle runner.

@@ -6,14 +6,14 @@
 // serving layer is the software analogue of the paper's hardware
 // scheduling.
 //
-// The subsystem mirrors the two-stage host/HMC pipeline modeled in
-// internal/pipeline, one batch in each stage: request decode,
+// The subsystem mirrors the paper's two-stage host/HMC batch pipeline
+// (§4, modeled in internal/core), one batch in each stage: request decode,
 // validation and batch collection (stage one, net/http handler
 // goroutines feeding the batcher's dispatcher) overlap the batched
 // Network.Forward of the previous batch (stage two, executed by a
 // dedicated runner goroutine). A collected batch launches the moment
 // the runner is idle, so steady-state throughput is set by the slower
-// of the two sides, as in pipeline.TwoStage. Inside a batch, Forward splits every stage over
+// of the two sides, as in the paper's pipeline. Inside a batch, Forward splits every stage over
 // the Network's GOMAXPROCS chunk workers.
 //
 // Everything is standard library only.

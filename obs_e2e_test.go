@@ -1,18 +1,12 @@
 package pimcapsnet_bench
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/trace"
@@ -62,72 +56,17 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 		t.Skip("builds and boots the server binary; skipped in -short")
 	}
 
-	bin := filepath.Join(t.TempDir(), "capsnet-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/capsnet-serve")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building capsnet-serve: %v\n%s", err, out)
-	}
-
-	srv := exec.Command(bin,
+	// The startup log line carries the bound address (-addr :0 makes
+	// the OS pick the port) and every later line must be valid JSON
+	// with a trace ID on request records.
+	srv := startProc(t, buildCmds(t, "capsnet-serve")[0], "serving",
 		"-demo-classes", "3",
 		"-addr", "127.0.0.1:0",
 		"-log-format", "json",
 		"-log-level", "info",
 		"-trace-sample", "1",
 	)
-	stderr, err := srv.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Process.Kill()
-
-	// The startup log line carries the bound address (-addr :0 makes
-	// the OS pick the port) and every later line must be valid JSON
-	// with a trace ID on request records.
-	type logRec struct {
-		Msg     string `json:"msg"`
-		Addr    string `json:"addr"`
-		TraceID string `json:"trace_id"`
-		Status  int    `json:"status"`
-	}
-	scanner := bufio.NewScanner(stderr)
-	addrCh := make(chan string, 1)
-	logErrCh := make(chan error, 1)
-	requestLogs := make(chan logRec, 64)
-	go func() {
-		defer close(requestLogs)
-		for scanner.Scan() {
-			line := scanner.Text()
-			var rec logRec
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				select {
-				case logErrCh <- fmt.Errorf("non-JSON log line %q: %v", line, err):
-				default:
-				}
-				continue
-			}
-			switch rec.Msg {
-			case "serving":
-				select {
-				case addrCh <- rec.Addr:
-				default:
-				}
-			case "classify":
-				requestLogs <- rec
-			}
-		}
-	}()
-
-	var base string
-	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
-	case <-time.After(15 * time.Second):
-		t.Fatal("server never logged its address")
-	}
+	base := srv.base
 
 	// Size the image from the advertised model geometry and fire load.
 	var info struct {
@@ -202,29 +141,16 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 		}
 	}
 
-	// Graceful shutdown must exit 0.
-	if err := srv.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("server exited non-zero: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not exit after SIGINT")
-	}
+	// Graceful shutdown must exit 0, and every log line must have been
+	// JSON.
+	srv.interrupt()
 
-	// Structured logs: every classify record is JSON with a trace ID.
-	select {
-	case err := <-logErrCh:
-		t.Error(err)
-	default:
-	}
+	// Structured logs: every classify record carries a trace ID.
 	count := 0
-	for rec := range requestLogs {
+	for _, rec := range srv.records {
+		if rec.Msg != "classify" {
+			continue
+		}
 		count++
 		if len(rec.TraceID) != 16 || rec.Status != 200 {
 			t.Errorf("bad request log record: %+v", rec)

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os/exec"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -35,13 +33,10 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 		t.Skip("builds and boots the router and two replicas; skipped in -short")
 	}
 
-	dir := t.TempDir()
-	serveBin := buildBinary(t, dir, "capsnet-serve")
-	routerBin := buildBinary(t, dir, "capsnet-router")
-
-	router := exec.Command(routerBin,
+	bins := buildCmds(t, "capsnet-serve", "capsnet-router")
+	router := startProc(t, bins[1], "routing",
 		"-addr", "127.0.0.1:0",
-		"-serve-bin", serveBin,
+		"-serve-bin", bins[0],
 		"-replicas", "2",
 		"-wait-ready", "2",
 		"-retries", "2",
@@ -65,15 +60,7 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 		"-brownout-hold", "30ms",
 		"-brownout-approx",
 	)
-	stderr, err := router.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer router.Process.Kill()
-	base := "http://" + waitForAddr(t, stderr, "routing", 120*time.Second)
+	base := router.base
 
 	var info struct {
 		Channels, Height, Width int
@@ -248,17 +235,5 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 	}
 
 	// Clean exit under the same contract as the chaos e2e.
-	if err := router.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- router.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("router exited non-zero: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("router did not exit after SIGINT")
-	}
+	router.interrupt()
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -15,17 +13,6 @@ import (
 
 	"pimcapsnet/internal/cluster"
 )
-
-// buildBinary compiles one cmd/ binary into dir and returns its path.
-func buildBinary(t *testing.T, dir, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	build := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
-	}
-	return bin
-}
 
 // TestRouterChaosE2E is the chaos end-to-end the CI router-smoke job
 // runs: the real capsnet-router supervises three real capsnet-serve
@@ -39,13 +26,12 @@ func TestRouterChaosE2E(t *testing.T) {
 		t.Skip("builds and boots the router and three replicas; skipped in -short")
 	}
 
-	dir := t.TempDir()
-	serveBin := buildBinary(t, dir, "capsnet-serve")
-	routerBin := buildBinary(t, dir, "capsnet-router")
-
-	router := exec.Command(routerBin,
+	bins := buildCmds(t, "capsnet-serve", "capsnet-router")
+	// The router logs "routing" with its bound address once the fleet
+	// is ready (same startup contract as capsnet-serve's "serving").
+	router := startProc(t, bins[1], "routing",
 		"-addr", "127.0.0.1:0",
-		"-serve-bin", serveBin,
+		"-serve-bin", bins[0],
 		"-replicas", "3",
 		"-wait-ready", "3",
 		"-probe-interval", "250ms",
@@ -56,18 +42,7 @@ func TestRouterChaosE2E(t *testing.T) {
 		"-chaos-stall", "1s", "-chaos-stall-arm", "1",
 		"-chaos-corrupt", "4", "-chaos-corrupt-arm", "1",
 	)
-	stderr, err := router.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer router.Process.Kill()
-
-	// The router logs "routing" with its bound address once the fleet
-	// is ready (same startup contract as capsnet-serve's "serving").
-	base := "http://" + waitForAddr(t, stderr, "routing", 120*time.Second)
+	base := router.base
 
 	// Size the image from the model geometry proxied through the router.
 	var info struct {
@@ -205,49 +180,5 @@ func TestRouterChaosE2E(t *testing.T) {
 	}
 
 	// Graceful shutdown: SIGINT drains the router and the fleet, exit 0.
-	if err := router.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- router.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("router exited non-zero: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("router did not exit after SIGINT")
-	}
-}
-
-// waitForAddr scans JSON log lines on r until a record with the given
-// msg carries an addr field, then keeps draining the pipe in the
-// background (a full pipe would block the child).
-func waitForAddr(t *testing.T, r io.Reader, msg string, timeout time.Duration) string {
-	t.Helper()
-	addrCh := make(chan string, 1)
-	go func() {
-		dec := json.NewDecoder(r)
-		for {
-			var rec map[string]any
-			if err := dec.Decode(&rec); err != nil {
-				return
-			}
-			if rec["msg"] == msg {
-				if addr, ok := rec["addr"].(string); ok {
-					select {
-					case addrCh <- addr:
-					default:
-					}
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return addr
-	case <-time.After(timeout):
-		t.Fatalf("no %q log line within %v", msg, timeout)
-		return ""
-	}
+	router.interrupt()
 }

@@ -23,18 +23,9 @@ func TestSLOGateE2E(t *testing.T) {
 		t.Skip("builds and boots server + load binaries; skipped in -short")
 	}
 
+	bins := buildCmds(t, "capsnet-serve", "capsnet-load")
+	serveBin, loadBin := bins[0], bins[1]
 	dir := t.TempDir()
-	serveBin := filepath.Join(dir, "capsnet-serve")
-	loadBin := filepath.Join(dir, "capsnet-load")
-	for _, b := range []struct{ bin, pkg string }{
-		{serveBin, "./cmd/capsnet-serve"},
-		{loadBin, "./cmd/capsnet-load"},
-	} {
-		if out, err := exec.Command("go", "build", "-o", b.bin, b.pkg).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", b.pkg, err, out)
-		}
-	}
-
 	baseline := filepath.Join(dir, "SLO_BASELINE.json")
 	report := filepath.Join(dir, "slo_report.json")
 	common := []string{
