@@ -4,9 +4,10 @@
 // restart-on-crash with exponential backoff), probes their
 // machine-readable /readyz load bodies, and routes classify traffic
 // across them with the paper's inter-vault placement score
-// S = 1/(αE + βM) generalized to replicas (see DESIGN.md §8):
-// consistent-hash affinity while loads are even, least-loaded spill
-// when a request's home replica falls behind.
+// S = 1/(αE + βM) generalized to replicas (see DESIGN.md §8), where
+// only β·M/α matters and -move-penalty sets it: consistent-hash
+// affinity while loads are even, least-loaded spill when a request's
+// home replica falls more than -move-penalty requests behind.
 //
 // Endpoints:
 //
@@ -36,8 +37,13 @@
 //
 //	capsnet-router -replicas 3 [-addr :8090] [-serve-bin capsnet-serve]
 //	               [-retries 4] [-hedge-delay 500ms] [-hedges 1]
-//	               [-move-penalty 2] [-alpha 1] [-beta 1]
+//	               [-move-penalty 2] [-trace-sample 0] [-flight-buffer 64]
+//	               [-log-level info] [-log-format text|json]
 //	               -- -demo-classes 5 -max-batch 8
+//
+// The six observability flags (-trace-sample, -trace-buffer,
+// -flight-buffer, -slow-threshold, -log-level, -log-format) are bound
+// by obs.BindFlags with the same names and defaults as capsnet-serve.
 //
 // SIGTERM/SIGINT drain the router and then the replica fleet.
 package main
@@ -55,7 +61,7 @@ import (
 	"time"
 
 	"pimcapsnet/internal/cluster"
-	"pimcapsnet/internal/distribute"
+	"pimcapsnet/internal/obs"
 )
 
 func main() {
@@ -70,21 +76,14 @@ func main() {
 	hedges := flag.Int("hedges", 1, "per-request hedging budget")
 	budget := flag.Duration("budget", 0, "default end-to-end deadline assigned to requests arriving without an X-Deadline header (0 = unbounded)")
 	expectedService := flag.Duration("expected-service", 100*time.Millisecond, "estimated replica round-trip time; hedges needing more than the remaining deadline budget are skipped")
-	movePenalty := flag.Float64("move-penalty", cluster.DefaultMovePenalty, "placement movement charge M for leaving a request's home replica")
-	alpha := flag.Float64("alpha", 1, "placement work coefficient α in S = 1/(αE + βM)")
-	beta := flag.Float64("beta", 1, "placement movement coefficient β in S = 1/(αE + βM)")
+	movePenalty := flag.Float64("move-penalty", cluster.DefaultMovePenalty, "placement movement charge M, in outstanding requests, for leaving a request's home replica (+Inf = pure affinity, 0.5 = least-loaded)")
 	waitReady := flag.Int("wait-ready", 1, "replicas that must be ready before the router starts listening")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of routed requests to record span timelines for (0 disables, 1 records all)")
-	traceBuffer := flag.Int("trace-buffer", 0, "completed request traces retained for /debug/requests/trace (0 = default 256)")
-	flightBuffer := flag.Int("flight-buffer", 64, "flight-recorder capacity: bad requests (5xx, 504, slow) pinned with full span sets at /debug/requests/flight (0 disables)")
-	slowThreshold := flag.Duration("slow-threshold", 0, "pin requests slower than this end-to-end in the flight recorder (0 disables the slow trigger)")
+	obsFlags := obs.BindFlags(flag.CommandLine)
 	sloTarget := flag.Float64("slo-target", cluster.DefaultSLOTarget, "availability objective for the rolling SLO tracker, in (0, 1)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
-	logFormat := flag.String("log-format", "text", "log output format: text | json")
 	replicaLogs := flag.Bool("replica-logs", false, "forward replica stderr (prefixed [rN]) to the router's stderr")
 	flag.Parse()
 
-	logger, err := buildLogger(*logLevel, *logFormat)
+	logger, err := obsFlags.BuildLogger()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "capsnet-router: %v\n", err)
 		os.Exit(1)
@@ -121,21 +120,15 @@ func main() {
 	wrCancel()
 
 	disp, err := cluster.NewDispatcher(cluster.DispatcherConfig{
-		Pool: mgr,
-		Placer: cluster.Placer{
-			Scorer:      distribute.Scorer{Alpha: *alpha, Beta: *beta},
-			MovePenalty: *movePenalty,
-		},
+		Pool:                mgr,
+		Placer:              cluster.Placer{MovePenalty: *movePenalty},
 		Logger:              logger,
 		MaxAttempts:         *retries,
 		HedgeDelay:          *hedgeDelay,
 		MaxHedges:           *hedges,
 		DefaultBudget:       *budget,
 		ExpectedServiceTime: *expectedService,
-		TraceSample:         *traceSample,
-		TraceBuffer:         *traceBuffer,
-		FlightBuffer:        *flightBuffer,
-		SlowThreshold:       *slowThreshold,
+		RequestsConfig:      obsFlags.Requests,
 		SLOTarget:           *sloTarget,
 	})
 	if err != nil {
@@ -155,8 +148,6 @@ func main() {
 		slog.String("addr", ln.Addr().String()),
 		slog.Int("replicas", *replicas),
 		slog.String("serve_bin", *serveBin),
-		slog.Float64("alpha", *alpha),
-		slog.Float64("beta", *beta),
 		slog.Float64("move_penalty", *movePenalty),
 	)
 
@@ -179,21 +170,4 @@ func main() {
 	}
 	mgr.Stop()
 	logger.Info("drained, exiting")
-}
-
-// buildLogger constructs the process logger from the -log-level and
-// -log-format flags (same grammar as capsnet-serve).
-func buildLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
 }

@@ -34,12 +34,20 @@
 //	              [-max-delay 0] [-queue 64] [-timeout 5s] [-math exact]
 //	              [-log-level info] [-log-format text|json]
 //	              [-trace-sample 0.1] [-trace-buffer 256] [-trace-out run.json]
+//	              [-flight-buffer 64] [-slow-threshold 0]
+//	              [-brownout [-brownout-engage 25ms] [-brownout-recover 2ms]
+//	                         [-brownout-hold 250ms]]
 //	capsnet-serve -demo-classes 5    # seeded untrained demo network
 //
+// The six observability flags (-trace-sample, -trace-buffer,
+// -flight-buffer, -slow-threshold, -log-level, -log-format) are bound
+// by obs.BindFlags, the same helper capsnet-router uses.
+//
 // Chaos drills (used by the capsnet-router e2e): -chaos-stall 2s
-// stalls the first -chaos-stall-arm batches before inference, and
-// -chaos-corrupt 4 poisons images of the first -chaos-corrupt-arm
-// batches with seeded non-finite values (-chaos-seed for replay).
+// stalls the first batch before inference, -chaos-corrupt 4 poisons
+// the images of the first batch with seeded non-finite values, and
+// -chaos-pressure 20ms [-chaos-pressure-max 35ms] delays every batch
+// by a seeded amount. The seed is fixed and logged for replay.
 //
 // SIGTERM/SIGINT trigger graceful shutdown: readiness flips to 503,
 // open connections and queued batches drain, then the process exits 0.
@@ -51,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -75,29 +84,19 @@ func main() {
 	drain := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown drain bound")
 	batchDeadline := flag.Duration("batch-deadline", serve.DefaultBatchDeadline, "watchdog bound on one batch's inference (stalled batches are failed, not queued behind)")
 	mathName := flag.String("math", "exact", "routing numerics: exact | pe | pe-norecovery")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
-	logFormat := flag.String("log-format", "text", "log output format: text | json")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of requests to record full span timelines for (0 disables, 1 records all)")
-	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceBuffer, "completed request traces retained for /debug/requests/trace")
+	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write the retained request traces as Chrome trace JSON here at shutdown")
-	flightBuffer := flag.Int("flight-buffer", obs.DefaultFlightBuffer, "flight-recorder capacity: bad requests (5xx, slow, brownout, aborted batch) pinned with full span sets at /debug/requests/flight (0 disables)")
-	slowThreshold := flag.Duration("slow-threshold", 0, "pin requests slower than this end-to-end in the flight recorder (0 disables the slow trigger)")
-	chaosStall := flag.Duration("chaos-stall", 0, "CHAOS: stall armed batches this long before inference (0 disables)")
-	chaosStallArm := flag.Int("chaos-stall-arm", 1, "CHAOS: how many batches -chaos-stall fires on")
-	chaosCorrupt := flag.Int("chaos-corrupt", 0, "CHAOS: non-finite values injected per image on armed batches (0 disables)")
-	chaosCorruptArm := flag.Int("chaos-corrupt-arm", 1, "CHAOS: how many batches -chaos-corrupt fires on")
-	chaosSeed := flag.Int64("chaos-seed", 1, "CHAOS: fault-injection seed (logged for replay)")
-	chaosPressure := flag.Duration("chaos-pressure", 0, "CHAOS: minimum per-batch delay for armed batches, creating queue pressure (0 disables)")
+	chaosStall := flag.Duration("chaos-stall", 0, "CHAOS: stall the first batch this long before inference (0 disables)")
+	chaosCorrupt := flag.Int("chaos-corrupt", 0, "CHAOS: non-finite values injected per image of the first batch (0 disables)")
+	chaosPressure := flag.Duration("chaos-pressure", 0, "CHAOS: minimum delay added to every batch, creating queue pressure (0 disables)")
 	chaosPressureMax := flag.Duration("chaos-pressure-max", 0, "CHAOS: maximum per-batch pressure delay (defaults to -chaos-pressure: a fixed delay)")
-	chaosPressureArm := flag.Int("chaos-pressure-arm", 1, "CHAOS: how many batches -chaos-pressure fires on")
 	brownout := flag.Bool("brownout", false, "enable the adaptive-fidelity brownout controller (shed routing iterations under sustained queue pressure)")
 	brownoutEngage := flag.Duration("brownout-engage", 25*time.Millisecond, "queue wait at/above which brownout reads overload pressure")
 	brownoutRecover := flag.Duration("brownout-recover", 2*time.Millisecond, "queue wait at/below which brownout reads calm (must be below -brownout-engage)")
 	brownoutHold := flag.Duration("brownout-hold", 250*time.Millisecond, "sustained signal needed per brownout level step (up or down)")
-	brownoutApprox := flag.Bool("brownout-approx", false, "add a final brownout level that switches routing to the approximate fp32 PE math")
 	flag.Parse()
 
-	logger, err := buildLogger(*logLevel, *logFormat)
+	logger, err := obsFlags.BuildLogger()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "capsnet-serve: %v\n", err)
 		os.Exit(1)
@@ -127,20 +126,15 @@ func main() {
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
 		BatchDeadline:  *batchDeadline,
-		TraceSample:    *traceSample,
-		TraceBuffer:    *traceBuffer,
-		FlightBuffer:   *flightBuffer,
-		SlowThreshold:  *slowThreshold,
+		RequestsConfig: obsFlags.Requests,
 		Logger:         logger,
 		Brownout: serve.BrownoutConfig{
 			Enabled:          *brownout,
 			EngageThreshold:  *brownoutEngage,
 			RecoverThreshold: *brownoutRecover,
 			Hold:             *brownoutHold,
-			AllowApprox:      *brownoutApprox,
 		},
-		PreRunHook: chaosHook(logger, *chaosSeed, *chaosStall, *chaosStallArm, *chaosCorrupt, *chaosCorruptArm,
-			*chaosPressure, *chaosPressureMax, *chaosPressureArm),
+		PreRunHook: chaosHook(logger, *chaosStall, *chaosCorrupt, *chaosPressure, *chaosPressureMax),
 	}, metrics)
 	if err != nil {
 		fatal("building server", err)
@@ -165,7 +159,7 @@ func main() {
 		slog.Int("routing_iterations", cfg.RoutingIterations),
 		slog.Int("max_batch", *maxBatch),
 		slog.Duration("max_delay", *maxDelay),
-		slog.Float64("trace_sample", *traceSample),
+		slog.Float64("trace_sample", obsFlags.Requests.TraceSample),
 	)
 
 	sig := make(chan os.Signal, 1)
@@ -190,86 +184,65 @@ func main() {
 		logger.Warn("batcher drain", slog.String("error", err.Error()))
 	}
 	if *traceOut != "" {
-		if err := exportTraces(srv, *traceBuffer, *traceOut); err != nil {
+		if err := exportTraces(srv.Requests(), *traceOut); err != nil {
 			logger.Warn("writing trace file", slog.String("error", err.Error()))
 		} else {
 			logger.Info("wrote request traces", slog.String("path", *traceOut),
-				slog.Uint64("completed_traces", srv.Tracer().Completed()))
+				slog.Uint64("completed_traces", srv.Requests().Tracer().Completed()))
 		}
 	}
 	logger.Info("drained, exiting")
 }
 
-// chaosHook assembles the -chaos-* fault-injection hooks (armed at
-// startup, seeded for replay) into one serve.Config.PreRunHook, or nil
-// when no chaos flag is set — the zero-cost default. Chaos drills and
-// the router e2e use these to make a replica stall or corrupt its
-// first batches while the tier above must keep clients whole.
-func chaosHook(logger *slog.Logger, seed int64, stall time.Duration, stallArm int, corrupt, corruptArm int,
-	pressure, pressureMax time.Duration, pressureArm int) func([][]float32) {
+// chaosSeed seeds the -chaos-* injectors; it is logged with them so
+// a drill can be replayed.
+const chaosSeed = 1
+
+// chaosHook assembles the -chaos-* fault-injection hooks into one
+// serve.Config.PreRunHook, or nil when no chaos flag is set — the
+// zero-cost default. Stall and corrupt fire on the first batch only;
+// pressure slows every batch. Chaos drills and the router e2e use
+// these to make a replica misbehave while the tier above must keep
+// clients whole.
+func chaosHook(logger *slog.Logger, stall time.Duration, corrupt int, pressure, pressureMax time.Duration) func([][]float32) {
 	var hooks []fault.BatchHook
 	if stall > 0 {
 		g := &fault.Gate{}
-		g.Arm(stallArm)
+		g.Arm(1)
 		hooks = append(hooks, fault.StallBatchHook(g, stall))
 	}
 	if corrupt > 0 {
 		g := &fault.Gate{}
-		g.Arm(corruptArm)
-		hooks = append(hooks, fault.CorruptBatchHook(fault.New(seed), g, corrupt))
+		g.Arm(1)
+		hooks = append(hooks, fault.CorruptBatchHook(fault.New(chaosSeed), g, corrupt))
 	}
+	pressureMax = max(pressureMax, pressure)
 	if pressure > 0 {
-		if pressureMax < pressure {
-			pressureMax = pressure
-		}
 		g := &fault.Gate{}
-		g.Arm(pressureArm)
-		hooks = append(hooks, fault.PressureBatchHook(fault.New(seed), g, pressure, pressureMax))
+		g.Arm(math.MaxInt)
+		hooks = append(hooks, fault.PressureBatchHook(fault.New(chaosSeed), g, pressure, pressureMax))
 	}
 	if len(hooks) == 0 {
 		return nil
 	}
 	logger.Warn("chaos hooks armed",
-		slog.Int64("seed", seed),
-		slog.Duration("stall", stall), slog.Int("stall_arm", stallArm),
-		slog.Int("corrupt", corrupt), slog.Int("corrupt_arm", corruptArm),
-		slog.Duration("pressure", pressure), slog.Duration("pressure_max", pressureMax),
-		slog.Int("pressure_arm", pressureArm))
+		slog.Int64("seed", chaosSeed),
+		slog.Duration("stall", stall),
+		slog.Int("corrupt", corrupt),
+		slog.Duration("pressure", pressure), slog.Duration("pressure_max", pressureMax))
 	return fault.ChainBatchHooks(hooks...)
 }
 
-// buildLogger constructs the process logger from the -log-level and
-// -log-format flags.
-func buildLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-}
-
-// exportTraces writes the retained request timelines as a Chrome
-// trace-event JSON file (load it in Perfetto or chrome://tracing):
-// the sampled ring plus any flight-recorder pins not already in it,
-// so the shutdown dump always contains the bad requests.
-func exportTraces(srv *serve.Server, bufferSize int, path string) error {
+// exportTraces writes the retained request timelines — the sampled
+// ring plus any flight-recorder pins not already in it, so the dump
+// always contains the bad requests — as a Chrome trace-event JSON file
+// (load it in Perfetto or chrome://tracing).
+func exportTraces(req *obs.Requests, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	tr := srv.Tracer()
-	traces := tr.Last(bufferSize)
-	if fl := srv.Flight(); fl != nil {
-		traces = append(traces, fl.Traces(traces)...)
-	}
-	if err := obs.WriteChromeTrace(f, traces, tr.Epoch()); err != nil {
+	if err := req.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,9 @@
 // Command pimcaps-report regenerates EXPERIMENTS.md: it runs every
-// registered experiment and writes the markdown archive with the
-// paper-vs-measured summary up front.
+// registered experiment (experiments.WriteReport) and writes the
+// markdown archive with the paper-vs-measured summary up front. Every
+// section but Table5 (~14 min) regenerates in about a second, and the
+// root package's TestExperimentsMarkdownCurrent holds the committed
+// file to those bytes.
 //
 // Usage:
 //
@@ -12,58 +15,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"pimcapsnet/internal/experiments"
 )
-
-const preamble = `# EXPERIMENTS — paper vs. measured
-
-Generated by ` + "`go run ./cmd/pimcaps-report`" + ` from the models and
-simulators in this repository (see DESIGN.md for the per-experiment
-index and the substitution notes). Absolute numbers come from a
-calibrated first-order model — the comparison targets are the *shapes*:
-who wins, by roughly what factor, where crossovers fall.
-
-## Headline comparison
-
-| Quantity | Paper | This reproduction |
-|---|---|---|
-| RP share of inference time (avg, Fig. 4) | 74.62% | ≈ 78% |
-| RP stalls: memory / sync (avg, Fig. 5) | 44.64% / 34.45% | ≈ 50% / 35% |
-| Intermediate-to-on-chip ratio (Fig. 6a) | 41×–305× | ≈ 2×–253× (smallest nets fall below the paper's range) |
-| On-chip scaling benefit at 16 MB (Fig. 6b) | ≈ 1.114× | ≈ 1.08× |
-| Bandwidth scaling GDDR5→HBM2 (Fig. 7) | 1.14 / 1.19 / 1.26× | 1.13 / 1.20 / 1.30× |
-| GPU-ICP RP speedup (Fig. 15a) | 1.0114× | ≈ 1.014× |
-| PIM-CapsNet RP speedup (Fig. 15a) | 2.17× (≤ 2.27×) | ≈ 2.6× (≤ 2.9×) |
-| RP energy saving (Fig. 15b) | 92.18% | ≈ 94% |
-| PIM-Intra speedup / crossbar share (Fig. 16a) | 1.22× / 45.24% | ≈ 1.4× / ≈ 53% |
-| PIM-Inter speedup / VRS share (Fig. 16a) | 0.95× / 57.91% | ≈ 1.04× / ≈ 58% |
-| Overall speedup (Fig. 17a) | 2.44× (≤ 2.76×) | ≈ 3.2× (≤ 3.8×) |
-| Overall energy saving (Fig. 17b) | 64.91% (≤ 85.16%) | ≈ 65% (≤ 80%) |
-| All-in-PIM (Fig. 17) | 0.52× perf, 71.09% energy saving | ≈ 0.3–1.1× perf, ≈ 39–86% saving |
-| Accuracy delta w/o–w/ recovery (Table 5) | −0.35% / −0.04% | within ±2% per benchmark, ≈ −0.2% average (see Table5 below) |
-| Dimension choice shifts with frequency (Fig. 18) | observed (e.g. Caps-SV3) | observed (see Fig18 markers) |
-
-Known deviations and why:
-
-* **Speedups run ~20–30% optimistic.** Our GPU baseline folds the
-  framework's capacity pressure into the routing procedure (needed to
-  reproduce Fig. 4's batch-size growth), which PIM sidesteps entirely;
-  the paper's measured baseline was somewhat faster in relative terms.
-* **Fig. 6a's smallest ratios fall below the paper's 41× floor** for
-  the SVHN benchmarks on large-cache GPUs: the paper appears to count
-  framework temporaries in the intermediate footprint; we count the
-  algorithmic variables only.
-* **Table 5 accuracies** are measured on trained synthetic proxies
-  (DESIGN.md §2): the deltas between exact and PE-approximated routing
-  are the paper's point and land within ±1%; the recovery multiply's
-  classification effect is below the measurement resolution because a
-  uniform rescaling of capsule lengths cannot move an argmax.
-
----
-
-`
 
 func main() {
 	out := flag.String("out", "EXPERIMENTS.md", "output path")
@@ -84,20 +38,9 @@ func main() {
 	}
 	defer f.Close()
 
-	fmt.Fprint(f, preamble)
-	for _, id := range experiments.IDs() {
-		if skipped[id] {
-			fmt.Fprintf(f, "### %s — skipped in this generation\n\n", id)
-			continue
-		}
-		start := time.Now()
-		t, err := experiments.Run(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		t.Markdown(f)
-		fmt.Fprintf(os.Stderr, "[%s in %v]\n", id, time.Since(start).Round(time.Millisecond))
+	if err := experiments.WriteReport(f, skipped, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 }

@@ -1,11 +1,14 @@
 package pimcapsnet_bench
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
+
+	"pimcapsnet/internal/experiments"
 )
 
 // docPath matches a package path opening a line or a markdown table
@@ -66,4 +69,53 @@ func section(t *testing.T, file, heading string) string {
 		text = text[:j]
 	}
 	return text
+}
+
+// TestExperimentsMarkdownCurrent regenerates EXPERIMENTS.md through
+// the same code as cmd/pimcaps-report, skipping only Table5 (its
+// twelve trained proxies take minutes), and requires the committed
+// file to match byte for byte everywhere outside the Table5 section.
+func TestExperimentsMarkdownCurrent(t *testing.T) {
+	var buf bytes.Buffer
+	if err := experiments.WriteReport(&buf, map[string]bool{"table5": true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := withoutSection(t, "regenerated", buf.String(), "### table5 — skipped")
+	got := withoutSection(t, "EXPERIMENTS.md", string(committed), "### Table5 — ")
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("EXPERIMENTS.md is stale outside Table5 (rerun go run ./cmd/pimcaps-report, keeping the Table5 section); first difference at line %d of the compared text:\ncommitted:   %q\nregenerated: %q", i+1, g, w)
+		}
+	}
+}
+
+// withoutSection cuts the "### " section opening with heading out of
+// text, up to the next "### " heading.
+func withoutSection(t *testing.T, name, text, heading string) string {
+	t.Helper()
+	i := strings.Index(text, "\n"+heading)
+	if i < 0 {
+		t.Fatalf("%s has no %q section", name, heading)
+	}
+	rest := text[i+1:]
+	j := strings.Index(rest, "\n### ")
+	if j < 0 {
+		return text[:i+1]
+	}
+	return text[:i+1] + rest[j+1:]
 }

@@ -54,8 +54,8 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		"--",
 		"-demo-classes", "3",
 		"-trace-sample", "1",
-		"-chaos-stall", "400ms", "-chaos-stall-arm", "1",
-		"-chaos-corrupt", "4", "-chaos-corrupt-arm", "1",
+		"-chaos-stall", "400ms",
+		"-chaos-corrupt", "4",
 	)
 	base := router.base
 

@@ -12,9 +12,10 @@
 // replica misses that replica's connection pool, Go scheduler state,
 // and the scratch-arena pages its twin requests keep hot, which is the
 // same locality cost the paper charges as crossbar traffic. Placement
-// maximizes S = 1/(αE + βM) per request (distribute.Scorer.ScoreEM),
-// which degenerates to consistent-hash affinity when loads are even
-// and to least-loaded spill when the affinity replica falls behind.
+// maximizes S = 1/(αE + βM) per request — with α = β = 1, since only
+// the ratio β·M/α matters and MovePenalty carries it — which
+// degenerates to consistent-hash affinity when loads are even and to
+// least-loaded spill when the affinity replica falls behind.
 //
 // Three cooperating pieces:
 //

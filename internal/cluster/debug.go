@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"pimcapsnet/internal/obs"
@@ -17,67 +16,6 @@ import (
 // merge or metrics scrape — debug endpoints must answer promptly even
 // with a hung replica in the pool.
 const fleetFetchTimeout = 2 * time.Second
-
-// handleRequestTrace serves the router's own completed-trace ring as
-// Chrome trace-event JSON; ?last=N bounds the request count,
-// ?trace=<id> restricts to one request, and &format=spans switches
-// the ?trace response to fragment JSON (the same contract replicas
-// expose, so tooling works at either tier).
-func (d *Dispatcher) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if id := q.Get("trace"); id != "" {
-		traces := d.findTraces(id)
-		w.Header().Set("Content-Type", "application/json")
-		if q.Get("format") == "spans" {
-			obs.WriteFragments(w, traces)
-			return
-		}
-		obs.WriteChromeTrace(w, traces, d.tracer.Epoch())
-		return
-	}
-	n := obs.DefaultTraceBuffer
-	if d.cfg.TraceBuffer > 0 {
-		n = d.cfg.TraceBuffer
-	}
-	if qv := q.Get("last"); qv != "" {
-		v, err := strconv.Atoi(qv)
-		if err != nil || v < 1 {
-			http.Error(w, "last must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	obs.WriteChromeTrace(w, d.tracer.Last(n), d.tracer.Epoch())
-}
-
-// findTraces unions the sampled ring's and the flight recorder's
-// traces for one ID, deduplicated by pointer.
-func (d *Dispatcher) findTraces(id string) []*obs.Trace {
-	traces := d.tracer.Find(id)
-	if d.flight != nil {
-		seen := make(map[*obs.Trace]bool, len(traces))
-		for _, t := range traces {
-			seen[t] = true
-		}
-		for _, t := range d.flight.Find(id) {
-			if !seen[t] {
-				traces = append(traces, t)
-			}
-		}
-	}
-	return traces
-}
-
-// handleFlight serves the router's flight-recorder pins as JSON.
-func (d *Dispatcher) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if d.flight == nil {
-		http.Error(w, "flight recorder disabled (set FlightBuffer > 0)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	d.flight.WriteJSON(w)
-}
 
 // handleFleetTrace merges one trace ID's span fragments from the
 // router and every replica into a single Chrome trace: the router's
@@ -93,7 +31,7 @@ func (d *Dispatcher) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var frags []obs.TraceFragment
-	for _, t := range d.findTraces(id) {
+	for _, t := range d.requests.FindTraces(id) {
 		f := obs.FragmentFromTrace(t)
 		f.Process = "router"
 		frags = append(frags, f)

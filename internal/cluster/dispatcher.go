@@ -60,22 +60,13 @@ type DispatcherConfig struct {
 	Clock obs.Clock
 	// Client performs replica requests; nil uses a private client.
 	Client *http.Client
-	// TraceSample is the fraction of routed requests whose span
-	// timeline (the root route span plus one span per replica attempt,
-	// tagged with replica/attempt/hedge/code) is recorded for
-	// /debug/requests/trace. Default 0: no span recording.
-	TraceSample float64
-	// TraceBuffer is the completed-trace ring capacity behind
-	// /debug/requests/trace. Default 256.
-	TraceBuffer int
-	// FlightBuffer, when positive, arms the tail-sampled flight
-	// recorder (/debug/requests/flight): every routed request records
-	// spans live, and requests ending 5xx, exhausting their deadline,
-	// or exceeding SlowThreshold are pinned. 0 disables it.
-	FlightBuffer int
-	// SlowThreshold, when positive and the flight recorder is armed,
-	// pins any routed request slower than this end to end.
-	SlowThreshold time.Duration
+	// RequestsConfig sets up the request recorder behind
+	// /debug/requests/{trace,flight}: routed requests record the root
+	// route span plus one span per replica attempt (tagged with
+	// replica/attempt/hedge/code), and the flight recorder also pins
+	// requests whose deadline ran out. The zero value records no spans
+	// and keeps the flight recorder off.
+	obs.RequestsConfig
 	// SLOTarget is the availability objective the SLO tracker burns
 	// error budget against, in (0, 1). 0 means DefaultSLOTarget.
 	SLOTarget float64
@@ -120,13 +111,11 @@ type Dispatcher struct {
 	cfg DispatcherConfig
 	mux *http.ServeMux
 
-	// tracer records routed-request span timelines (the route span and
-	// per-attempt spans); flight is the tail-sampled recorder (nil when
-	// disabled); slo derives the rolling availability / latency / burn
-	// gauges from terminal responses.
-	tracer *obs.Tracer
-	flight *obs.FlightRecorder
-	slo    *SLOTracker
+	// requests records routed-request span timelines (the route span
+	// and per-attempt spans); slo derives the rolling availability /
+	// latency / burn gauges from terminal responses.
+	requests *obs.Requests
+	slo      *SLOTracker
 }
 
 // NewDispatcher builds the routing front over a pool.
@@ -135,18 +124,10 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if cfg.Pool == nil {
 		return nil, fmt.Errorf("cluster: DispatcherConfig.Pool is required")
 	}
-	d := &Dispatcher{cfg: cfg, mux: http.NewServeMux()}
-	d.tracer = obs.NewTracer(obs.TracerConfig{
-		Sample:     cfg.TraceSample,
-		BufferSize: cfg.TraceBuffer,
-		Clock:      cfg.Clock,
-	})
-	if cfg.FlightBuffer > 0 {
-		d.flight = obs.NewFlightRecorder(obs.FlightConfig{
-			Capacity:      cfg.FlightBuffer,
-			SlowThreshold: cfg.SlowThreshold,
-		})
+	if err := cfg.RequestsConfig.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	d := &Dispatcher{cfg: cfg, mux: http.NewServeMux(), requests: obs.NewRequests(cfg.RequestsConfig, cfg.Clock)}
 	d.slo = NewSLOTracker(cfg.SLOTarget, cfg.Clock)
 	cfg.Metrics.Collect(func(e *obs.Emitter) {
 		collectReplicas(e, cfg.Pool)
@@ -162,8 +143,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	d.mux.HandleFunc("/readyz", d.handleReadyz)
 	d.mux.Handle("/metrics", cfg.Metrics.Handler())
 	d.mux.HandleFunc("/metrics/fleet", d.handleFleetMetrics)
-	d.mux.HandleFunc("/debug/requests/trace", d.handleRequestTrace)
-	d.mux.HandleFunc("/debug/requests/flight", d.handleFlight)
+	d.requests.Mount(d.mux)
 	d.mux.HandleFunc("/debug/trace/fleet", d.handleFleetTrace)
 	return d, nil
 }
@@ -171,11 +151,8 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 // Metrics returns the dispatcher's counter set.
 func (d *Dispatcher) Metrics() *Metrics { return d.cfg.Metrics }
 
-// Tracer returns the dispatcher's request tracer.
-func (d *Dispatcher) Tracer() *obs.Tracer { return d.tracer }
-
-// Flight returns the flight recorder (nil when disabled).
-func (d *Dispatcher) Flight() *obs.FlightRecorder { return d.flight }
+// Requests returns the dispatcher's request recorder.
+func (d *Dispatcher) Requests() *obs.Requests { return d.requests }
 
 // SLO returns the rolling SLO tracker.
 func (d *Dispatcher) SLO() *SLOTracker { return d.slo }
@@ -477,30 +454,17 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading body", http.StatusBadRequest)
 		return
 	}
-	traceID := r.Header.Get(obs.TraceIDHeader)
-	if traceID == "" {
-		traceID = d.tracer.NewID()
-	}
+	traceID, t := d.requests.Start(r.Header, start)
 	w.Header().Set(obs.TraceIDHeader, traceID)
 
-	// Span recording: a flight-armed router records every request live
-	// (the tail-sampling verdict comes at completion); otherwise only
-	// counter-sampled requests carry a trace. The root route span gets
-	// an ID so attempt spans (and, transitively, replica-side stage
-	// spans) hang under it.
-	var t *obs.Trace
-	if d.flight != nil {
-		t = d.tracer.StartAlways(traceID, start)
-	} else {
-		t = d.tracer.StartRequest(traceID, start)
-	}
+	// The root route span gets an ID so attempt spans (and,
+	// transitively, replica-side stage spans) hang under it.
 	rootSpan := ""
 	if t != nil {
 		rootSpan = obs.NewID()
 	}
 	// finish closes out one terminal (client-visible) outcome: the
-	// route span, trace retention, the flight-recorder offer, and the
-	// SLO window observation.
+	// route span, the request record, and the SLO window observation.
 	finish := func(status int, reasons ...string) {
 		end := d.cfg.Clock.Now()
 		if t != nil {
@@ -508,9 +472,8 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 				Name: "route", Iter: -1, Start: start, End: end, ID: rootSpan,
 				Tags: map[string]string{"code": strconv.Itoa(status)},
 			})
-			d.tracer.Finish(t, end)
 		}
-		d.flight.Note(t, status, end.Sub(start), 0, reasons...)
+		d.requests.Finish(t, status, start, end, 0, reasons...)
 		d.slo.Observe(status, end.Sub(start))
 	}
 

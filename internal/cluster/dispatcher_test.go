@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pimcapsnet/internal/obs"
 )
 
 // staticPool is a fixed replica set over httptest servers.
@@ -403,5 +405,23 @@ func TestRouterReadyzAndReplicas(t *testing.T) {
 	pool.setReady("r0", true)
 	if w := get("/v1/model"); w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"classes"`)) {
 		t.Fatalf("/v1/model proxy: %d %s", w.Code, w.Body.String())
+	}
+}
+
+// TestNewDispatcherRejectsBadObsConfig: the router refuses the same
+// recorder settings a replica refuses, instead of silently clamping
+// them.
+func TestNewDispatcherRejectsBadObsConfig(t *testing.T) {
+	pool := &staticPool{}
+	for _, rc := range []obs.RequestsConfig{
+		{TraceSample: 1.5},
+		{TraceSample: -1},
+		{FlightBuffer: -3},
+		{SlowThreshold: -time.Nanosecond},
+		{TraceBuffer: -5},
+	} {
+		if _, err := NewDispatcher(DispatcherConfig{Pool: pool, RequestsConfig: rc}); err == nil {
+			t.Errorf("NewDispatcher accepted %+v", rc)
+		}
 	}
 }

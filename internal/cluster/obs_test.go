@@ -50,7 +50,8 @@ func TestDispatchRetryTraceAttribution(t *testing.T) {
 	_, repGood := fakeReplica(t, "r1", okHandler(nil))
 	pool := &staticPool{reps: []ReplicaInfo{repBad, repGood}}
 	d := newTestDispatcher(t, DispatcherConfig{
-		Pool: pool, MaxAttempts: 3, HedgeDelay: -1, TraceSample: 1,
+		Pool: pool, MaxAttempts: 3, HedgeDelay: -1,
+		RequestsConfig: obs.RequestsConfig{TraceSample: 1},
 	})
 
 	w := classify(t, d, homedBody(t, pool, "r0"), nil)
@@ -58,7 +59,7 @@ func TestDispatchRetryTraceAttribution(t *testing.T) {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
 	id := w.Header().Get(obs.TraceIDHeader)
-	traces := d.Tracer().Find(id)
+	traces := d.Requests().Tracer().Find(id)
 	if len(traces) != 1 {
 		t.Fatalf("ring retained %d traces for %s, want 1", len(traces), id)
 	}
@@ -134,7 +135,8 @@ func TestDispatchHedgeTraceAttribution(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	pool := &staticPool{reps: []ReplicaInfo{repSlow, repFast}}
 	d := newTestDispatcher(t, DispatcherConfig{
-		Pool: pool, HedgeDelay: 30 * time.Millisecond, TraceSample: 1,
+		Pool: pool, HedgeDelay: 30 * time.Millisecond,
+		RequestsConfig: obs.RequestsConfig{TraceSample: 1},
 	})
 
 	w := classify(t, d, homedBody(t, pool, "r0"), nil)
@@ -142,7 +144,7 @@ func TestDispatchHedgeTraceAttribution(t *testing.T) {
 		t.Fatalf("status %d, want 200 via hedge", w.Code)
 	}
 	id := w.Header().Get(obs.TraceIDHeader)
-	traces := d.Tracer().Find(id)
+	traces := d.Requests().Tracer().Find(id)
 	if len(traces) != 1 {
 		t.Fatalf("ring retained %d traces, want 1", len(traces))
 	}
@@ -187,7 +189,7 @@ func TestRouterFlightRecorder(t *testing.T) {
 	})
 	d := newTestDispatcher(t, DispatcherConfig{
 		Pool: &staticPool{reps: []ReplicaInfo{rep}}, MaxAttempts: 2, HedgeDelay: -1,
-		FlightBuffer: 8,
+		RequestsConfig: obs.RequestsConfig{FlightBuffer: 8},
 	})
 
 	w := classify(t, d, `{"image":[0.5]}`, nil)
@@ -203,7 +205,7 @@ func TestRouterFlightRecorder(t *testing.T) {
 		}
 	}
 
-	entries := d.Flight().Entries()
+	entries := d.Requests().Flight().Entries()
 	if len(entries) != 1 {
 		t.Fatalf("flight recorder retained %d entries, want 1 (only the 502)", len(entries))
 	}
@@ -261,7 +263,7 @@ func TestFleetTraceEndpointMergesRouterAndReplica(t *testing.T) {
 	rep := ReplicaInfo{Name: "r0", URL: srv.URL, Ready: true}
 	d := newTestDispatcher(t, DispatcherConfig{
 		Pool: &staticPool{reps: []ReplicaInfo{rep}}, MaxAttempts: 2, HedgeDelay: -1,
-		TraceSample: 1,
+		RequestsConfig: obs.RequestsConfig{TraceSample: 1},
 	})
 
 	w := classify(t, d, `{"image":[0.5]}`, nil)

@@ -3,12 +3,10 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
-
-	"pimcapsnet/internal/distribute"
 )
 
 // Placer ranks ready replicas for a request with the paper's
-// inter-vault scoring S = 1/(αE + βM) (Eqs. 6–12), generalized to
+// inter-vault score S = 1/(αE + βM) (Eqs. 6–12), generalized to
 // replica placement:
 //
 //   - E (largest per-vault workload, Eqs. 7/9/11) is the candidate
@@ -21,36 +19,26 @@ import (
 //     reuse, which is the same locality cost in different units (see
 //     DESIGN.md §8).
 //
-// Maximizing S (Eq. 12's argmax via distribute.Scorer.ScoreEM) yields
-// consistent-hash affinity with least-loaded spill: the home replica
-// wins while its load excess stays under β·MovePenalty/α, and an
-// overloaded home loses to an idler peer beyond that.
+// Only the ratio β·MovePenalty/α decides a placement, so α = β = 1
+// and MovePenalty carries the one degree of freedom, in
+// outstanding-request units: maximizing S is minimizing E + M. That
+// yields consistent-hash affinity with least-loaded spill — the home
+// replica wins while its load excess stays within MovePenalty, and an
+// overloaded home loses to an idler peer beyond that. MovePenalty
+// +Inf is pure affinity; any value in (0, 1) is least-loaded with
+// ties to the home, because E is a whole number of requests.
 type Placer struct {
-	// Scorer supplies α (work → cost) and β (movement → cost). The
-	// zero value is replaced by {Alpha: 1, Beta: 1}, which prices
-	// MovePenalty directly in outstanding-request units.
-	Scorer distribute.Scorer
 	// MovePenalty is the movement charge for leaving the home replica,
-	// in the same unit as outstanding requests under the default
-	// scorer. Default 2: spill only when the home replica holds more
-	// than two extra requests — enough to keep affinity sticky under
-	// even load without pinning traffic to a stalled replica.
+	// in outstanding requests. Default 2: spill only when the home
+	// replica holds more than two extra requests — enough to keep
+	// affinity sticky under even load without pinning traffic to a
+	// stalled replica.
 	MovePenalty float64
 }
 
 // DefaultMovePenalty is the default movement charge (see
 // Placer.MovePenalty).
 const DefaultMovePenalty = 2
-
-func (p Placer) withDefaults() Placer {
-	if p.Scorer.Alpha == 0 && p.Scorer.Beta == 0 {
-		p.Scorer = distribute.Scorer{Alpha: 1, Beta: 1}
-	}
-	if p.MovePenalty == 0 {
-		p.MovePenalty = DefaultMovePenalty
-	}
-	return p
-}
 
 // Key hashes a request body to its placement key. Equal bodies hash
 // equal, so repeated classifications of the same image ride the same
@@ -90,13 +78,16 @@ func Home(key uint64, candidates []ReplicaInfo) int {
 }
 
 // Pick returns the index into candidates of the replica the request
-// should land on: every candidate is scored with ScoreEM and the
-// argmax wins. Candidates are considered in descending rendezvous
-// weight with a strictly-greater comparison, so score ties resolve to
-// the key's hash preference (home first) and the choice is
-// deterministic. Returns -1 for an empty slice.
+// should land on: the one with the least cost E + M (Eq. 12's argmax
+// with α = β = 1). Candidates are considered in descending rendezvous
+// weight with a strictly-less comparison, so cost ties resolve to the
+// key's hash preference (home first) and the choice is deterministic.
+// Returns -1 for an empty slice.
 func (p Placer) Pick(key uint64, candidates []ReplicaInfo) int {
-	p = p.withDefaults()
+	penalty := p.MovePenalty
+	if penalty == 0 {
+		penalty = DefaultMovePenalty
+	}
 	if len(candidates) == 0 {
 		return -1
 	}
@@ -108,15 +99,14 @@ func (p Placer) Pick(key uint64, candidates []ReplicaInfo) int {
 		return rendezvous(key, candidates[order[a]].Name) > rendezvous(key, candidates[order[b]].Name)
 	})
 	home := order[0] // highest rendezvous weight = affinity home
-	best, bestScore := -1, 0.0
+	best, bestCost := -1, 0.0
 	for _, i := range order {
-		e := candidates[i].Load.Outstanding() + 1 // the request being placed
-		m := p.MovePenalty
-		if i == home {
-			m = 0
+		cost := candidates[i].Load.Outstanding() + 1 // the request being placed
+		if i != home {
+			cost += penalty
 		}
-		if s := p.Scorer.ScoreEM(e, m); best == -1 || s > bestScore {
-			best, bestScore = i, s
+		if best == -1 || cost < bestCost {
+			best, bestCost = i, cost
 		}
 	}
 	return best

@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
-
-	"pimcapsnet/internal/distribute"
 )
 
 func mkReplicas(n int, outstanding ...int) []ReplicaInfo {
@@ -80,9 +79,8 @@ func TestPickPrefersHomeWhenEven(t *testing.T) {
 }
 
 func TestPickSpillsFromOverloadedHome(t *testing.T) {
-	// With Alpha=Beta=1 and MovePenalty=2, the home replica loses once
-	// its outstanding excess exceeds 2: score_home = 1/(E_h+1) vs
-	// score_peer = 1/(E_p+1+2).
+	// With MovePenalty=2, the home replica loses once its outstanding
+	// excess exceeds 2: cost_home = E_h+1 vs cost_peer = E_p+1+2.
 	var key uint64
 	reps := mkReplicas(3)
 	for i := 0; ; i++ {
@@ -113,7 +111,12 @@ func TestPickSpillsFromOverloadedHome(t *testing.T) {
 	}
 }
 
-func TestPickHonorsScorerWeights(t *testing.T) {
+// TestPickMovePenaltySweep checks MovePenalty alone spans the old
+// α/β range: +Inf pins traffic to the home whatever the skew (pure
+// affinity, α = 0), a penalty below one request chases the least
+// loaded replica and breaks load ties to the home (β = 0), and the
+// default spills only past a two-request excess.
+func TestPickMovePenaltySweep(t *testing.T) {
 	var key uint64
 	reps := mkReplicas(2)
 	for i := 0; ; i++ {
@@ -122,16 +125,27 @@ func TestPickHonorsScorerWeights(t *testing.T) {
 			break
 		}
 	}
-	// A movement-dominant scorer (huge Beta) must pin traffic to the
-	// home no matter the load skew.
-	sticky := Placer{Scorer: distribute.Scorer{Alpha: 1, Beta: 1e9}, MovePenalty: 1}
-	if got := sticky.Pick(key, mkReplicas(2, 1000, 0)); got != 0 {
-		t.Fatalf("movement-dominant scorer left home: picked r%d", got)
+	cases := []struct {
+		penalty  float64
+		homeLoad int
+		peerLoad int
+		want     int
+	}{
+		{math.Inf(1), 1000, 0, 0},
+		{math.Inf(1), 0, 0, 0},
+		{0.5, 1000, 0, 1},
+		{0.5, 1, 0, 1},
+		{0.5, 3, 3, 0},
+		{0.5, 2, 3, 0},
+		{0, 2, 0, 0}, // default penalty 2: excess == penalty stays home
+		{0, 3, 0, 1},
 	}
-	// A work-dominant scorer (tiny Beta) must chase the idle replica.
-	spill := Placer{Scorer: distribute.Scorer{Alpha: 1, Beta: 1e-9}, MovePenalty: 1}
-	if got := spill.Pick(key, mkReplicas(2, 1000, 0)); got != 1 {
-		t.Fatalf("work-dominant scorer stayed on loaded home: picked r%d", got)
+	for _, c := range cases {
+		p := Placer{MovePenalty: c.penalty}
+		if got := p.Pick(key, mkReplicas(2, c.homeLoad, c.peerLoad)); got != c.want {
+			t.Errorf("MovePenalty %v, loads home=%d peer=%d: picked r%d, want r%d",
+				c.penalty, c.homeLoad, c.peerLoad, got, c.want)
+		}
 	}
 }
 

@@ -172,10 +172,9 @@ func NewScorer(cfg hmc.Config) Scorer {
 // arbitrary largest-per-unit workload E and data movement M — Eq. 6's
 // objective detached from the vault-specific E and M models, so other
 // placement problems with the same structure can rank candidates with
-// the identical scoring. internal/cluster uses it to place requests on
-// serving replicas: E becomes a replica's outstanding work and M the
-// cache/arena warmth a request forfeits by leaving its affinity
-// replica (see DESIGN.md §8).
+// the identical scoring. internal/cluster's replica placement is the
+// same objective with α = β = 1 — there only the ratio β·M/α matters,
+// so it ranks by E + M directly (see DESIGN.md §8).
 func (s Scorer) ScoreEM(e, m float64) float64 {
 	return 1 / (s.Alpha*e + s.Beta*m)
 }

@@ -84,10 +84,6 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	return &FlightRecorder{cfg: cfg, ring: make([]FlightEntry, 0, cfg.Capacity)}
 }
 
-// SlowThreshold returns the configured slow-pin latency bound (0 when
-// disabled).
-func (f *FlightRecorder) SlowThreshold() time.Duration { return f.cfg.SlowThreshold }
-
 // Note offers one finished request to the recorder. The built-in
 // triggers (status >= 500, latency > SlowThreshold, brownoutLevel >=
 // 1) are evaluated here; extraReasons carries caller-known triggers
@@ -146,17 +142,6 @@ func (f *FlightRecorder) Pinned() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.pinned
-}
-
-// Find returns the pinned traces whose ID equals id, oldest first.
-func (f *FlightRecorder) Find(id string) []*Trace {
-	var out []*Trace
-	for _, e := range f.Entries() {
-		if e.Trace != nil && e.Trace.ID == id {
-			out = append(out, e.Trace)
-		}
-	}
-	return out
 }
 
 // flightWire is the /debug/requests/flight JSON shape.

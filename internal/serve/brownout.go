@@ -27,14 +27,6 @@ type BrownoutConfig struct {
 	// controller steps one level up (or down) — and how long between
 	// consecutive steps under sustained signal. Default 250ms.
 	Hold time.Duration
-	// AllowApprox adds one final level beyond the iteration-shedding
-	// levels that switches routing numerics to the fp32 approximate PE
-	// path. Safe to enable because capsnet's finite-value guard re-runs
-	// any sample the approximations drive non-finite with exact math
-	// (and fails it individually if even that does not recover). Off by
-	// default: iteration shedding alone is loss-bounded per the paper's
-	// routing-convergence characterization.
-	AllowApprox bool
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
@@ -69,26 +61,26 @@ func (c BrownoutConfig) validate() error {
 // brownout is the hysteresis state machine that trades routing
 // fidelity for latency under sustained queue pressure. Levels:
 //
-//	0                     full fidelity (configured iterations, configured math)
-//	1 … iterations-1      shed one routing iteration per level (never below 1)
-//	iterations-1 + 1      (only with AllowApprox) iterations floored at 1 AND
-//	                      the fp32 approximate-math routing path
+//	0                     full fidelity (configured iterations)
+//	1 … iterations-1      shed one routing iteration per level; the last
+//	                      level runs one iteration
+//
+// The ladder sheds only work: approximate routing math is not a level,
+// because on this engine it costs more time than exact math.
 //
 // The controller is driven by the batcher: observe is called once per
 // launched batch with that batch's worst queue wait. Pressure at or
 // above EngageThreshold sustained for Hold steps the level up; calm at
 // or below RecoverThreshold sustained for Hold steps it down; waits in
 // between reset both windows, holding the current level. Level reads
-// (Level, iterationCap, approxActive) are lock-free atomics because
-// the inference goroutine consults them mid-batch.
+// (Level, iterationCap) are lock-free atomics because the inference
+// goroutine consults them mid-batch.
 type brownout struct {
 	cfg BrownoutConfig
 	// iters is the network's configured routing iteration count;
-	// iterLevels = iters-1 shedding levels, maxLevel adds the approx
-	// level when allowed.
-	iters      int
-	iterLevels int
-	maxLevel   int
+	// maxLevel = iters-1 shedding levels.
+	iters    int
+	maxLevel int
 
 	level atomic.Int64
 
@@ -103,16 +95,8 @@ type brownout struct {
 // configured routing iteration count. cfg must be enabled and
 // validated.
 func newBrownout(cfg BrownoutConfig, routingIterations int) *brownout {
-	b := &brownout{cfg: cfg, iters: routingIterations}
-	b.iterLevels = routingIterations - 1 // shedding below 1 iteration is never allowed
-	if b.iterLevels < 0 {
-		b.iterLevels = 0
-	}
-	b.maxLevel = b.iterLevels
-	if cfg.AllowApprox {
-		b.maxLevel++
-	}
-	return b
+	// Shedding below 1 iteration is never allowed.
+	return &brownout{cfg: cfg, iters: routingIterations, maxLevel: max(routingIterations-1, 0)}
 }
 
 // Level returns the current brownout level (0 = full fidelity).
@@ -125,21 +109,7 @@ func (b *brownout) levels() int { return b.maxLevel + 1 }
 // iterationCap is installed as the network's IterationLimit hook: the
 // per-run routing iteration count at the current level, never below 1.
 func (b *brownout) iterationCap() int {
-	shed := int(b.level.Load())
-	if shed > b.iterLevels {
-		shed = b.iterLevels
-	}
-	it := b.iters - shed
-	if it < 1 {
-		it = 1
-	}
-	return it
-}
-
-// approxActive reports whether the current level enables the
-// approximate-math routing path.
-func (b *brownout) approxActive() bool {
-	return b.cfg.AllowApprox && int(b.level.Load()) > b.iterLevels
+	return max(b.iters-int(b.level.Load()), 1)
 }
 
 // observe feeds one launched batch's worst queue wait into the state

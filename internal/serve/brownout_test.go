@@ -15,13 +15,12 @@ import (
 // bcfg is the brownout config used across the state-machine tests:
 // engage at ≥ 20ms queue wait, recover at ≤ 2ms, one step per 100ms of
 // sustained signal.
-func bcfg(allowApprox bool) BrownoutConfig {
+func bcfg() BrownoutConfig {
 	return BrownoutConfig{
 		Enabled:          true,
 		EngageThreshold:  20 * time.Millisecond,
 		RecoverThreshold: 2 * time.Millisecond,
 		Hold:             100 * time.Millisecond,
-		AllowApprox:      allowApprox,
 	}.withDefaults()
 }
 
@@ -47,24 +46,22 @@ func TestBrownoutStateMachine(t *testing.T) {
 		{"pressure before Hold elapses", pressure, 50, 0},
 		{"Hold of pressure steps up", pressure, 100, 1},
 		{"step resets the window", pressure, 150, 1},
-		{"second Hold steps again", pressure, 250, 2},
-		{"third Hold reaches max level", pressure, 400, 3},
-		{"at max level pressure is absorbed", pressure, 550, 3},
-		{"band resets the pressure window", band, 600, 3},
-		{"calm opens the recovery window", calm, 650, 3},
-		{"calm before Hold elapses", calm, 700, 3},
-		{"Hold of calm steps down", calm, 750, 2},
-		{"band also resets the calm window", band, 800, 2},
-		{"calm restarts from scratch", calm, 810, 2},
-		{"pre-band window does not carry over", calm, 870, 2},
-		{"fresh Hold of calm steps down", calm, 910, 1},
-		{"one more Hold fully recovers", calm, 1010, 0},
+		{"second Hold reaches max level", pressure, 250, 2},
+		{"at max level pressure is absorbed", pressure, 400, 2},
+		{"band resets the pressure window", band, 600, 2},
+		{"calm opens the recovery window", calm, 650, 2},
+		{"calm before Hold elapses", calm, 700, 2},
+		{"Hold of calm steps down", calm, 750, 1},
+		{"band also resets the calm window", band, 800, 1},
+		{"calm restarts from scratch", calm, 810, 1},
+		{"pre-band window does not carry over", calm, 870, 1},
+		{"fresh Hold of calm fully recovers", calm, 910, 0},
 		{"at level 0 calm is absorbed", calm, 1150, 0},
 	}
-	// 3 configured iterations → 2 shedding levels, +1 approx level = max 3.
-	b := newBrownout(bcfg(true), 3)
-	if got := b.levels(); got != 4 {
-		t.Fatalf("levels() = %d, want 4 (levels 0..3)", got)
+	// 3 configured iterations → 2 shedding levels: max level 2.
+	b := newBrownout(bcfg(), 3)
+	if got := b.levels(); got != 3 {
+		t.Fatalf("levels() = %d, want 3 (levels 0..2)", got)
 	}
 	for _, s := range steps {
 		b.observe(s.wait, at(s.nowMS))
@@ -74,52 +71,27 @@ func TestBrownoutStateMachine(t *testing.T) {
 	}
 }
 
-// TestBrownoutIterationCapAndApprox checks the level→fidelity mapping:
-// each shedding level removes one routing iteration, never below 1, and
-// only the final level (with AllowApprox) flips the approximate-math
-// path.
-func TestBrownoutIterationCapAndApprox(t *testing.T) {
-	b := newBrownout(bcfg(true), 3)
-	cases := []struct {
-		level      int
-		wantIters  int
-		wantApprox bool
-	}{
-		{0, 3, false},
-		{1, 2, false},
-		{2, 1, false},
-		{3, 1, true}, // approx level: iterations stay floored at 1
-	}
-	for _, c := range cases {
-		b.level.Store(int64(c.level))
-		if got := b.iterationCap(); got != c.wantIters {
-			t.Errorf("level %d: iterationCap %d, want %d", c.level, got, c.wantIters)
-		}
-		if got := b.approxActive(); got != c.wantApprox {
-			t.Errorf("level %d: approxActive %v, want %v", c.level, got, c.wantApprox)
+// TestBrownoutIterationCap checks the level→fidelity mapping: each
+// shedding level removes one routing iteration, and the ladder ends at
+// one iteration.
+func TestBrownoutIterationCap(t *testing.T) {
+	b := newBrownout(bcfg(), 3)
+	for level, wantIters := range []int{3, 2, 1} {
+		b.level.Store(int64(level))
+		if got := b.iterationCap(); got != wantIters {
+			t.Errorf("level %d: iterationCap %d, want %d", level, got, wantIters)
 		}
 	}
-
-	// Without AllowApprox the ladder stops at iteration shedding.
-	b = newBrownout(bcfg(false), 3)
-	if got := b.levels(); got != 3 {
-		t.Fatalf("no-approx levels() = %d, want 3", got)
-	}
-	b.level.Store(int64(b.maxLevel))
-	if b.approxActive() {
-		t.Fatal("approxActive true without AllowApprox")
-	}
-	if got := b.iterationCap(); got != 1 {
-		t.Fatalf("max no-approx level: iterationCap %d, want 1", got)
+	if b.maxLevel != 2 {
+		t.Fatalf("max level %d, want 2: the ladder ends at one iteration", b.maxLevel)
 	}
 
-	// A single-iteration network has nothing to shed: only the approx
-	// level exists, and the cap never goes below 1.
-	b = newBrownout(bcfg(true), 1)
-	if got := b.levels(); got != 2 {
-		t.Fatalf("1-iteration levels() = %d, want 2", got)
+	// A single-iteration network has nothing to shed: level 0 is the
+	// only level, and the cap never goes below 1.
+	b = newBrownout(bcfg(), 1)
+	if got := b.levels(); got != 1 {
+		t.Fatalf("1-iteration levels() = %d, want 1", got)
 	}
-	b.level.Store(int64(b.maxLevel))
 	if got := b.iterationCap(); got != 1 {
 		t.Fatalf("1-iteration network: iterationCap %d, want 1", got)
 	}
@@ -130,15 +102,15 @@ func TestBrownoutConfigValidate(t *testing.T) {
 	if err := (BrownoutConfig{}).validate(); err != nil {
 		t.Fatalf("disabled zero config must validate, got %v", err)
 	}
-	if err := bcfg(false).validate(); err != nil {
+	if err := bcfg().validate(); err != nil {
 		t.Fatalf("defaulted config must validate, got %v", err)
 	}
-	bad := bcfg(false)
+	bad := bcfg()
 	bad.RecoverThreshold = bad.EngageThreshold
 	if err := bad.validate(); err == nil {
 		t.Fatal("recover == engage must fail validation (no hysteresis band)")
 	}
-	bad = bcfg(false)
+	bad = bcfg()
 	bad.Hold = -time.Second
 	if err := bad.validate(); err == nil {
 		t.Fatal("negative Hold must fail validation")
@@ -231,7 +203,7 @@ func TestBrownoutIdleBitIdentical(t *testing.T) {
 	srv, err := New(net, capsnet.ExactMath{}, Config{
 		MaxBatch: 4,
 		MaxDelay: time.Millisecond,
-		Brownout: BrownoutConfig{Enabled: true, AllowApprox: true},
+		Brownout: BrownoutConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,29 +54,13 @@ type Config struct {
 	// ErrBatchTimeout (HTTP 500) so a stalled forward pass cannot
 	// wedge the queue behind it. Default 30s.
 	BatchDeadline time.Duration
-	// TraceSample is the fraction of requests whose full span timeline
+	// RequestsConfig sets up the request recorder behind
+	// /debug/requests/{trace,flight}: the counter-sampled span ring
 	// (admission → queue wait → batch assembly → forward-pass stages →
-	// encode) is recorded and retained for /debug/requests/trace, in
-	// [0, 1]. Sampling is deterministic (every ⌈1/rate⌉-th request).
-	// Default 0: no span recording — trace IDs, request logs, and the
-	// per-stage histograms all still work, and an unsampled request
-	// pays one nil check per span site.
-	TraceSample float64
-	// TraceBuffer is how many completed request traces the ring buffer
-	// behind /debug/requests/trace retains. Default 256.
-	TraceBuffer int
-	// FlightBuffer, when positive, arms the tail-sampled flight
-	// recorder: every request records spans live, and the full span set
-	// of requests that end 5xx, ride an aborted batch, run under
-	// brownout, or exceed SlowThreshold is pinned (up to FlightBuffer
-	// entries) at /debug/requests/flight. 0 (the default) disables the
-	// recorder entirely — the hot path then pays nothing beyond the
-	// counter sampler.
-	FlightBuffer int
-	// SlowThreshold, when positive and the flight recorder is armed,
-	// pins any request slower than this end-to-end regardless of
-	// status. 0 disables the slow trigger.
-	SlowThreshold time.Duration
+	// encode) and the flight recorder, which on a replica also pins
+	// requests that ride an aborted batch or run under brownout. The
+	// zero value records no spans and keeps the flight recorder off.
+	obs.RequestsConfig
 	// Logger, when non-nil, receives one structured log record per
 	// classify request (trace ID, status, latency, batch size). Nil
 	// disables request logging.
@@ -87,8 +71,8 @@ type Config struct {
 	Clock obs.Clock
 	// Brownout configures the adaptive-fidelity overload controller:
 	// under sustained queue pressure the server sheds routing
-	// iterations (and optionally switches to approximate routing math)
-	// instead of collapsing, stepping back up after recovery. The zero
+	// iterations, down to one, instead of collapsing, stepping back up
+	// after recovery. The zero
 	// value disables it entirely — the forward path is then
 	// bit-identical to a server without the controller.
 	Brownout BrownoutConfig
@@ -128,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchDeadline == 0 {
 		c.BatchDeadline = DefaultBatchDeadline
 	}
-	if c.TraceBuffer == 0 {
-		c.TraceBuffer = obs.DefaultTraceBuffer
-	}
 	if c.Brownout.Enabled {
 		c.Brownout = c.Brownout.withDefaults()
 	}
@@ -161,17 +142,8 @@ func (c Config) Validate() error {
 	if c.BatchDeadline <= 0 {
 		return fmt.Errorf("serve: BatchDeadline %v, need > 0", c.BatchDeadline)
 	}
-	if c.TraceSample < 0 || c.TraceSample > 1 {
-		return fmt.Errorf("serve: TraceSample %g, need 0 ≤ rate ≤ 1", c.TraceSample)
-	}
-	if c.TraceBuffer < 1 {
-		return fmt.Errorf("serve: TraceBuffer %d, need ≥ 1", c.TraceBuffer)
-	}
-	if c.FlightBuffer < 0 {
-		return fmt.Errorf("serve: FlightBuffer %d, need ≥ 0", c.FlightBuffer)
-	}
-	if c.SlowThreshold < 0 {
-		return fmt.Errorf("serve: negative SlowThreshold %v", c.SlowThreshold)
+	if err := c.RequestsConfig.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if err := c.Brownout.validate(); err != nil {
 		return err

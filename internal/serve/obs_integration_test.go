@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pimcapsnet/internal/capsnet"
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/trace"
 )
 
@@ -30,9 +31,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&syncWriter{w: &logBuf}, nil))
 	srv, err := New(network, capsnet.ExactMath{}, Config{
-		TraceSample: 1,
-		TraceBuffer: 32,
-		Logger:      logger,
+		RequestsConfig: obs.RequestsConfig{TraceSample: 1, TraceBuffer: 32},
+		Logger:         logger,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +221,10 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	if id := resp.Header.Get("X-Trace-Id"); !traceIDRe.MatchString(id) {
 		t.Errorf("trace IDs should still be issued when sampling is off; got %q", id)
 	}
-	if srv.Tracer().Enabled() {
+	if srv.Requests().Tracer().Enabled() {
 		t.Error("tracer enabled with TraceSample 0")
 	}
-	if got := srv.Tracer().Completed(); got != 0 {
+	if got := srv.Requests().Tracer().Completed(); got != 0 {
 		t.Errorf("retained %d traces with sampling off", got)
 	}
 	// Stage histograms stay on regardless (they are the cheap part).

@@ -61,12 +61,9 @@ type Server struct {
 	draining atomic.Bool
 	imgLen   int
 
-	// tracer issues per-request trace IDs, samples span timelines, and
-	// retains completed traces for /debug/requests/trace.
-	tracer *obs.Tracer
-	// flight is the tail-sampled flight recorder behind
-	// /debug/requests/flight; nil when Config.FlightBuffer is 0.
-	flight *obs.FlightRecorder
+	// requests issues trace IDs, records span timelines, and serves
+	// them at /debug/requests/{trace,flight}.
+	requests *obs.Requests
 	// logger receives one structured record per classify request when
 	// non-nil.
 	logger *slog.Logger
@@ -104,18 +101,8 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 			m.BrownoutRequests.With(strconv.Itoa(lvl))
 		}
 	}
-	// approxMath is built once so the brownout's deepest level does not
-	// allocate lookup tables per batch.
-	var approxMath capsnet.RoutingMath
-	if br != nil && cfg.Brownout.AllowApprox {
-		approxMath = capsnet.NewPEMath()
-	}
 	run := func(images [][]float32) []Prediction {
-		mo := mathOps
-		if approxMath != nil && br.approxActive() {
-			mo = approxMath
-		}
-		out := network.ForwardBatch(images, mo)
+		out := network.ForwardBatch(images, mathOps)
 		// Everything the response needs is copied out below, so the
 		// Output's scratch arena goes back to the network's pool as soon
 		// as this function returns — the step that keeps steady-state
@@ -190,18 +177,7 @@ func newServer(network *capsnet.Network, cfg Config, b *Batcher, m *Metrics) *Se
 	m.QueueDepth = b.QueueDepth
 	s := &Server{
 		cfg: cfg, net: network, batcher: b, metrics: m, imgLen: network.ImageLen(),
-		logger: cfg.Logger,
-		tracer: obs.NewTracer(obs.TracerConfig{
-			Sample:     cfg.TraceSample,
-			BufferSize: cfg.TraceBuffer,
-			Clock:      cfg.Clock,
-		}),
-	}
-	if cfg.FlightBuffer > 0 {
-		s.flight = obs.NewFlightRecorder(obs.FlightConfig{
-			Capacity:      cfg.FlightBuffer,
-			SlowThreshold: cfg.SlowThreshold,
-		})
+		logger: cfg.Logger, requests: obs.NewRequests(cfg.RequestsConfig, cfg.Clock),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/classify", s.handleClassify)
@@ -209,8 +185,7 @@ func newServer(network *capsnet.Network, cfg Config, b *Batcher, m *Metrics) *Se
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.Handle("/metrics", m.Handler())
-	s.mux.HandleFunc("/debug/requests/trace", s.handleRequestTrace)
-	s.mux.HandleFunc("/debug/requests/flight", s.handleFlight)
+	s.requests.Mount(s.mux)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -219,14 +194,9 @@ func newServer(network *capsnet.Network, cfg Config, b *Batcher, m *Metrics) *Se
 	return s
 }
 
-// Tracer exposes the request tracer (tests and the shutdown trace
-// export in cmd/capsnet-serve read the ring through it).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Flight exposes the flight recorder (nil when disabled); the
-// shutdown trace export merges its pinned traces with the sampled
-// ring.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
+// Requests exposes the request recorder (tests and the shutdown trace
+// export in cmd/capsnet-serve read it).
+func (s *Server) Requests() *obs.Requests { return s.requests }
 
 // Handler returns the root handler (mount it on an http.Server or
 // httptest.Server).
@@ -256,23 +226,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Inc()
 	start := s.cfg.Clock.Now()
 	// Every request gets a trace ID (response header + log
-	// correlation); only sampled requests get a live span trace. A
-	// caller-supplied X-Trace-Id is honored so IDs can follow a request
-	// across services.
-	id := r.Header.Get(obs.TraceIDHeader)
-	if id == "" {
-		id = s.tracer.NewID()
-	}
-	// A flight-recorder-armed server records every request live (the
-	// bad ones must have spans to pin); the tail-sampling decision
-	// happens at completion. Otherwise only counter-sampled requests
-	// carry a trace.
-	var t *obs.Trace
-	if s.flight != nil {
-		t = s.tracer.StartAlways(id, start)
-	} else {
-		t = s.tracer.StartRequest(id, start)
-	}
+	// correlation); t is nil unless the request records spans.
+	id, t := s.requests.Start(r.Header, start)
 	if parent := r.Header.Get(obs.ParentSpanHeader); parent != "" {
 		t.SetParent(parent)
 	}
@@ -292,13 +247,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	end := s.cfg.Clock.Now()
 	s.metrics.Stages.With(StageEncode).Observe(end.Sub(encStart).Seconds())
 	t.Add(StageEncode, -1, encStart, end)
-	if t != nil {
-		s.tracer.Finish(t, end)
-		if t.Sampled() {
-			s.metrics.Traces.Inc()
-		}
+	s.requests.Finish(t, code, start, end, s.metrics.BrownoutLevel(), flightReasons...)
+	if t.Sampled() {
+		s.metrics.Traces.Inc()
 	}
-	s.flight.Note(t, code, end.Sub(start), s.metrics.BrownoutLevel(), flightReasons...)
 	latency := end.Sub(start).Seconds()
 	s.metrics.Latency.Observe(latency)
 	if s.logger != nil {
@@ -321,67 +273,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			slog.Bool("sampled", t.Sampled()),
 		)
 	}
-}
-
-// handleRequestTrace serves the completed-trace ring as Chrome
-// trace-event JSON (load the response in Perfetto / chrome://tracing).
-// ?last=N bounds how many most-recent requests are included;
-// ?trace=<id> restricts to the traces of one request (union of the
-// sampled ring and the flight recorder's pins); &format=spans
-// switches the ?trace response to the fragment JSON the router's
-// fleet merger consumes.
-func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if id := q.Get("trace"); id != "" {
-		traces := s.findTraces(id)
-		w.Header().Set("Content-Type", "application/json")
-		if q.Get("format") == "spans" {
-			obs.WriteFragments(w, traces)
-			return
-		}
-		obs.WriteChromeTrace(w, traces, s.tracer.Epoch())
-		return
-	}
-	n := s.cfg.TraceBuffer
-	if qv := q.Get("last"); qv != "" {
-		v, err := strconv.Atoi(qv)
-		if err != nil || v < 1 {
-			http.Error(w, "last must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	obs.WriteChromeTrace(w, s.tracer.Last(n), s.tracer.Epoch())
-}
-
-// findTraces unions the sampled ring's and the flight recorder's
-// traces for one trace ID, deduplicated by pointer (a pinned trace
-// can also be ring-retained).
-func (s *Server) findTraces(id string) []*obs.Trace {
-	traces := s.tracer.Find(id)
-	if s.flight != nil {
-		seen := make(map[*obs.Trace]bool, len(traces))
-		for _, t := range traces {
-			seen[t] = true
-		}
-		for _, t := range s.flight.Find(id) {
-			if !seen[t] {
-				traces = append(traces, t)
-			}
-		}
-	}
-	return traces
-}
-
-// handleFlight serves the flight recorder's pinned requests as JSON.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		http.Error(w, "flight recorder disabled (set FlightBuffer > 0)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.flight.WriteJSON(w)
 }
 
 // errorBody is the JSON error payload.

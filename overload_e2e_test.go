@@ -53,12 +53,10 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 		// overrun of the short-deadline wave's 15ms budgets.
 		"-chaos-pressure", "20ms",
 		"-chaos-pressure-max", "35ms",
-		"-chaos-pressure-arm", "10000",
 		"-brownout",
 		"-brownout-engage", "5ms",
 		"-brownout-recover", "1ms",
 		"-brownout-hold", "30ms",
-		"-brownout-approx",
 	)
 	base := router.base
 

@@ -39,8 +39,8 @@ func TestRouterChaosE2E(t *testing.T) {
 		"-log-format", "json",
 		"--",
 		"-demo-classes", "3",
-		"-chaos-stall", "1s", "-chaos-stall-arm", "1",
-		"-chaos-corrupt", "4", "-chaos-corrupt-arm", "1",
+		"-chaos-stall", "1s",
+		"-chaos-corrupt", "4",
 	)
 	base := router.base
 
