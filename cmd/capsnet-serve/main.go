@@ -83,7 +83,7 @@ func main() {
 	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
 	drain := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown drain bound")
 	batchDeadline := flag.Duration("batch-deadline", serve.DefaultBatchDeadline, "watchdog bound on one batch's inference (stalled batches are failed, not queued behind)")
-	mathName := flag.String("math", "exact", "routing numerics: exact | pe | pe-norecovery")
+	mathName := flag.String("math", "exact", "routing numerics: exact | pe")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write the retained request traces as Chrome trace JSON here at shutdown")
 	chaosStall := flag.Duration("chaos-stall", 0, "CHAOS: stall the first batch this long before inference (0 disables)")
@@ -271,8 +271,6 @@ func routingMath(name string) (capsnet.RoutingMath, error) {
 		return capsnet.ExactMath{}, nil
 	case "pe":
 		return capsnet.NewPEMath(), nil
-	case "pe-norecovery":
-		return capsnet.NewPEMathNoRecovery(), nil
 	}
-	return nil, fmt.Errorf("unknown -math %q (want exact, pe, or pe-norecovery)", name)
+	return nil, fmt.Errorf("unknown -math %q (want exact or pe)", name)
 }

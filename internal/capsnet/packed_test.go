@@ -18,12 +18,29 @@ import (
 // equations stay held to the same constants as the packed ones on a
 // host that would otherwise never execute them.
 func TestIdentitySuiteOnGoKernels(t *testing.T) {
-	if !packedtest.Detected() {
+	if packedtest.Detected() == packedtest.Off {
 		t.Skip("this CPU has no packed path: the suite already ran on the Go kernels")
 	}
-	packedtest.With(t, false, func() {
-		if tensor.Packed() || tensor.PackedFMA() {
-			t.Fatal("a packed path is still on: Eqs. 1, 2, 4 read tensor.Packed, Eq. 5 tensor.PackedFMA")
+	identitySuiteAt(t, packedtest.Off)
+}
+
+// TestIdentitySuiteOnAVX2Kernels re-runs the same suite with the detect
+// pinned at AVX2. Where the CPU has FMA or AVX-512 the plain run takes
+// Eq. 5's packed exp and Conv2DInto's ZMM tile, so without this the
+// AVX2 bodies they replace would be held to the constants only on
+// runners without them.
+func TestIdentitySuiteOnAVX2Kernels(t *testing.T) {
+	if packedtest.Detected() == packedtest.AVX2 {
+		t.Skip("this CPU's highest level is AVX2: the suite already ran on it")
+	}
+	identitySuiteAt(t, packedtest.AVX2)
+}
+
+func identitySuiteAt(t *testing.T, l packedtest.Level) {
+	packedtest.At(t, l, func() {
+		if tensor.Packed() != (l >= packedtest.AVX2) || tensor.PackedFMA() != (l >= packedtest.FMA) {
+			t.Fatalf("pinned at %v, Packed() = %v, PackedFMA() = %v: Eqs. 1, 2, 4 read tensor.Packed, Eq. 5 tensor.PackedFMA",
+				l, tensor.Packed(), tensor.PackedFMA())
 		}
 		for _, tc := range []struct {
 			name string

@@ -81,8 +81,8 @@ func checkIm2Col(cols, input []float32, spec ConvSpec, h, w int) {
 // im2colTransposedInto writes rows [j0, j1) of the transposed lowered
 // matrix: cols[j·n + r] is what Im2ColInto puts at cols[r·kk + j]. A
 // row is one kernel tap (c, ky, kx) at all n output positions, so
-// eight consecutive floats are eight output positions — the lanes of
-// the packed micro-kernel. At stride 1 an output row is a contiguous
+// consecutive floats are consecutive output positions — the lanes of
+// the packed micro-kernels. At stride 1 an output row is a contiguous
 // run of the input.
 //
 //pimcaps:hotpath
@@ -149,13 +149,14 @@ func Im2Col(input *Tensor, spec ConvSpec) *Tensor {
 // (oh*ow)·(Cin·K·K). Every element of dst is overwritten.
 //
 // The product weights·colsᵀ is walked in register tiles: 8 output
-// channels × 8 output positions by the packed micro-kernel where the
-// CPU has one (convPacked), 2 × 3 in Go otherwise (convTiled). Tiling
-// only changes which outputs are computed together: every output is
-// still its own sum over j ascending from +0, one rounded multiply and
-// one rounded add per term, with the bias added last, so the result
-// does not depend on the tile shape, on where an output falls in a
-// tile, on whether it was an edge, or on which of the two paths ran.
+// channels × 32 or 8 output positions by the packed micro-kernels
+// where the CPU has them (convPacked), 2 × 3 in Go otherwise
+// (convTiled). Tiling only changes which outputs are computed
+// together: every output is still its own sum over j ascending from
+// +0, one rounded multiply and one rounded add per term, with the bias
+// added last, so the result does not depend on the tile shape, on
+// where an output falls in a tile, on whether it was an edge, or on
+// which of the paths ran.
 //
 //pimcaps:hotpath
 func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w int) {
@@ -186,37 +187,50 @@ func Conv2DInto(dst, cols, input, weights, bias []float32, spec ConvSpec, h, w i
 	}
 }
 
-// convKC is the reduction block of convPacked. Measured on the 2-vCPU
-// Xeon dev host, one core, best of 3, GMAC/s for mn1's PrimaryCaps
-// (kk = 20736, n = 36) / cv288's (kk = 5184): 64 → 15.4 / 15.7,
-// 128 → 19.9 / 15.9, 256 → 19.4 / 17.0, 512 → 19.8 / 16.4,
-// 1024 → 20.0 / 15.6, unblocked → 7.4 / 12.1 — a plateau from 128 up,
-// and a cliff without the block: mn1's 3 MB of cols then streams from
-// L3 once per channel group.
+// convKC is the reduction block of convPacked, re-swept for
+// convTile8x32 on the 2-vCPU Sapphire Rapids Xeon dev host: one core,
+// medians of 3–6 runs, GMAC/s for mn1's PrimaryCaps (kk = 20736,
+// n = 36) / cv288's (kk = 5184): 64 → 14.4 / 9.9, 128 → 14.9 / 9.9,
+// 256 → 14.9 / 10.3, 512 → 15.7 / 10.3, 1024 → 15.4 / 9.7,
+// unblocked → 10.4 / 9.1. That is the YMM tile's plateau from 128 up
+// (the steps inside it are within the host's run-to-run spread) and
+// its cliff without the block: mn1's 3 MB of cols then streams from L3
+// once per channel group. A 12×32 tile (24 accumulators) read
+// 11.0 / 7.8 at 256, so the tile stays 8 channels tall.
 const convKC = 256
 
 // convPacked is the packed path of Conv2DInto: dst = weights·cols over
-// the transposed im2col matrix, 8 channels × 8 positions at a time.
+// the transposed im2col matrix, 8 channels × 32 positions at a time
+// where the CPU has AVX-512 (convTile8x32), 8 × 8 otherwise.
 // The reduction runs in blocks of convKC taps so that a block of cols
 // (convKC·n floats, lowered just before it is used) and a channel
 // group's weights stay cache-resident while every tile of the block is
 // computed; between blocks the partial sums rest in dst itself, which
-// rounds nothing and keeps j ascending. The last n%8 positions are
-// masked lanes of the same tile, the last Cout%8 channels go one at a
-// time. Each kernel gets exactly the region it may touch, so a shape
-// the checks above missed panics here, not in the kernel.
+// rounds nothing and keeps j ascending. The n%32 positions the wide
+// tile leaves go through convTile8x8, whose last n%8 are masked lanes;
+// the last Cout%8 channels go one at a time. Each kernel gets exactly
+// the region it may touch, so a shape the checks above missed panics
+// here, not in the kernel.
 //
 //pimcaps:hotpath
 func convPacked(dst, cols, input, weights []float32, spec ConvSpec, h, w int) {
 	oh, ow := spec.OutSize(h, w)
 	n := oh * ow
 	kk := spec.Cin * spec.K * spec.K
+	wide := packed512()
 	for j0 := 0; j0 < kk; j0 += convKC {
 		kc := min(convKC, kk-j0)
 		im2colTransposedInto(cols, input, spec, h, w, j0, j0+kc)
 		co := 0
 		for ; co+8 <= spec.Cout; co += 8 {
-			for r := 0; r < n; r += 8 {
+			r := 0
+			if wide {
+				for ; r+32 <= n; r += 32 {
+					convTile8x32(dst[co*n+r:(co+7)*n+r+32], weights[co*kk+j0:(co+7)*kk+j0+kc],
+						cols[j0*n+r:(j0+kc-1)*n+r+32], n, kk, kc, j0 == 0)
+				}
+			}
+			for ; r < n; r += 8 {
 				lanes := min(8, n-r)
 				convTile8x8(dst[co*n+r:(co+7)*n+r+lanes], weights[co*kk+j0:(co+7)*kk+j0+kc],
 					cols[j0*n+r:(j0+kc-1)*n+r+lanes], n, kk, kc, lanes, j0 == 0)
@@ -274,8 +288,8 @@ func convTiled(dst, cols, weights []float32, cout, n, kk int) {
 // sums and N products are live together and 2N must fit the 15
 // allocatable XMM registers. The 8-sum tiles (4×2, 2×4) spill three
 // values a step and run 30% slower than this one. That is the limit of
-// the Go path only: convTile8x8 advances 64 sums a step, and this tile
-// is what it is tested against.
+// the Go path only: convTile8x8 advances 64 sums a step, convTile8x32
+// 256, and this tile is what both are tested against.
 //
 //pimcaps:hotpath
 func dot2x3(w0, w1, c0, c1, c2 []float32) (s00, s01, s02, s10, s11, s12 float32) {

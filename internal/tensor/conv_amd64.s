@@ -1,6 +1,7 @@
 #include "textflag.h"
 
-// Packed micro-kernels of Conv2DInto (see conv.go). A vector lane is
+// Packed micro-kernels of Conv2DInto (see conv.go): AVX2 on YMM
+// registers, and convTile8x32 on AVX-512's ZMM. A vector lane is
 // one output position, so every lane is one of the Go tile's
 // independent sums: VMULPS then VADDPS (never FMA), j ascending, the
 // running sum as the add's first source. Each output therefore goes
@@ -155,6 +156,115 @@ loop1:
 	VZEROUPPER
 	RET
 
+// One reduction step of channel row `mem` into the two halves
+// acc0, acc1 of a 32-position row: broadcast the weight, multiply by
+// the positions in Z16 and Z17, add.
+#define MULADD32(mem, acc0, acc1) \
+	VBROADCASTSS mem, Z18 \
+	VMULPS       Z18, Z16, Z19 \
+	VADDPS       Z19, acc0, acc0 \
+	VMULPS       Z18, Z17, Z20 \
+	VADDPS       Z20, acc1, acc1
+
+// func convTile8x32(acc, w, cols []float32, n, kk, kc int, first bool)
+//
+// convTile8x8 on AVX-512, 32 positions wide and never masked:
+// acc[c·n + p] (+)= Σ_{j<kc} w[c·kk + j] · cols[j·n + p] for channels
+// c < 8 and positions p < 32, channel c in Z(2c) and Z(2c+1).
+TEXT ·convTile8x32(SB), NOSPLIT, $0-97
+	MOVQ acc_base+0(FP), AX
+	MOVQ w_base+24(FP), BX
+	MOVQ cols_base+48(FP), CX
+	MOVQ n+72(FP), DX
+	MOVQ kk+80(FP), SI
+	MOVQ kc+88(FP), DI
+	SHLQ $2, DX
+	SHLQ $2, SI
+	LEAQ (SI)(SI*2), R11
+	LEAQ (BX)(R11*1), R8
+	LEAQ (R8)(R11*1), R9
+	LEAQ (DX)(DX*2), R11             // 3 acc rows
+
+	MOVBLZX first+96(FP), R12
+	TESTQ   R12, R12
+	JZ      load32
+	VPXORD  Z0, Z0, Z0
+	VPXORD  Z1, Z1, Z1
+	VPXORD  Z2, Z2, Z2
+	VPXORD  Z3, Z3, Z3
+	VPXORD  Z4, Z4, Z4
+	VPXORD  Z5, Z5, Z5
+	VPXORD  Z6, Z6, Z6
+	VPXORD  Z7, Z7, Z7
+	VPXORD  Z8, Z8, Z8
+	VPXORD  Z9, Z9, Z9
+	VPXORD  Z10, Z10, Z10
+	VPXORD  Z11, Z11, Z11
+	VPXORD  Z12, Z12, Z12
+	VPXORD  Z13, Z13, Z13
+	VPXORD  Z14, Z14, Z14
+	VPXORD  Z15, Z15, Z15
+	JMP     run32
+
+load32:
+	LEAQ    (AX)(R11*1), R12
+	VMOVUPS (AX), Z0
+	VMOVUPS 64(AX), Z1
+	VMOVUPS (AX)(DX*1), Z2
+	VMOVUPS 64(AX)(DX*1), Z3
+	VMOVUPS (AX)(DX*2), Z4
+	VMOVUPS 64(AX)(DX*2), Z5
+	VMOVUPS (R12), Z6
+	VMOVUPS 64(R12), Z7
+	VMOVUPS (R12)(DX*1), Z8
+	VMOVUPS 64(R12)(DX*1), Z9
+	VMOVUPS (R12)(DX*2), Z10
+	VMOVUPS 64(R12)(DX*2), Z11
+	LEAQ    (R12)(R11*1), R12
+	VMOVUPS (R12), Z12
+	VMOVUPS 64(R12), Z13
+	VMOVUPS (R12)(DX*1), Z14
+	VMOVUPS 64(R12)(DX*1), Z15
+
+run32:
+	VMOVUPS (CX), Z16
+	VMOVUPS 64(CX), Z17
+	MULADD32((BX), Z0, Z1)
+	MULADD32((BX)(SI*1), Z2, Z3)
+	MULADD32((BX)(SI*2), Z4, Z5)
+	MULADD32((R8), Z6, Z7)
+	MULADD32((R8)(SI*1), Z8, Z9)
+	MULADD32((R8)(SI*2), Z10, Z11)
+	MULADD32((R9), Z12, Z13)
+	MULADD32((R9)(SI*1), Z14, Z15)
+	ADDQ $4, BX
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ DX, CX
+	DECQ DI
+	JNZ  run32
+
+	LEAQ    (AX)(R11*1), R12
+	VMOVUPS Z0, (AX)
+	VMOVUPS Z1, 64(AX)
+	VMOVUPS Z2, (AX)(DX*1)
+	VMOVUPS Z3, 64(AX)(DX*1)
+	VMOVUPS Z4, (AX)(DX*2)
+	VMOVUPS Z5, 64(AX)(DX*2)
+	VMOVUPS Z6, (R12)
+	VMOVUPS Z7, 64(R12)
+	VMOVUPS Z8, (R12)(DX*1)
+	VMOVUPS Z9, 64(R12)(DX*1)
+	VMOVUPS Z10, (R12)(DX*2)
+	VMOVUPS Z11, 64(R12)(DX*2)
+	LEAQ    (R12)(R11*1), R12
+	VMOVUPS Z12, (R12)
+	VMOVUPS Z13, 64(R12)
+	VMOVUPS Z14, (R12)(DX*1)
+	VMOVUPS Z15, 64(R12)(DX*1)
+	VZEROUPPER
+	RET
+
 // func packedMulAddPeak(steps int)
 //
 // What convTile8x8's arithmetic costs with nothing to load: steps ×
@@ -193,5 +303,45 @@ peak:
 	VADDPS Y13, Y7, Y7
 	DECQ   DI
 	JNZ    peak
+	VZEROUPPER
+	RET
+
+// func packedMulAddPeak512(steps int)
+//
+// packedMulAddPeak on ZMM registers: what convTile8x32's arithmetic
+// costs with nothing to load, steps × (8 VMULPS + 8 VADDPS) of 16
+// lanes each.
+TEXT ·packedMulAddPeak512(SB), NOSPLIT, $0-8
+	MOVQ   steps+0(FP), DI
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+
+peak512:
+	VMULPS Z9, Z8, Z10
+	VADDPS Z10, Z0, Z0
+	VMULPS Z9, Z8, Z11
+	VADDPS Z11, Z1, Z1
+	VMULPS Z9, Z8, Z12
+	VADDPS Z12, Z2, Z2
+	VMULPS Z9, Z8, Z13
+	VADDPS Z13, Z3, Z3
+	VMULPS Z9, Z8, Z10
+	VADDPS Z10, Z4, Z4
+	VMULPS Z9, Z8, Z11
+	VADDPS Z11, Z5, Z5
+	VMULPS Z9, Z8, Z12
+	VADDPS Z12, Z6, Z6
+	VMULPS Z9, Z8, Z13
+	VADDPS Z13, Z7, Z7
+	DECQ   DI
+	JNZ    peak512
 	VZEROUPPER
 	RET

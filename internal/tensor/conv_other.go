@@ -13,3 +13,7 @@ func convTile8x8(acc, w, cols []float32, n, kk, kc, lanes int, first bool) {
 func convTile1x8(acc, w, cols []float32, n, kc, lanes int, first bool) {
 	panic("tensor: packed convolution kernel called off amd64")
 }
+
+func convTile8x32(acc, w, cols []float32, n, kk, kc int, first bool) {
+	panic("tensor: packed convolution kernel called off amd64")
+}

@@ -57,9 +57,10 @@ func TestConv2DIntoTileEdgesBitIdentical(t *testing.T) {
 
 // BenchmarkConv2DInto times the one dense kernel on the six front-end
 // shapes of the repository benchmark's models (bench/workloads.go) and
-// reports GMAC/s, so a run reads directly against this core's two
+// reports GMAC/s, so a run reads directly against this core's
 // ceilings: the benchmark's scalar host.fma_gmacs and the packed
-// BenchmarkPackedMulAddPeak.
+// BenchmarkPackedMulAddPeak of the body that ran (/avx512 where the CPU
+// has it, /avx2 otherwise).
 func BenchmarkConv2DInto(b *testing.B) {
 	shapes := []struct {
 		name string

@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,15 +36,22 @@ func guarded(n int, fill float32) (inner []float32, intact func() bool) {
 	}
 }
 
-// TestConv2DIntoPackedBitIdenticalToGoTile runs the packed path over
-// every edge it has — channel groups and position tiles that do and do
-// not divide by 8, reductions of one tap, of one block less one, of
-// exactly one block, of one block plus one, and of 81 blocks — and
-// demands the bits of the Go tile. Every operand of the packed run is
-// carved out of a larger buffer: NaN around the sources, so a read
-// past an end that reached a stored sum would show in the bits, and a
-// sentinel around dst and cols, which must survive.
+// TestConv2DIntoPackedBitIdenticalToGoTile runs the packed path, at
+// every level this CPU has, over every edge it has — channel groups and
+// position tiles that do and do not divide by 8, position counts on
+// both sides of a 32-wide tile and of two, reductions of one tap, of
+// one block less one, of exactly one block, of one block plus one, and
+// of 81 blocks — and demands the bits of the Go tile. Every operand of
+// the packed run is carved out of a larger buffer: NaN around the
+// sources, so a read past an end that reached a stored sum would show
+// in the bits, and a sentinel around dst and cols, which must survive.
 func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
+	for _, l := range packedtest.PackedLevels() {
+		t.Run(l.String(), func(t *testing.T) { conv2DIntoBitIdenticalAt(t, l) })
+	}
+}
+
+func conv2DIntoBitIdenticalAt(t *testing.T, l packedtest.Level) {
 	nan := float32(math.NaN())
 	const sentinel = float32(-12345)
 	rng := rand.New(rand.NewSource(16))
@@ -52,7 +60,8 @@ func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
 			xs[i] = rng.Float32() - 0.5
 		}
 	}
-	outs := []struct{ oh, ow int }{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {6, 6}, {11, 11}, {20, 20}}
+	outs := []struct{ oh, ow int }{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {1, 31}, {4, 8}, {3, 11}, {6, 6},
+		{7, 9}, {8, 8}, {5, 13}, {11, 11}, {20, 20}} // n = 1, 7, 8, 9, 31, 32, 33, 36, 63, 64, 65, 121, 400
 	kernels := []struct{ cin, k int }{{1, 1}, {1, 5}, {255, 1}, {256, 1}, {257, 1}, {256, 9}}
 	for _, cout := range []int{1, 7, 8, 9, 16, 256} {
 		for _, o := range outs {
@@ -77,13 +86,13 @@ func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
 							fill(bias)
 						}
 						want := make([]float32, cout*n)
-						packedtest.With(t, false, func() {
+						packedtest.At(t, packedtest.Off, func() {
 							tensor.Conv2DInto(want, make([]float32, n*kk), in, wt, bias, spec, h, w)
 						})
 
 						got, gotOK := guarded(cout*n, sentinel)
 						cols, colsOK := guarded(n*kk, sentinel)
-						packedtest.With(t, true, func() {
+						packedtest.At(t, l, func() {
 							tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w)
 						})
 						for i := range want {
@@ -99,6 +108,24 @@ func TestConv2DIntoPackedBitIdenticalToGoTile(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPackedtestLevelsAreTheDetect pins each level packedtest names
+// and reads back the predicates the kernels dispatch on: packedtest
+// mirrors the detect's values, and a level that drifted from them
+// would hold the wrong body to the tests.
+func TestPackedtestLevelsAreTheDetect(t *testing.T) {
+	for _, l := range append([]packedtest.Level{packedtest.Off}, packedtest.PackedLevels()...) {
+		t.Run(l.String(), func(t *testing.T) {
+			packedtest.At(t, l, func() {
+				got := [3]bool{tensor.Packed(), tensor.PackedFMA(), tensor.Packed512()}
+				want := [3]bool{l >= packedtest.AVX2, l >= packedtest.FMA, l >= packedtest.AVX512}
+				if got != want {
+					t.Fatalf("Packed, PackedFMA, packed512 = %v, want %v", got, want)
+				}
+			})
+		})
 	}
 }
 
@@ -179,4 +206,74 @@ func TestConv2DIntoRejectsBadLengths(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzConv2DIntoPacked is the differential target of the dense
+// kernel's packed bodies (convTile8x32, convTile8x8 and convTile1x8):
+// for operands of any bit pattern — data is read as little-endian
+// float32 bits and cycled over input, weights and bias, so NaN
+// payloads, ±0, ±Inf and denormals are all reachable — Cout 1–40,
+// oh×ow up to 12×12 (n crosses 8 and 32), kk = Cin·K·K up to one
+// ConvKC block and 32 taps past it, and stride 1 or 2, every level this
+// CPU has must give the bits of the Go tile and leave the sentinel
+// margins around dst and cols alone. Where two NaNs meet, x86 keeps the
+// first operand's payload and the Go tile does not fix which operand
+// that is, so a NaN of any payload matches a NaN.
+func FuzzConv2DIntoPacked(f *testing.F) {
+	f.Fuzz(func(t *testing.T, cout, oh, ow, k uint8, cin uint16, stride2, withBias bool, data []byte) {
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		if len(vals) == 0 {
+			t.Skip("no operands")
+		}
+		spec := tensor.ConvSpec{Cout: 1 + int(cout)%40, K: 1 + int(k)%3, Stride: 1}
+		spec.Cin = 1 + int(cin)%((tensor.ConvKC+32)/(spec.K*spec.K))
+		if stride2 {
+			spec.Stride = 2
+		}
+		outH, outW := 1+int(oh)%12, 1+int(ow)%12
+		h, w := (outH-1)*spec.Stride+spec.K, (outW-1)*spec.Stride+spec.K
+		n, kk := outH*outW, spec.Cin*spec.K*spec.K
+		next := 0
+		fill := func(xs []float32) {
+			for i := range xs {
+				xs[i] = vals[next%len(vals)]
+				next++
+			}
+		}
+		in := make([]float32, spec.Cin*h*w)
+		wt := make([]float32, spec.Cout*kk)
+		fill(in)
+		fill(wt)
+		var bias []float32
+		if withBias {
+			bias = make([]float32, spec.Cout)
+			fill(bias)
+		}
+		want := make([]float32, spec.Cout*n)
+		packedtest.At(t, packedtest.Off, func() {
+			tensor.Conv2DInto(want, make([]float32, n*kk), in, wt, bias, spec, h, w)
+		})
+		for _, l := range packedtest.PackedLevels() {
+			if l > packedtest.Detected() {
+				break
+			}
+			got, gotOK := guarded(len(want), -12345)
+			cols, colsOK := guarded(n*kk, -12345)
+			packedtest.At(t, l, func() { tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w) })
+			for i := range want {
+				g, x := got[i], want[i]
+				if math.Float32bits(g) != math.Float32bits(x) && !(g != g && x != x) {
+					t.Fatalf("%v: Cout=%d n=%d kk=%d stride=%d: out[%d] = %x, want %x",
+						l, spec.Cout, n, kk, spec.Stride, i, math.Float32bits(g), math.Float32bits(x))
+				}
+			}
+			if !gotOK() || !colsOK() {
+				t.Fatalf("%v: Cout=%d n=%d kk=%d stride=%d: wrote outside dst (%v) or cols (%v)",
+					l, spec.Cout, n, kk, spec.Stride, gotOK(), colsOK())
+			}
+		}
+	})
 }
