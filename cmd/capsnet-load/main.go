@@ -6,12 +6,22 @@
 // Figure-3 stage decomposition scraped from /metrics, optionally
 // sweeps offered rate to locate the knee of the latency/throughput
 // curve, and emits the machine-readable report the slo-gate CI job
-// diffs against SLO_BASELINE.json (see internal/slogate).
+// diffs against SLO_BASELINE.json (see internal/slogate). It is the
+// one program in this module that fires load.
 //
 // Against a server you run yourself:
 //
 //	go run ./cmd/capsnet-serve -demo-classes 3 &
 //	go run ./cmd/capsnet-load -addr http://localhost:8080 -rate 50 -duration 5s
+//
+// With -target router it also prints the router's fleet view after
+// the reference run, from the same /metrics/fleet scrape that closes
+// the stage window: retry/hedge/deadline counters, the per-replica
+// request distribution, and a per-replica health table (requests,
+// batches, brownout level, aborted batches, expired deadlines):
+//
+//	go run ./cmd/capsnet-router -replicas 3 -- -demo-classes 5 &
+//	go run ./cmd/capsnet-load -target router -rate 50 -duration 5s
 //
 // Spawning its own replica (what `make slo-gate` does; flags after
 // "--" go to the spawned capsnet-serve):
@@ -31,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -40,6 +51,7 @@ import (
 	"pimcapsnet/internal/dataset"
 	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/loadgen"
+	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
 	"pimcapsnet/internal/slogate"
 	"pimcapsnet/internal/workload"
@@ -71,6 +83,17 @@ func run() int {
 	out := flag.String("out", "", "also write the run's report JSON here (the slo-gate CI artifact)")
 	flag.Parse()
 
+	// Every flag is checked, and every schedule built, before a replica
+	// is spawned or the model fetched: a run that would offer nothing
+	// is a usage error, not a panic halfway through a sweep.
+	if *duration <= 0 {
+		fmt.Fprintf(os.Stderr, "-duration %v must be positive\n", *duration)
+		return 2
+	}
+	if *sweepDuration <= 0 {
+		fmt.Fprintf(os.Stderr, "-sweep-duration %v must be positive\n", *sweepDuration)
+		return 2
+	}
 	kind, err := workload.ShapeByName(*shapeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -88,6 +111,29 @@ func run() int {
 	if *target != "serve" && *target != "router" {
 		fmt.Fprintf(os.Stderr, "unknown -target %q (want serve or router)\n", *target)
 		return 2
+	}
+	schedule := shape.Schedule(duration.Seconds(), *seed)
+	if len(schedule) == 0 {
+		fmt.Fprintf(os.Stderr, "-rate %g over -duration %v schedules no arrivals (seed %d); raise either\n", shape.Rate, *duration, *seed)
+		return 2
+	}
+	var rates []float64
+	var sweepSchedules [][]float64
+	if *sweepList != "" {
+		if rates, err = parseRates(*sweepList); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		for _, r := range rates {
+			s := shape
+			s.Rate = r
+			sched := s.Schedule(sweepDuration.Seconds(), *seed)
+			if len(sched) == 0 {
+				fmt.Fprintf(os.Stderr, "-sweep rate %g over -sweep-duration %v schedules no arrivals (seed %d); raise either\n", r, *sweepDuration, *seed)
+				return 2
+			}
+			sweepSchedules = append(sweepSchedules, sched)
+		}
 	}
 
 	// Ctrl-C stops dispatching and returns through the normal path, so
@@ -164,10 +210,10 @@ func run() int {
 
 	fmt.Printf("replaying %s shape at %.4g req/s for %v against %s (%s tier, seed %d)\n",
 		shape.Kind, shape.Rate, duration, base, *target, *seed)
-	before := scrapeStages(client, stageURL)
-	res := loadgen.Run(ctx, httpTarget,
-		loadgen.Options{Schedule: shape.Schedule(duration.Seconds(), *seed), Timeout: *timeout})
-	shares := loadgen.StageShares(before, scrapeStages(client, stageURL))
+	before := scrape(client, stageURL)
+	res := loadgen.Run(ctx, httpTarget, loadgen.Options{Schedule: schedule, Timeout: *timeout})
+	after := scrape(client, stageURL)
+	shares := loadgen.StageShares(loadgen.ParseStageSums(before), loadgen.ParseStageSums(after))
 	fmt.Println("  " + res.String())
 
 	report := &loadgen.Report{
@@ -184,20 +230,15 @@ func run() int {
 		Stages:          shares,
 	}
 	printStages(shares)
+	if *target == "router" {
+		printRouterView(obs.ParsePromText([]byte(after)))
+	}
 
-	if *sweepList != "" {
-		rates, err := parseRates(*sweepList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
+	if len(rates) > 0 {
 		fmt.Printf("\nsweeping offered rate for the knee (%v per point):\n", *sweepDuration)
 		fmt.Printf("  %10s %10s %8s %10s %10s %10s\n", "offered", "achieved", "avail", "p50", "p99", "p999")
-		for _, r := range rates {
-			s := shape
-			s.Rate = r
-			pres := loadgen.Run(ctx, httpTarget,
-				loadgen.Options{Schedule: s.Schedule(sweepDuration.Seconds(), *seed), Timeout: *timeout})
+		for i, r := range rates {
+			pres := loadgen.Run(ctx, httpTarget, loadgen.Options{Schedule: sweepSchedules[i], Timeout: *timeout})
 			p := loadgen.PointFromResult(r, pres)
 			report.Sweep = append(report.Sweep, p)
 			fmt.Printf("  %10.4g %10.4g %8.4f %9.4gs %9.4gs %9.4gs\n",
@@ -288,20 +329,20 @@ func buildBodies(info serve.ModelInfo, seed int64) ([][]byte, error) {
 	return bodies, nil
 }
 
-// scrapeStages fetches a /metrics exposition and extracts the stage
-// sums; scrape failures degrade to an empty decomposition rather than
-// failing the load run.
-func scrapeStages(client *http.Client, url string) map[string]float64 {
+// scrape fetches a /metrics exposition; a failed scrape degrades to
+// an empty one (no stage decomposition, empty router tables) rather
+// than failing the load run.
+func scrape(client *http.Client, url string) string {
 	resp, err := client.Get(url)
 	if err != nil {
-		return nil
+		return ""
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil
+		return ""
 	}
-	return loadgen.ParseStageSums(string(body))
+	return string(body)
 }
 
 // printStages renders the Figure-3 correlation table.
@@ -314,6 +355,83 @@ func printStages(shares []loadgen.StageShare) {
 	fmt.Printf("  %-24s %12s %7s\n", "stage", "total", "share")
 	for _, s := range shares {
 		fmt.Printf("  %-24s %11.4gs %6.1f%%\n", s.Stage, s.Seconds, 100*s.Share)
+	}
+}
+
+// printRouterView renders the router's side of a /metrics/fleet
+// scrape, cumulative since the router started: its retry, hedge,
+// deadline and SLO series, how placement spread requests over the
+// replicas, and each replica's health from its re-exported /metrics.
+func printRouterView(fleet obs.PromSamples) {
+	fmt.Println("\nrouter summary (/metrics/fleet, cumulative):")
+	for _, s := range fleet {
+		switch s.Name {
+		case "router_retries_total", "router_hedges_total", "router_hedges_skipped_total",
+			"router_deadline_exhausted_total", "router_replica_restarts_total",
+			"router_request_latency_seconds_count", "router_request_latency_seconds_sum",
+			"router_fleet_replicas_scraped", "router_fleet_scrape_failures":
+			fmt.Println("  " + s.String())
+		default:
+			if strings.HasPrefix(s.Name, "router_slo_") {
+				fmt.Println("  " + s.String())
+			}
+		}
+	}
+
+	reqs := fleet.Family("router_replica_requests_total")
+	codes := labelValues(reqs, "code")
+	fmt.Println("\nper-replica request distribution (router_replica_requests_total by code):")
+	printReplicaTable(labelValues(reqs, "replica"), codes, func(replica string, col int) (float64, bool) {
+		return reqs.Value("router_replica_requests_total", "replica", replica, "code", codes[col])
+	})
+
+	families := []string{"capsnet_requests_total", "capsnet_batches_total", "capsnet_brownout_level",
+		"capsnet_batch_aborted_total", "capsnet_deadline_expired_total"}
+	fmt.Println("\nper-replica health (re-exported replica /metrics):")
+	printReplicaTable(labelValues(fleet.Family(families[0]), "replica"),
+		[]string{"requests", "batches", "brownout", "aborted", "expired"},
+		func(replica string, col int) (float64, bool) {
+			return fleet.Value(families[col], "replica", replica)
+		})
+}
+
+// labelValues returns the distinct values one label takes across a
+// family, sorted.
+func labelValues(family obs.PromSamples, key string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, s := range family {
+		if v := s.Label(key); v != "" && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// printReplicaTable prints one row per replica and one column per
+// header; a cell without a value prints as "-".
+func printReplicaTable(replicas, headers []string, cell func(replica string, col int) (float64, bool)) {
+	if len(replicas) == 0 {
+		fmt.Println("  (no per-replica series: the /metrics/fleet scrape failed)")
+		return
+	}
+	fmt.Printf("  %-10s", "replica")
+	for _, h := range headers {
+		fmt.Printf(" %9s", h)
+	}
+	fmt.Println()
+	for _, r := range replicas {
+		fmt.Printf("  %-10s", r)
+		for col := range headers {
+			if v, ok := cell(r, col); ok {
+				fmt.Printf(" %9.0f", v)
+			} else {
+				fmt.Printf(" %9s", "-")
+			}
+		}
+		fmt.Println()
 	}
 }
 

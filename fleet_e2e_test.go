@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +41,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		t.Skip("builds and boots the router and two replicas; skipped in -short")
 	}
 
-	bins := buildCmds(t, "capsnet-serve", "capsnet-router")
+	bins := buildCmds(t, "capsnet-serve", "capsnet-router", "capsnet-load")
 	router := startProc(t, bins[1], "routing",
 		"-addr", "127.0.0.1:0",
 		"-serve-bin", bins[0],
@@ -236,8 +238,40 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	assertMergedHistogram(t, fleetSamples, "capsnet_request_latency_seconds_sum")
 	assertMergedHistogram(t, fleetSamples, "capsnet_request_latency_seconds_count")
 
+	// The load client's router view: after its reference run it prints
+	// the per-replica request distribution and health table, one row
+	// per replica.
+	out, err := exec.Command(bins[2], "-target", "router", "-addr", base, "-rate", "20", "-duration", "1s").CombinedOutput()
+	if err != nil {
+		t.Fatalf("capsnet-load -target router: %v\n%s", err, out)
+	}
+	for _, table := range []string{"per-replica request distribution", "per-replica health"} {
+		rows := tableRows(string(out), table)
+		if !slices.Contains(rows, "r0") || !slices.Contains(rows, "r1") {
+			t.Errorf("capsnet-load %q table has rows %v, want r0 and r1:\n%s", table, rows, out)
+		}
+	}
+
 	// Graceful shutdown.
 	router.interrupt()
+}
+
+// tableRows returns the first field of each row of the table printed
+// under the line starting with heading, up to the next blank line.
+func tableRows(out, heading string) []string {
+	var rows []string
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, heading):
+			in = true
+		case in && strings.TrimSpace(line) == "":
+			return rows
+		case in:
+			rows = append(rows, strings.Fields(line)[0])
+		}
+	}
+	return rows
 }
 
 func hasReason(reasons []string, want string) bool {

@@ -6,8 +6,10 @@
 // That makes the recorded distribution coordinated-omission-safe —
 // a stalled server inflates the tail of every request that was due
 // during the stall, exactly as queueing users would experience it —
-// where a closed-loop client (like examples/serve's default mode)
-// silently stops offering load while it waits and hides the queue.
+// where a closed-loop client (a pool of workers that each wait for a
+// reply before sending again) silently stops offering load while it
+// waits and hides the queue. cmd/capsnet-load is the one client in
+// this module built on it.
 //
 // The package is deliberately thin — standard library plus the
 // fixed-bucket histograms from internal/obs — so measurements
@@ -78,8 +80,13 @@ func (t *HTTPTarget) Do(ctx context.Context, i int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	io.Copy(io.Discard, resp.Body)
+	// A reply cut short is a transport failure whatever its status
+	// line said: the client never got the answer.
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		return 0, err
+	}
 	return resp.StatusCode, nil
 }
 

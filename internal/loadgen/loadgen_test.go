@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"bufio"
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -162,5 +165,42 @@ func TestHTTPTarget(t *testing.T) {
 	}
 	if !sawHeader.Load() {
 		t.Error("Decorate hook never ran")
+	}
+}
+
+// TestHTTPTargetTruncatedReply: a 200 whose body ends before its
+// declared Content-Length is a transport failure, not a success — the
+// client never received the answer.
+func TestHTTPTargetTruncatedReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Read the request head, then promise 100 bytes and send 5.
+		br := bufio.NewReader(conn)
+		if _, err := http.ReadRequest(br); err != nil {
+			return
+		}
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\nContent-Type: application/json\r\n\r\n{\"cla")
+	}()
+
+	target := &HTTPTarget{
+		Client: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+		URL:    "http://" + ln.Addr().String() + "/v1/classify",
+		Bodies: [][]byte{[]byte(`{}`)},
+	}
+	code, err := target.Do(context.Background(), 0)
+	<-served
+	if code != 0 || err == nil {
+		t.Fatalf("Do = (%d, %v), want (0, error) for a truncated 200", code, err)
 	}
 }

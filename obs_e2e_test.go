@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -59,7 +60,8 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 	// The startup log line carries the bound address (-addr :0 makes
 	// the OS pick the port) and every later line must be valid JSON
 	// with a trace ID on request records.
-	srv := startProc(t, buildCmds(t, "capsnet-serve")[0], "serving",
+	bins := buildCmds(t, "capsnet-serve", "examples/serve")
+	srv := startProc(t, bins[0], "serving",
 		"-demo-classes", "3",
 		"-addr", "127.0.0.1:0",
 		"-log-format", "json",
@@ -70,7 +72,7 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 
 	// Size the image from the advertised model geometry and fire load.
 	var info struct {
-		Channels, Height, Width int
+		Channels, Height, Width, Classes int
 	}
 	getJSON(t, base+"/v1/model", &info)
 	img := make([]float32, info.Channels*info.Height*info.Width)
@@ -141,6 +143,15 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 		}
 	}
 
+	// 4. The one-shot example client classifies one image per class.
+	out, err := exec.Command(bins[1], "-addr", base).CombinedOutput()
+	if err != nil {
+		t.Fatalf("examples/serve: %v\n%s", err, out)
+	}
+	if got := strings.Count(string(out), ": predicted "); got != info.Classes {
+		t.Errorf("examples/serve printed %d prediction lines, want %d (one per class):\n%s", got, info.Classes, out)
+	}
+
 	// Graceful shutdown must exit 0, and every log line must have been
 	// JSON.
 	srv.interrupt()
@@ -156,8 +167,8 @@ func TestObservabilitySmokeE2E(t *testing.T) {
 			t.Errorf("bad request log record: %+v", rec)
 		}
 	}
-	if count != n {
-		t.Errorf("logged %d classify records, want %d", count, n)
+	if count != n+info.Classes {
+		t.Errorf("logged %d classify records, want %d", count, n+info.Classes)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -28,15 +29,21 @@ type logRecord struct {
 	Status  int    `json:"status"`
 }
 
-// buildCmds compiles the named cmd/ binaries into a temporary
-// directory and returns their paths in the same order.
+// buildCmds compiles the named binaries into a temporary directory
+// and returns their paths in the same order. A bare name is a cmd/
+// binary; a name with a slash is a main package path from the module
+// root, such as examples/serve.
 func buildCmds(t *testing.T, names ...string) []string {
 	t.Helper()
 	dir := t.TempDir()
 	bins := make([]string, len(names))
 	for i, name := range names {
-		bins[i] = filepath.Join(dir, name)
-		if out, err := exec.Command("go", "build", "-o", bins[i], "./cmd/"+name).CombinedOutput(); err != nil {
+		pkg := "./cmd/" + name
+		if strings.Contains(name, "/") {
+			pkg = "./" + name
+		}
+		bins[i] = filepath.Join(dir, filepath.Base(name))
+		if out, err := exec.Command("go", "build", "-o", bins[i], pkg).CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", name, err, out)
 		}
 	}

@@ -1,8 +1,10 @@
 package pimcapsnet_bench
 
 import (
+	"errors"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pimcapsnet/internal/loadgen"
@@ -80,5 +82,35 @@ func TestSLOGateE2E(t *testing.T) {
 	args = append(append([]string{}, common...), "-check-baseline", "--", "-demo-classes", "3")
 	if out, err := exec.Command(loadBin, args...).CombinedOutput(); err != nil {
 		t.Fatalf("gate rejected an unchanged server: %v\n%s", err, out)
+	}
+}
+
+// TestLoadFlagValidationE2E holds capsnet-load to its usage contract:
+// a run whose flags schedule no arrivals exits 2 with a message naming
+// the flag, before it spawns a replica or fetches the model — so no
+// server is running here, and none is needed.
+func TestLoadFlagValidationE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the load binary; skipped in -short")
+	}
+	loadBin := buildCmds(t, "capsnet-load")[0]
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-duration", []string{"-duration", "0"}},
+		{"-sweep-duration", []string{"-sweep-duration", "0", "-sweep", "10"}},
+		{"-rate", []string{"-rate", "0.2", "-duration", "1s"}},
+		{"-sweep", []string{"-sweep", "0.2"}},
+	} {
+		args := append([]string{"-addr", "http://127.0.0.1:1"}, tc.args...)
+		out, err := exec.Command(loadBin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("capsnet-load %v: %v, want exit 2\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.flag+" ") || strings.Contains(string(out), "panic:") {
+			t.Errorf("capsnet-load %v: output does not name %s (or panicked):\n%s", tc.args, tc.flag, out)
+		}
 	}
 }
