@@ -31,6 +31,25 @@
 	VMULPS       Y8, Y10, Y11 \
 	VADDPS       Y11, lo, lo
 
+// PFDIST is how far ahead of the stream it walks each of Eqs. 1, 2 and
+// 4 issues a PREFETCHT0: the W rows in predTile4 and predTile1, the û
+// rows in aggregateRows and agreePairs8. Those streams come from DRAM
+// (û at batch 8 is 19.8 MB, W 19.8 MB) and the kernels stalled on
+// each line's latency, not on bandwidth: the hardware prefetcher runs
+// too close behind. A prefetch changes no result and never faults, so
+// it may run past the end of an operand. Swept on one core of the
+// 2-vCPU Sapphire Rapids Xeon dev host (ms per call, medians of 5
+// alternating runs; none = no prefetch):
+//
+//	distance          none   1 KB   2 KB   4 KB   8 KB  16 KB
+//	Eq. 1 rp3872/nb1  2.21   1.86   1.54   1.34   1.45   1.51
+//	Eq. 1 rp3872/nb8  5.17   5.03   4.61   4.46   4.54   4.25
+//	Eq. 2 rp3872/nb8  2.67   1.98   1.73   1.51   1.50   1.51
+//	Eq. 4 rp3872/nb8  2.69   2.49   2.04   1.53   1.43   1.64
+//
+// Everything from 4 KB up is one plateau within the host's noise.
+#define PFDIST 4096
+
 // func predTile4(u, w, o []float32, ustride, ostride, nh, cl, ch int)
 //
 // Eq. 1 for one low-level capsule and four samples: for sample s < 4,
@@ -77,6 +96,7 @@ wide4:
 	MOVQ cl+96(FP), R10
 
 wide4d:
+	PREFETCHT0 PFDIST(R12)
 	VMOVUPS (R12), Y8
 	VMOVUPS 32(R12), Y9
 	SAMPLE16((AX), Y0, Y1)
@@ -115,6 +135,7 @@ narrow4:
 	MOVQ cl+96(FP), R10
 
 narrow4d:
+	PREFETCHT0 PFDIST(R12)
 	VMOVUPS (R12), Y8
 	SAMPLE8((AX), Y0)
 	SAMPLE8((AX)(BX*1), Y2)
@@ -169,6 +190,7 @@ wide1:
 	MOVQ cl+80(FP), R10
 
 wide1d:
+	PREFETCHT0 PFDIST(R12)
 	VMOVUPS (R12), Y8
 	VMOVUPS 32(R12), Y9
 	SAMPLE16((AX), Y0, Y1)
@@ -195,6 +217,7 @@ narrow1:
 	MOVQ cl+80(FP), R10
 
 narrow1d:
+	PREFETCHT0 PFDIST(R12)
 	VMOVUPS (R12), Y8
 	SAMPLE8((AX), Y0)
 	ADDQ R9, R12
@@ -260,6 +283,7 @@ capj:
 	MOVQ DI, BX
 
 lanes:
+	PREFETCHT0 PFDIST(R12)
 	VMULPS  (R12), Y1, Y2
 	VMOVUPS (R11), Y3
 	VADDPS  Y2, Y3, Y3
@@ -307,6 +331,8 @@ nextj:
 // BX vt (cursor)    DX vt start            R8 vt end
 // R9 ch·4, R10 3·ch·4, R11 5·ch·4, R12 7·ch·4
 // CX groups left    R13 steps left
+// R14 prefetch cursor: two lines a step, so it walks a group's 8·ch·4
+// bytes of û in its ch/4 steps and stays level with SI
 TEXT ·agreePairs8(SB), NOSPLIT, $0-80
 	MOVQ b_base+0(FP), DI
 	MOVQ b_len+8(FP), CX
@@ -320,6 +346,7 @@ TEXT ·agreePairs8(SB), NOSPLIT, $0-80
 	LEAQ (R9)(R9*4), R11
 	LEAQ (R10)(R9*4), R12
 	MOVQ DX, BX
+	MOVQ SI, R14
 	SHRQ $3, CX
 
 agreeGroup:
@@ -329,6 +356,9 @@ agreeGroup:
 	SHRQ   $2, R13
 
 agreeStep:
+	PREFETCHT0  PFDIST(R14)
+	PREFETCHT0  PFDIST+64(R14)
+	ADDQ        $128, R14
 	VMOVUPS     (AX), X0
 	VINSERTF128 $1, (AX)(R9*4), Y0, Y0
 	VMOVUPS     (AX)(R9*1), X1

@@ -316,8 +316,11 @@ func BenchmarkPredictionVectorsRange(b *testing.B) {
 // iteration's aggregate over a batch of 8, all capsules, one core — on
 // the same three digit-layer shapes, and reports GMAC/s next to the
 // GB/s of û it streams: the stage reads every prediction vector once
-// for one multiply-add each, so it is the memory side of the roofline
-// that bounds it, not BenchmarkPackedMulAddPeak.
+// for one multiply-add each, so memory bounds it, not
+// BenchmarkPackedMulAddPeak — and at rp3872's 19.8 MB the latency of
+// each line more than the bandwidth, which is why aggregateRows
+// prefetches (PFDIST in kernels_amd64.s). internal/tensor's
+// BenchmarkStreamRead is the ceiling to read the GB/s against.
 func BenchmarkAggregateRange(b *testing.B) {
 	const nb, nh, ch = 8, 10, 16
 	for _, sh := range []struct {
@@ -393,7 +396,8 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 // iteration's agreement over all rows of rp3872's digit layer, one
 // core — and reports GMAC/s next to the GB/s of û it streams: like the
 // aggregate it reads every prediction vector once for one multiply-add
-// each.
+// each, bound by memory latency more than bandwidth at batch 8, so
+// agreePairs8 prefetches too.
 func BenchmarkAgreementRange(b *testing.B) {
 	const nl, nh, ch = 3872, 10, 16
 	for _, nb := range []int{1, 8} {

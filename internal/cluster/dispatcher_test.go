@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/serve"
 )
 
 // staticPool is a fixed replica set over httptest servers.
@@ -267,6 +269,35 @@ func TestDispatchForwardsDeterministic4xx(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("client error retried: %d attempts", hits.Load())
+	}
+}
+
+// TestDispatchForwardsReplica413: a body past a real replica's bound
+// comes back 413 from the replica, and the router forwards it as a
+// deterministic rejection after one attempt.
+func TestDispatchForwardsReplica413(t *testing.T) {
+	net, err := capsnet.New(capsnet.TinyConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(net.Close)
+	srv, err := serve.New(net, capsnet.ExactMath{}, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(context.Background()) })
+	var hits atomic.Int64
+	_, rep := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		srv.Handler().ServeHTTP(w, r)
+	})
+	d := newTestDispatcher(t, DispatcherConfig{Pool: &staticPool{reps: []ReplicaInfo{rep}}})
+	w := classify(t, d, strings.Repeat(" ", 1<<20)+`{"image":[0.5]}`, nil)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want the replica's 413 forwarded", w.Code)
+	}
+	if hits.Load() != 1 {
+		t.Fatalf("413 retried: %d attempts", hits.Load())
 	}
 }
 

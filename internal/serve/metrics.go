@@ -98,7 +98,7 @@ type Metrics struct {
 
 // responseCodes is the fixed set of status codes the server emits;
 // anything else lands in the "other" counter.
-var responseCodes = [...]int{200, 400, 404, 405, 429, 500, 503, 504}
+var responseCodes = [...]int{200, 400, 404, 405, 413, 429, 500, 503, 504}
 
 // NewMetrics registers the metric set with the server's bucket
 // layouts: latency buckets from 0.5ms to 5s, batch-size buckets

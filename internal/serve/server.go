@@ -232,6 +232,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		t.SetParent(parent)
 	}
 	r = r.WithContext(obs.WithTrace(r.Context(), id, t))
+	r.Body = http.MaxBytesReader(w, r.Body, classifyBodyLimit(s.imgLen))
 	code, body, flightReasons := s.classify(r)
 	s.metrics.IncResponse(code)
 	if code == http.StatusTooManyRequests {
@@ -275,6 +276,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// classifyBodyLimit bounds a classify body for an image of imgLen
+// pixels: 48 bytes a pixel — the longest float64 literal (24
+// characters, e.g. -2.2250738585072014e-308) with its comma, a newline
+// and 22 bytes of indentation, so any body encoding/json, an indenting
+// encoder or another language's JSON library writes for a finite image
+// fits — plus 4 KiB for the envelope and whitespace. The decoder reads
+// at most one byte past it; a longer body gets 413.
+func classifyBodyLimit(imgLen int) int64 { return 48*int64(imgLen) + 4<<10 }
+
 // errorBody is the JSON error payload.
 type errorBody struct {
 	Error string `json:"error"`
@@ -290,6 +300,11 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	aStart := s.cfg.Clock.Now()
 	var req ClassifyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			return http.StatusRequestEntityTooLarge, errorBody{
+				Error: fmt.Sprintf("body over %d bytes, the bound for a %d-pixel image", tooLarge.Limit, s.imgLen),
+			}, nil
+		}
 		return http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding body: %v", err)}, nil
 	}
 	if len(req.Image) != s.imgLen {

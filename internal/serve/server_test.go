@@ -411,3 +411,86 @@ func TestServerShutdown(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 }
+
+// countingReader counts the bytes a handler pulls from a request body.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestClassifyBodyBound: a classify body is read through
+// classifyBodyLimit. A valid body padded with whitespace to exactly the
+// bound classifies; one byte more is 413, counted under its own code;
+// and a body far past the bound is not read beyond it.
+func TestClassifyBodyBound(t *testing.T) {
+	net, images := testNetwork(t, 3)
+	srv, err := New(net, capsnet.ExactMath{}, Config{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+	limit := int(classifyBodyLimit(net.ImageLen()))
+	valid, err := json.MarshalIndent(ClassifyRequest{Image: images[0]}, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(size int) (code, read int) {
+		body := &countingReader{r: io.MultiReader(strings.NewReader(strings.Repeat(" ", size-len(valid))), bytes.NewReader(valid))}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/classify", body))
+		return w.Code, body.n
+	}
+	if code, _ := post(limit); code != http.StatusOK {
+		t.Fatalf("a valid body of exactly %d bytes: status %d, want 200", limit, code)
+	}
+	if code, _ := post(limit + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a body of %d bytes: status %d, want 413", limit+1, code)
+	}
+	if code, read := post(limit + 1<<20); code != http.StatusRequestEntityTooLarge || read > limit+1 {
+		t.Fatalf("a body of %d bytes: status %d after reading %d bytes, want 413 after at most %d", limit+1<<20, code, read, limit+1)
+	}
+	var sb strings.Builder
+	srv.Metrics().WriteText(&sb)
+	if want := `capsnet_responses_total{code="413"} 2`; !strings.Contains(sb.String(), want) {
+		t.Fatalf("exposition lacks %s", want)
+	}
+}
+
+// TestClassifyBodyLimitAdmitsLongestEncodings: an image of the finite
+// float32 values with the longest JSON literals, written by
+// encoding/json indented and by an encoder that spells every value as
+// a float64 with 17 significant digits and deep indentation, fits the
+// bound with room to spare.
+func TestClassifyBodyLimitAdmitsLongestEncodings(t *testing.T) {
+	const n = 784
+	worst := []float32{-math.SmallestNonzeroFloat32, -math.MaxFloat32, -1.1754944e-38, -1.2345678e-7, -123456.79}
+	img := make([]float32, n)
+	for i := range img {
+		img[i] = worst[i%len(worst)]
+	}
+	indented, err := json.MarshalIndent(ClassifyRequest{Image: img}, "", "\t\t\t\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide strings.Builder
+	wide.WriteString("{\n  \"image\": [")
+	for i, v := range img {
+		if i > 0 {
+			wide.WriteByte(',')
+		}
+		fmt.Fprintf(&wide, "\n%s%.16e", strings.Repeat(" ", 21), float64(v))
+	}
+	wide.WriteString("\n  ]\n}\n")
+	limit := classifyBodyLimit(n)
+	for name, size := range map[string]int{"encoding/json indented": len(indented), "float64, 17 digits": wide.Len()} {
+		if int64(size) > limit {
+			t.Errorf("%s: %d bytes, over the %d-byte bound", name, size, limit)
+		}
+	}
+}

@@ -17,3 +17,9 @@ func packedMulAddPeak(steps int)
 
 //go:noescape
 func packedMulAddPeak512(steps int)
+
+//go:noescape
+func streamRead(x []float32) float32
+
+//go:noescape
+func streamReadPrefetch(x []float32) float32

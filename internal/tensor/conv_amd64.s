@@ -345,3 +345,72 @@ peak512:
 	JNZ    peak512
 	VZEROUPPER
 	RET
+
+// One 128-byte step of streamRead: four vectors into four independent
+// sums.
+#define SUM128 \
+	VADDPS (AX), Y0, Y0 \
+	VADDPS 32(AX), Y1, Y1 \
+	VADDPS 64(AX), Y2, Y2 \
+	VADDPS 96(AX), Y3, Y3 \
+	ADDQ   $128, AX
+
+// The lanes of Y0–Y3 summed into X0.
+#define SUMLANES \
+	VADDPS       Y1, Y0, Y0 \
+	VADDPS       Y3, Y2, Y2 \
+	VADDPS       Y2, Y0, Y0 \
+	VEXTRACTF128 $1, Y0, X1 \
+	VADDPS       X1, X0, X0 \
+	VHADDPS      X0, X0, X0 \
+	VHADDPS      X0, X0, X0
+
+// func streamRead(x []float32) float32
+//
+// What a kernel that reads its operand once, front to back, costs
+// with nothing else to do: the sum of x (len(x)%32 == 0) in eight
+// lanes of four independent sums. BenchmarkStreamRead reports it as
+// this core's read bandwidth for a stream the hardware prefetcher
+// alone runs ahead of.
+TEXT ·streamRead(SB), NOSPLIT, $0-28
+	MOVQ   x_base+0(FP), AX
+	MOVQ   x_len+8(FP), CX
+	SHRQ   $5, CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+stream:
+	SUM128
+	DECQ CX
+	JNZ  stream
+	SUMLANES
+	VZEROUPPER
+	MOVSS X0, ret+24(FP)
+	RET
+
+// func streamReadPrefetch(x []float32) float32
+//
+// streamRead with a PREFETCHT0 for each 64-byte line 4 KB ahead of the
+// sum, the distance internal/capsnet's routing kernels use (PFDIST in
+// kernels_amd64.s).
+TEXT ·streamReadPrefetch(SB), NOSPLIT, $0-28
+	MOVQ   x_base+0(FP), AX
+	MOVQ   x_len+8(FP), CX
+	SHRQ   $5, CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+streamPF:
+	PREFETCHT0 4096(AX)
+	PREFETCHT0 4160(AX)
+	SUM128
+	DECQ CX
+	JNZ  streamPF
+	SUMLANES
+	VZEROUPPER
+	MOVSS X0, ret+24(FP)
+	RET

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // BenchmarkPackedMulAddPeak is the ceiling BenchmarkConv2DInto's
 // GMAC/s are a share of, one sub-benchmark per packed body: avx2 is
@@ -26,6 +29,41 @@ func BenchmarkPackedMulAddPeak(b *testing.B) {
 				body.peak(steps)
 			}
 			b.ReportMetric(body.macs*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkStreamRead is the ceiling of a kernel that streams its
+// operand from memory once for one multiply-add per float, as Eqs. 1, 2
+// and 4 in internal/capsnet do: a packed sum over a 64 MiB buffer, one
+// core, in GB/s. plain leaves the stream to the hardware prefetcher,
+// prefetch issues a PREFETCHT0 per line 4 KB ahead, as the routing
+// kernels do. A bare read keeps the hardware prefetcher far enough
+// ahead by itself, so the two read about the same; a kernel with
+// arithmetic and stores between its loads does not, and the GB/s it
+// reports are read against these.
+func BenchmarkStreamRead(b *testing.B) {
+	if !Packed() {
+		b.Skip("this CPU has no packed path")
+	}
+	x := make([]float32, 64<<20/4)
+	for i := range x {
+		x[i] = 1
+	}
+	for _, body := range []struct {
+		name string
+		read func([]float32) float32
+	}{
+		{"plain", streamRead},
+		{"prefetch", streamReadPrefetch},
+	} {
+		b.Run(body.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if s := body.read(x); math.Float32bits(s) != math.Float32bits(float32(len(x))) {
+					b.Fatalf("sum %v, want %d", s, len(x))
+				}
+			}
+			b.ReportMetric(float64(4*len(x))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 		})
 	}
 }

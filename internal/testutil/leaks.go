@@ -1,5 +1,6 @@
-// Package testutil holds test-only helpers shared across the
-// concurrency-heavy packages. Its centerpiece is VerifyNoLeaks, the
+// Package testutil holds test-only helpers shared across packages:
+// GuardedTail and Faults (linux) for the packed kernels' out-of-bounds
+// read tests, and, for the concurrency-heavy packages, VerifyNoLeaks, the
 // runtime companion to the static goroleak analyzer: the analyzer
 // proves every `go` statement carries lifetime evidence at compile
 // time, and the leak net catches whatever slips past that proof —
