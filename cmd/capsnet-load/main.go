@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -48,12 +49,10 @@ import (
 	"time"
 
 	"pimcapsnet/internal/cluster"
-	"pimcapsnet/internal/dataset"
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/loadgen"
 	"pimcapsnet/internal/obs"
-	"pimcapsnet/internal/serve"
 	"pimcapsnet/internal/slogate"
+	"pimcapsnet/internal/wire"
 	"pimcapsnet/internal/workload"
 )
 
@@ -181,7 +180,7 @@ func run() int {
 	}
 
 	// Size synthetic images from the advertised model geometry.
-	var info serve.ModelInfo
+	var info wire.ModelInfo
 	if err := getJSON(client, base+"/v1/model", &info); err != nil {
 		fmt.Fprintf(os.Stderr, "fetching model info: %v (is the server running?)\n", err)
 		return 2
@@ -198,7 +197,7 @@ func run() int {
 	}
 	if *budget > 0 {
 		d := *budget
-		httpTarget.Decorate = func(r *http.Request) { deadline.Set(r.Header, time.Now().Add(d)) }
+		httpTarget.Decorate = func(r *http.Request) { wire.SetDeadline(r.Header, time.Now().Add(d)) }
 	}
 
 	// The router's own /metrics carries router_* families; the merged
@@ -308,19 +307,19 @@ func run() int {
 }
 
 // buildBodies pre-serializes one classify body per class so request
-// marshaling never sits on the load path.
-func buildBodies(info serve.ModelInfo, seed int64) ([][]byte, error) {
-	spec := dataset.Spec{
-		Name: "loadgen", Classes: info.Classes,
-		Channels: info.Channels, H: info.Height, W: info.Width,
-		Noise: 0.05, Seed: seed,
-	}
-	gen := dataset.NewGenerator(spec)
+// marshaling never sits on the load path. Pixels are seeded uniform
+// draws in [0, 1): what an image shows does not change what it costs
+// to classify, so the load client needs nothing of the model but its
+// geometry.
+func buildBodies(info wire.ModelInfo, seed int64) ([][]byte, error) {
+	rng := rand.New(rand.NewSource(seed))
 	bodies := make([][]byte, info.Classes)
 	for c := range bodies {
 		img := make([]float32, info.Channels*info.Height*info.Width)
-		gen.Sample(img, c)
-		body, err := json.Marshal(serve.ClassifyRequest{Image: img})
+		for i := range img {
+			img[i] = rng.Float32()
+		}
+		body, err := json.Marshal(wire.ClassifyRequest{Image: img})
 		if err != nil {
 			return nil, err
 		}

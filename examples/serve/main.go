@@ -1,8 +1,9 @@
 // Serve is a one-shot client for the serving stack: it reads the
-// model geometry from /v1/model, classifies one seeded synthetic image
-// per class, and prints the predicted class, its probability and the
-// micro-batch each request rode in. It talks to one capsnet-serve
-// replica or to the capsnet-router tier alike:
+// model geometry from /v1/model, classifies one seeded random image
+// per class the model knows, and prints the predicted class, its
+// probability and the micro-batch each request rode in. It speaks only
+// the protocol in internal/wire, never the model, and talks to one
+// capsnet-serve replica or to the capsnet-router tier alike:
 //
 //	go run ./cmd/capsnet-serve -demo-classes 5 &
 //	go run ./examples/serve -addr http://localhost:8080
@@ -16,18 +17,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 
-	"pimcapsnet/internal/dataset"
-	"pimcapsnet/internal/serve"
+	"pimcapsnet/internal/wire"
 )
 
 func main() {
 	addr := flag.String("addr", "http://localhost:8080", "base URL of a capsnet-serve replica or a capsnet-router")
 	flag.Parse()
 
-	var info serve.ModelInfo
+	var info wire.ModelInfo
 	if err := call(*addr+"/v1/model", nil, &info); err != nil {
 		fmt.Fprintf(os.Stderr, "fetching model info: %v (is capsnet-serve running?)\n", err)
 		os.Exit(1)
@@ -35,28 +36,26 @@ func main() {
 	fmt.Printf("model: %dx%dx%d → %d classes, %s routing × %d iterations\n",
 		info.Channels, info.Height, info.Width, info.Classes, info.RoutingMode, info.RoutingIterations)
 
-	gen := dataset.NewGenerator(dataset.Spec{
-		Name: "client", Classes: info.Classes,
-		Channels: info.Channels, H: info.Height, W: info.Width,
-		Noise: 0.05, Seed: 42,
-	})
+	rng := rand.New(rand.NewSource(42))
 	img := make([]float32, info.Channels*info.Height*info.Width)
-	for c := 0; c < info.Classes; c++ {
-		gen.Sample(img, c)
-		body, err := json.Marshal(serve.ClassifyRequest{Image: img})
+	for n := 0; n < info.Classes; n++ {
+		for i := range img {
+			img[i] = rng.Float32()
+		}
+		body, err := json.Marshal(wire.ClassifyRequest{Image: img})
 		if err != nil {
 			panic(err)
 		}
-		var cr serve.ClassifyResponse
+		var cr wire.ClassifyResponse
 		if err := call(*addr+"/v1/classify", body, &cr); err != nil {
-			fmt.Fprintf(os.Stderr, "classifying an image of class %d: %v\n", c, err)
+			fmt.Fprintf(os.Stderr, "classifying image %d: %v\n", n, err)
 			os.Exit(1)
 		}
 		top := float32(0)
 		for _, p := range cr.Probs {
 			top = max(top, p)
 		}
-		fmt.Printf("  image of class %d: predicted %d (p=%.3f, batch %d)\n", c, cr.Class, top, cr.Batch)
+		fmt.Printf("  image %d: predicted %d (p=%.3f, batch %d)\n", n, cr.Class, top, cr.Batch)
 	}
 }
 

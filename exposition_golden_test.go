@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"pimcapsnet/internal/cluster"
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
+	"pimcapsnet/internal/wire"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the live writers")
@@ -154,8 +154,8 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 	r0, r1 := stub("stub_r0.metrics"), stub("stub_r1.metrics")
 	pool := poolFunc(func() []cluster.ReplicaInfo {
 		return []cluster.ReplicaInfo{
-			{Name: "r0", URL: r0.URL, Ready: true, Restarts: 2, Load: cluster.Load{QueueDepth: 3, Inflight: 1}},
-			{Name: "r1", URL: r1.URL, Ready: true, Load: cluster.Load{QueueDepth: 2, Inflight: 2}},
+			{Name: "r0", URL: r0.URL, Ready: true, Restarts: 2, Load: wire.Load{QueueDepth: 3, Inflight: 1}},
+			{Name: "r1", URL: r1.URL, Ready: true, Load: wire.Load{QueueDepth: 2, Inflight: 2}},
 			{Name: "r2", Restarts: 7},
 		}
 	})
@@ -182,7 +182,7 @@ func scriptedRouter(t *testing.T) *cluster.Dispatcher {
 		classify(`{"image":[0.`+strings.Repeat("3", i+1)+`]}`, nil, http.StatusOK)
 	}
 	expired := http.Header{}
-	deadline.Set(expired, clock.Now().Add(-time.Second))
+	wire.SetDeadline(expired, clock.Now().Add(-time.Second))
 	classify(`{"image":[0.9]}`, expired, http.StatusGatewayTimeout)
 	clock.Advance(2 * time.Minute)
 	tookMs.Store(60)

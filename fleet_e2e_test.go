@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/trace"
+	"pimcapsnet/internal/wire"
 )
 
 // flightDoc mirrors the /debug/requests/flight JSON shape.
@@ -103,7 +103,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// 2. The failing request: an already-expired deadline must come
 	// back 504 without a replica answering.
 	hdr := http.Header{}
-	deadline.Set(hdr, time.Now().Add(-100*time.Millisecond))
+	wire.SetDeadline(hdr, time.Now().Add(-100*time.Millisecond))
 	resp, err = post(hdr)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,8 @@ func TestLayercheck(t *testing.T) {
 	analysistest.Run(t, analysis.Layercheck,
 		"internal/tensor", "internal/fp32", "internal/capsnet",
 		"internal/cluster", "internal/serve", "internal/loadgen",
-		"layerobs/internal/obs", "cmd/alpha", "cmd/beta")
+		"layerobs/internal/obs", "cmd/alpha", "cmd/beta",
+		"cmd/capsnet-load", "examples/serve")
 }
 
 func TestHotpathcheck(t *testing.T) {

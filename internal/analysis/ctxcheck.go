@@ -9,7 +9,7 @@ import (
 // Ctxcheck enforces the deadline-propagation contract on the two
 // request-path tiers (internal/serve, internal/cluster). Overload
 // robustness rests on every wait being boundable: a request's deadline
-// arrives over the wire (internal/deadline), becomes a context, and
+// arrives over the wire (internal/wire), becomes a context, and
 // must be able to reach every point that can block. Two rules make
 // that structural:
 //

@@ -46,9 +46,9 @@ var layerRules = []layerRule{
 		Why:        "fp32 is the numeric bottom layer and may import only the standard library",
 	},
 	{
-		Pkg:        "internal/deadline",
+		Pkg:        "internal/wire",
 		StdlibOnly: true,
-		Why:        "deadline is a wire contract shared by serve and cluster across the tier boundary; importing either side would create a cycle through the layer DAG",
+		Why:        "wire is the serving protocol shared by serve, cluster and their clients across the tier boundary; importing either side would create a cycle through the layer DAG",
 	},
 	{
 		Pkg:        "internal/obs",
@@ -71,6 +71,16 @@ var layerRules = []layerRule{
 		Pkg:    "internal/cluster",
 		Forbid: []string{"internal/capsnet", "internal/serve", "internal/tensor", "internal/loadgen"},
 		Why:    "the replica tier is model-free and measured from outside: it moves opaque bytes between capsnet-serve processes, speaks only the serving HTTP protocol, and never imports the load harness that drives it",
+	},
+	{
+		Pkg:    "cmd/capsnet-load",
+		Forbid: []string{"internal/capsnet", "internal/serve", "internal/tensor", "internal/fp32"},
+		Why:    "the load client is model-free and measures the serving stack from outside: it speaks the protocol in internal/wire and never links the engine it drives",
+	},
+	{
+		Pkg:    "examples/serve",
+		Forbid: []string{"internal/capsnet", "internal/serve", "internal/tensor", "internal/fp32"},
+		Why:    "the example client is model-free and talks to the serving stack from outside: it speaks the protocol in internal/wire and never links the engine it calls",
 	},
 	{
 		Pkg:    "internal/serve",

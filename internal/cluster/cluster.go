@@ -22,7 +22,7 @@
 //   - Manager owns the replica subprocesses: spawn → wait /readyz →
 //     serve → drain → restart-on-crash with exponential backoff. It
 //     probes each replica's /readyz for the machine-readable load body
-//     (serve.LoadInfo) and publishes snapshots through the Pool
+//     (wire.Load) and publishes snapshots through the Pool
 //     interface.
 //   - Placer ranks ready replicas for a request key with the Eq. 6–12
 //     scoring (rendezvous hashing supplies the affinity home).
@@ -35,7 +35,8 @@
 // The package is deliberately model-free: it never imports capsnet,
 // tensor, or serve (enforced by layercheck) — the router moves opaque
 // bytes between processes and understands only the serving HTTP
-// protocol (the /readyz load body, /v1/classify, X-Trace-Id).
+// protocol, declared in internal/wire (the /readyz load body,
+// /v1/classify, X-Deadline), plus obs's X-Trace-Id.
 package cluster
 
 import (
@@ -46,25 +47,13 @@ import (
 	"time"
 
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
 
-// Load is the replica load signal parsed from the /readyz body — the
-// wire shape of serve.LoadInfo, duplicated here because the router
-// tier speaks the HTTP protocol, not the serve package's Go API.
-type Load struct {
-	Status         string  `json:"status"`
-	QueueDepth     int     `json:"queue_depth"`
-	QueueCapacity  int     `json:"queue_capacity"`
-	Inflight       int     `json:"inflight"`
-	BatchOccupancy float64 `json:"batch_occupancy"`
-	MaxBatch       int     `json:"max_batch"`
-	PID            int     `json:"pid"`
-}
-
-// Outstanding is the replica's queued-plus-running request count: the
+// outstanding is a replica's queued-plus-running request count: the
 // E term (largest per-vault workload, Eqs. 7/9/11) of the placement
 // score.
-func (l Load) Outstanding() float64 { return float64(l.QueueDepth + l.Inflight) }
+func outstanding(l wire.Load) float64 { return float64(l.QueueDepth + l.Inflight) }
 
 // ReplicaInfo is one replica's published snapshot.
 type ReplicaInfo struct {
@@ -84,7 +73,7 @@ type ReplicaInfo struct {
 	// after a crash.
 	Restarts uint64 `json:"restarts"`
 	// Load is the last probed load body (zero value while down).
-	Load Load `json:"load"`
+	Load wire.Load `json:"load"`
 }
 
 // Pool is the dispatcher's view of the replica set. Manager implements
@@ -110,15 +99,15 @@ func Ready(p Pool) []ReplicaInfo {
 // boolean reports dispatchability: a 503 body still parses (a draining
 // replica reports its load) but is not ready. Any transport or decode
 // error means not ready.
-func probeReadyz(client *http.Client, url string) (Load, bool, error) {
+func probeReadyz(client *http.Client, url string) (wire.Load, bool, error) {
 	resp, err := client.Get(url + "/readyz")
 	if err != nil {
-		return Load{}, false, err
+		return wire.Load{}, false, err
 	}
 	defer resp.Body.Close()
-	var l Load
+	var l wire.Load
 	if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
-		return Load{}, false, fmt.Errorf("cluster: decoding /readyz body: %w", err)
+		return wire.Load{}, false, fmt.Errorf("cluster: decoding /readyz body: %w", err)
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -126,7 +115,7 @@ func probeReadyz(client *http.Client, url string) (Load, bool, error) {
 	case http.StatusServiceUnavailable:
 		return l, false, nil
 	default:
-		return Load{}, false, fmt.Errorf("cluster: /readyz status %d", resp.StatusCode)
+		return wire.Load{}, false, fmt.Errorf("cluster: /readyz status %d", resp.StatusCode)
 	}
 }
 

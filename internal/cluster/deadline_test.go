@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
 
 // newManualClock is the DispatcherConfig.Clock the deadline tests pass,
@@ -40,19 +40,19 @@ func classifyAsync(ctx context.Context, d *Dispatcher, body string, hdr map[stri
 func TestDispatchForwardsDeadlineHeader(t *testing.T) {
 	var seen atomic.Value
 	_, rep := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
-		seen.Store(r.Header.Get(deadline.Header))
+		seen.Store(r.Header.Get(wire.DeadlineHeader))
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, goodBody)
 	})
 	d := newTestDispatcher(t, DispatcherConfig{Pool: &staticPool{reps: []ReplicaInfo{rep}}})
 
 	dl := time.Now().Add(time.Minute)
-	w := classify(t, d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	w := classify(t, d, `{"image":[0.5]}`, map[string]string{wire.DeadlineHeader: wire.FormatDeadline(dl)})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
-	if got := seen.Load(); got != deadline.Format(dl) {
-		t.Fatalf("replica saw deadline header %v, want %q", got, deadline.Format(dl))
+	if got := seen.Load(); got != wire.FormatDeadline(dl) {
+		t.Fatalf("replica saw deadline header %v, want %q", got, wire.FormatDeadline(dl))
 	}
 }
 
@@ -61,7 +61,7 @@ func TestDispatchForwardsDeadlineHeader(t *testing.T) {
 func TestDispatchDefaultBudgetStampsDeadline(t *testing.T) {
 	var seen atomic.Value
 	_, rep := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
-		seen.Store(r.Header.Get(deadline.Header))
+		seen.Store(r.Header.Get(wire.DeadlineHeader))
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, goodBody)
 	})
@@ -76,7 +76,7 @@ func TestDispatchDefaultBudgetStampsDeadline(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
-	want := deadline.Format(clk.Now().Add(10 * time.Second))
+	want := wire.FormatDeadline(clk.Now().Add(10 * time.Second))
 	if got := seen.Load(); got != want {
 		t.Fatalf("replica saw deadline header %v, want %q (now+DefaultBudget)", got, want)
 	}
@@ -89,7 +89,7 @@ func TestDispatchInvalidDeadlineRejected(t *testing.T) {
 	_, rep := fakeReplica(t, "r0", okHandler(&hits))
 	d := newTestDispatcher(t, DispatcherConfig{Pool: &staticPool{reps: []ReplicaInfo{rep}}})
 
-	w := classify(t, d, `{"image":[0.5]}`, map[string]string{deadline.Header: "soon"})
+	w := classify(t, d, `{"image":[0.5]}`, map[string]string{wire.DeadlineHeader: "soon"})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", w.Code)
 	}
@@ -121,7 +121,7 @@ func TestDispatchNoAttemptAfterDeadline(t *testing.T) {
 	})
 
 	dl := clk.Now().Add(time.Second)
-	w := classify(t, d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	w := classify(t, d, `{"image":[0.5]}`, map[string]string{wire.DeadlineHeader: wire.FormatDeadline(dl)})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
@@ -148,7 +148,7 @@ func TestDispatchExpiredOnArrival(t *testing.T) {
 	})
 
 	dl := clk.Now().Add(-time.Second)
-	w := classify(t, d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	w := classify(t, d, `{"image":[0.5]}`, map[string]string{wire.DeadlineHeader: wire.FormatDeadline(dl)})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", w.Code)
 	}
@@ -178,7 +178,7 @@ func TestDispatchSkipsHedgeNearDeadline(t *testing.T) {
 
 	// 50ms of budget < 10ms hedge delay + 100ms expected service.
 	dl := clk.Now().Add(50 * time.Millisecond)
-	w := classify(t, d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	w := classify(t, d, `{"image":[0.5]}`, map[string]string{wire.DeadlineHeader: wire.FormatDeadline(dl)})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
@@ -213,7 +213,7 @@ func TestDispatchCapsRetryAfterByDeadline(t *testing.T) {
 	})
 
 	dl := clk.Now().Add(500 * time.Millisecond)
-	done := classifyAsync(context.Background(), d, `{"image":[0.5]}`, map[string]string{deadline.Header: deadline.Format(dl)})
+	done := classifyAsync(context.Background(), d, `{"image":[0.5]}`, map[string]string{wire.DeadlineHeader: wire.FormatDeadline(dl)})
 	clk.BlockUntil(1) // the backoff
 	if n := clk.Advance(500 * time.Millisecond); n != 1 {
 		t.Fatalf("the backoff did not end at the 500ms remaining budget (%d timers fired)", n)

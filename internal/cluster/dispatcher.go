@@ -4,16 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
 
 // DispatcherConfig tunes the routing front. Zero-value fields fall
@@ -265,7 +265,7 @@ func (d *Dispatcher) send(ctx context.Context, rep ReplicaInfo, body []byte, tra
 		req.Header.Set(obs.ParentSpanHeader, parentSpan)
 	}
 	if !dl.IsZero() {
-		deadline.Set(req.Header, dl)
+		wire.SetDeadline(req.Header, dl)
 	}
 	resp, err := d.cfg.Client.Do(req)
 	if err != nil {
@@ -282,7 +282,7 @@ func (d *Dispatcher) send(ctx context.Context, rep ReplicaInfo, body []byte, tra
 	res.code = strconv.Itoa(resp.StatusCode)
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if !validClassifyBody(respBody) {
+		if !wire.ValidClassifyReply(respBody) {
 			// A corrupt response (truncated JSON, NaN probabilities)
 			// costs a retry, never reaches the client.
 			res.code = "corrupt"
@@ -299,27 +299,6 @@ func (d *Dispatcher) send(ctx context.Context, rep ReplicaInfo, body []byte, tra
 		res.terminal = true
 	}
 	return res
-}
-
-// validClassifyBody vets a replica 200 before it reaches the client:
-// decodable JSON, a plausible class, non-empty finite probabilities.
-func validClassifyBody(body []byte) bool {
-	var cr struct {
-		Class int       `json:"class"`
-		Probs []float64 `json:"probs"`
-	}
-	if err := json.Unmarshal(body, &cr); err != nil {
-		return false
-	}
-	if len(cr.Probs) == 0 || cr.Class < 0 || cr.Class >= len(cr.Probs) {
-		return false
-	}
-	for _, p := range cr.Probs {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // attempt runs one placed attempt with the hedging budget: the primary
@@ -449,11 +428,6 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "reading body", http.StatusBadRequest)
-		return
-	}
 	traceID, t := d.requests.Start(r.Header, start)
 	w.Header().Set(obs.TraceIDHeader, traceID)
 
@@ -477,14 +451,36 @@ func (d *Dispatcher) handleClassify(w http.ResponseWriter, r *http.Request) {
 		d.slo.Observe(status, end.Sub(start))
 	}
 
+	// The body is read once, bounded by the largest body_limit a ready
+	// replica advertises: a body every replica would refuse with 413 is
+	// refused here, before it is buffered whole or forwarded. Replicas
+	// that report no bound (0) leave the read unbounded.
+	var limit int64
+	for _, rep := range Ready(d.cfg.Pool) {
+		limit = max(limit, rep.Load.BodyLimit)
+	}
+	if limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		code, msg := http.StatusBadRequest, "reading body"
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("body over %d bytes, the replicas' classify bound", tooLarge.Limit)
+		}
+		finish(code)
+		http.Error(w, msg, code)
+		return
+	}
+
 	// Deadline propagation: honor a client-supplied absolute deadline,
 	// or assign one from DefaultBudget so the whole retry/hedge ladder
 	// below is budget-bounded. dl stays zero (unbounded) only when the
 	// client sent no header and no default budget is configured.
-	dl, hasDL, err := deadline.FromRequest(r.Header)
+	dl, hasDL, err := wire.DeadlineFromRequest(r.Header)
 	if err != nil {
 		finish(http.StatusBadRequest)
-		http.Error(w, fmt.Sprintf("invalid %s header: %v", deadline.Header, err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("invalid %s header: %v", wire.DeadlineHeader, err), http.StatusBadRequest)
 		return
 	}
 	if !hasDL && d.cfg.DefaultBudget > 0 {

@@ -16,6 +16,7 @@ import (
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
+	"pimcapsnet/internal/wire"
 )
 
 // staticPool is a fixed replica set over httptest servers.
@@ -97,10 +98,7 @@ func TestDispatchHappyPath(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
-	var resp struct {
-		Class int       `json:"class"`
-		Probs []float64 `json:"probs"`
-	}
+	var resp wire.ClassifyResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decoding routed response: %v", err)
 	}
@@ -272,10 +270,13 @@ func TestDispatchForwardsDeterministic4xx(t *testing.T) {
 	}
 }
 
-// TestDispatchForwardsReplica413: a body past a real replica's bound
-// comes back 413 from the replica, and the router forwards it as a
-// deterministic rejection after one attempt.
-func TestDispatchForwardsReplica413(t *testing.T) {
+// TestDispatchRefusesOversizedBody: the router bounds a classify body
+// by the body_limit a real replica advertises on /readyz. A body past
+// it gets 413 from the router itself — read at most one byte past the
+// bound, never forwarded, and accounted like the router's own 400 (one
+// SLO observation, not an error). A body within the bound still
+// reaches the replica, which judges it.
+func TestDispatchRefusesOversizedBody(t *testing.T) {
 	net, err := capsnet.New(capsnet.TinyConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -291,14 +292,44 @@ func TestDispatchForwardsReplica413(t *testing.T) {
 		hits.Add(1)
 		srv.Handler().ServeHTTP(w, r)
 	})
+	rep.Load = srv.Load()
+	limit := rep.Load.BodyLimit
 	d := newTestDispatcher(t, DispatcherConfig{Pool: &staticPool{reps: []ReplicaInfo{rep}}})
-	w := classify(t, d, strings.Repeat(" ", 1<<20)+`{"image":[0.5]}`, nil)
+
+	body := &countingReader{r: strings.NewReader(strings.Repeat(" ", 1<<20) + `{"image":[0.5]}`)}
+	w := httptest.NewRecorder()
+	d.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/classify", body))
 	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want the replica's 413 forwarded", w.Code)
+		t.Fatalf("status %d, want 413 from the router", w.Code)
 	}
-	if hits.Load() != 1 {
-		t.Fatalf("413 retried: %d attempts", hits.Load())
+	if body.n > limit+1 {
+		t.Fatalf("router read %d bytes of the body, want at most %d", body.n, limit+1)
 	}
+	if hits.Load() != 0 {
+		t.Fatalf("oversized body reached the replica %d times, want 0", hits.Load())
+	}
+	if _, total := d.SLO().Availability(time.Minute); total != 1 {
+		t.Fatalf("SLO saw %d requests, want the 413 counted once", total)
+	}
+	if ratio, _ := d.SLO().Availability(time.Minute); ratio != 1 {
+		t.Fatalf("SLO availability %g, want 1: a 413 is the client's error", ratio)
+	}
+
+	if w := classify(t, d, `{"image":[0.5]}`, nil); w.Code != http.StatusBadRequest || hits.Load() != 1 {
+		t.Fatalf("body within the bound: status %d after %d replica hits, want the replica's 400 after 1", w.Code, hits.Load())
+	}
+}
+
+// countingReader counts the bytes a handler pulls from a request body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 func TestDispatchHedgesStalledReplica(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
 
 // ManagerConfig tunes the replica supervisor. Zero-value fields fall
@@ -101,7 +102,7 @@ type replica struct {
 	//pimcaps:guardedby mu
 	ready bool
 	//pimcaps:guardedby mu
-	load Load
+	load wire.Load
 	//pimcaps:guardedby mu
 	restarts uint64
 }
@@ -118,7 +119,7 @@ func (r *replica) snapshot() ReplicaInfo {
 // setDown clears the dispatchable state (process gone or not yet up).
 func (r *replica) setDown() {
 	r.mu.Lock()
-	r.url, r.pid, r.ready, r.load = "", 0, false, Load{}
+	r.url, r.pid, r.ready, r.load = "", 0, false, wire.Load{}
 	r.mu.Unlock()
 }
 

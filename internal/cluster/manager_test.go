@@ -17,6 +17,7 @@ import (
 
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/testutil"
+	"pimcapsnet/internal/wire"
 )
 
 // TestMain doubles the test binary as a fake capsnet-serve replica: the
@@ -59,7 +60,7 @@ func runFakeReplica() {
 			status, code = "draining", http.StatusServiceUnavailable
 		}
 		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(Load{Status: status, QueueCapacity: 64, MaxBatch: 8, PID: os.Getpid()})
+		json.NewEncoder(w).Encode(wire.Load{Status: status, QueueCapacity: 64, MaxBatch: 8, PID: os.Getpid()})
 	})
 	mux.HandleFunc("/v1/classify", func(w http.ResponseWriter, r *http.Request) {
 		io.ReadAll(r.Body)

@@ -101,7 +101,7 @@ func (p Placer) Pick(key uint64, candidates []ReplicaInfo) int {
 	home := order[0] // highest rendezvous weight = affinity home
 	best, bestCost := -1, 0.0
 	for _, i := range order {
-		cost := candidates[i].Load.Outstanding() + 1 // the request being placed
+		cost := outstanding(candidates[i].Load) + 1 // the request being placed
 		if i != home {
 			cost += penalty
 		}

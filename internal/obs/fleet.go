@@ -161,11 +161,13 @@ func MergeFragments(frags []TraceFragment) *trace.Log {
 					args[k] = v
 				}
 			}
-			dur := float64(s.EndUS - s.StartUS)
-			if dur < 0 {
-				dur = 0
-			}
-			log.Complete(s.Name, "fleet", pid, tid, float64(s.StartUS-epoch), dur, args)
+			// Differences in float64, not int64: the timestamps come
+			// off the wire, and an int64 difference of two far-apart
+			// ones wraps, placing a span before the epoch or giving an
+			// end-before-start span a huge duration. Below 2^53 µs (285
+			// years) both are exact.
+			dur := max(float64(s.EndUS)-float64(s.StartUS), 0)
+			log.Complete(s.Name, "fleet", pid, tid, float64(s.StartUS)-float64(epoch), dur, args)
 		}
 	}
 	return log

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"testing"
 	"time"
 
@@ -283,4 +284,63 @@ func TestFlightRecorderMultiReason(t *testing.T) {
 	if e.BrownoutLevel != 1 {
 		t.Fatalf("brownout level = %d, want 1", e.BrownoutLevel)
 	}
+}
+
+// FuzzMergeFragments feeds raw bytes down the path the router takes
+// with each replica's ?format=spans reply: FragmentDoc decode,
+// SortFragmentSpans, MergeFragments, WriteJSON. Whatever decodes must
+// merge without a panic into a document that is valid JSON and that
+// trace.ReadJSON accepts back, and every span must land inside the
+// set's rebased extent [0, latest − earliest], whatever int64
+// timestamps the fragments claim.
+func FuzzMergeFragments(f *testing.F) {
+	fixture, err := json.Marshal(FragmentDoc{Fragments: fleetFixture()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture) // the edge cases live in testdata/fuzz
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var doc FragmentDoc
+		if json.Unmarshal(data, &doc) != nil {
+			return
+		}
+		frags := doc.Fragments
+		for i := range frags {
+			if frags[i].Process == "" {
+				frags[i].Process = "replica-" + strconv.Itoa(i%2)
+			}
+		}
+		SortFragmentSpans(frags)
+		var buf bytes.Buffer
+		if err := MergeFragments(frags).WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Fatalf("merged trace is not valid JSON:\n%s", buf.Bytes())
+		}
+		log, err := trace.ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("merged trace does not read back: %v", err)
+		}
+		var lo, hi float64
+		first := true
+		for _, f := range frags {
+			for _, s := range f.Spans {
+				start, end := float64(s.StartUS), float64(s.EndUS)
+				if first || start < lo {
+					lo = start
+				}
+				if first || max(start, end) > hi {
+					hi = max(start, end)
+				}
+				first = false
+			}
+		}
+		extent := (hi - lo) * (1 + 1e-12)
+		for _, e := range log.Events() {
+			if e.Ph == "X" && (e.TS < 0 || e.Dur < 0 || e.TS+e.Dur > extent) {
+				t.Fatalf("span %q at ts %v dur %v lies outside the extent [0, %v]", e.Name, e.TS, e.Dur, hi-lo)
+			}
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/fault"
+	"pimcapsnet/internal/wire"
 )
 
 // campaignSeed is the single seed every injector in this file derives
@@ -27,7 +28,7 @@ const campaignSeed = 0x9e3779b9
 // raw response body, for asserting on error payloads.
 func postRaw(t *testing.T, url string, img []float32) (int, string) {
 	t.Helper()
-	body, err := json.Marshal(ClassifyRequest{Image: img})
+	body, err := json.Marshal(wire.ClassifyRequest{Image: img})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func mustServe(t *testing.T, url string, img []float32) string {
 	if code != http.StatusOK {
 		t.Fatalf("clean request after fault: status %d, body %s", code, body)
 	}
-	var cr ClassifyResponse
+	var cr wire.ClassifyResponse
 	if err := json.Unmarshal([]byte(body), &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestCampaignWeightBitFlips(t *testing.T) {
 		code, body := postRaw(t, ts.URL, images[0])
 		switch code {
 		case http.StatusOK:
-			var cr ClassifyResponse
+			var cr wire.ClassifyResponse
 			if err := json.Unmarshal([]byte(body), &cr); err != nil {
 				t.Fatal(err)
 			}

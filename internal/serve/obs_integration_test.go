@@ -16,6 +16,7 @@ import (
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/trace"
+	"pimcapsnet/internal/wire"
 )
 
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
@@ -59,7 +60,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// A caller-supplied trace ID must be honored end to end.
-	body, _ := json.Marshal(ClassifyRequest{Image: images[0]})
+	body, _ := json.Marshal(wire.ClassifyRequest{Image: images[0]})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", bytes.NewReader(body))
 	req.Header.Set("X-Trace-Id", "feedfacecafebeef")
 	resp, err := http.DefaultClient.Do(req)

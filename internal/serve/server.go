@@ -14,38 +14,9 @@ import (
 	"sync/atomic"
 
 	"pimcapsnet/internal/capsnet"
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
-
-// ClassifyRequest is the POST /v1/classify body: one flattened image,
-// Channels·H·W values in row-major C×H×W order, pixels in [0, 1].
-type ClassifyRequest struct {
-	Image []float32 `json:"image"`
-}
-
-// ClassifyResponse is the classify reply. Probs are the capsule
-// lengths ‖v_j‖ (CapsNet's class probabilities), Poses the final
-// DigitDim-dimensional capsule vector per class, and Batch the size of
-// the micro-batch this request shared a forward pass with.
-type ClassifyResponse struct {
-	Class int         `json:"class"`
-	Probs []float32   `json:"probs"`
-	Poses [][]float32 `json:"poses"`
-	Batch int         `json:"batch"`
-}
-
-// ModelInfo is the GET /v1/model reply describing the loaded network,
-// so clients can size their images without out-of-band knowledge.
-type ModelInfo struct {
-	Channels          int    `json:"channels"`
-	Height            int    `json:"height"`
-	Width             int    `json:"width"`
-	Classes           int    `json:"classes"`
-	DigitDim          int    `json:"digit_dim"`
-	RoutingIterations int    `json:"routing_iterations"`
-	RoutingMode       string `json:"routing_mode"`
-}
 
 // Server wires a capsnet.Network, the micro-batcher, and the metrics
 // into an http.Handler. Construct with New, mount Handler, and call
@@ -232,7 +203,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		t.SetParent(parent)
 	}
 	r = r.WithContext(obs.WithTrace(r.Context(), id, t))
-	r.Body = http.MaxBytesReader(w, r.Body, classifyBodyLimit(s.imgLen))
+	r.Body = http.MaxBytesReader(w, r.Body, wire.ClassifyBodyLimit(s.imgLen))
 	code, body, flightReasons := s.classify(r)
 	s.metrics.IncResponse(code)
 	if code == http.StatusTooManyRequests {
@@ -263,7 +234,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			lvl = slog.LevelWarn
 		}
 		batch := 0
-		if resp, ok := body.(ClassifyResponse); ok {
+		if resp, ok := body.(wire.ClassifyResponse); ok {
 			batch = resp.Batch
 		}
 		s.logger.LogAttrs(r.Context(), lvl, "classify",
@@ -275,15 +246,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		)
 	}
 }
-
-// classifyBodyLimit bounds a classify body for an image of imgLen
-// pixels: 48 bytes a pixel — the longest float64 literal (24
-// characters, e.g. -2.2250738585072014e-308) with its comma, a newline
-// and 22 bytes of indentation, so any body encoding/json, an indenting
-// encoder or another language's JSON library writes for a finite image
-// fits — plus 4 KiB for the envelope and whitespace. The decoder reads
-// at most one byte past it; a longer body gets 413.
-func classifyBodyLimit(imgLen int) int64 { return 48*int64(imgLen) + 4<<10 }
 
 // errorBody is the JSON error payload.
 type errorBody struct {
@@ -298,7 +260,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 		return http.StatusMethodNotAllowed, errorBody{Error: "POST only"}, nil
 	}
 	aStart := s.cfg.Clock.Now()
-	var req ClassifyRequest
+	var req wire.ClassifyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			return http.StatusRequestEntityTooLarge, errorBody{
@@ -331,9 +293,9 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	// generous client budget cannot pin a request here forever. A
 	// deadline already in the past is rejected up front — running
 	// inference for a caller that stopped waiting is pure waste.
-	dl, hasDL, err := deadline.FromRequest(r.Header)
+	dl, hasDL, err := wire.DeadlineFromRequest(r.Header)
 	if err != nil {
-		return http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid %s header: %v", deadline.Header, err)}, nil
+		return http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid %s header: %v", wire.DeadlineHeader, err)}, nil
 	}
 	now := s.cfg.Clock.Now()
 	if hasDL && !dl.After(now) {
@@ -349,7 +311,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 	pred, batch, err := s.batcher.Submit(ctx, req.Image)
 	switch {
 	case err == nil:
-		return http.StatusOK, ClassifyResponse{Class: pred.Class, Probs: pred.Probs, Poses: pred.Poses, Batch: batch}, nil
+		return http.StatusOK, wire.ClassifyResponse{Class: pred.Class, Probs: pred.Probs, Poses: pred.Poses, Batch: batch}, nil
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests, errorBody{Error: "admission queue full, retry later"}, nil
 	case errors.Is(err, ErrClosed):
@@ -378,7 +340,7 @@ func (s *Server) classify(r *http.Request) (int, any, []string) {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	cfg := s.net.Config
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(ModelInfo{
+	json.NewEncoder(w).Encode(wire.ModelInfo{
 		Channels:          cfg.InputChannels,
 		Height:            cfg.InputH,
 		Width:             cfg.InputW,
@@ -396,55 +358,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// LoadInfo is the machine-readable /readyz body: the load signals a
-// routing tier's least-loaded dispatch needs to rank replicas. The
-// status-code contract is unchanged — 200 while serving, 503 once
-// draining — so probes that only look at the code keep working; the
-// body upgrades from bare text to this JSON document.
-type LoadInfo struct {
-	// Status is "ready" or "draining", mirroring the status code.
-	Status string `json:"status"`
-	// QueueDepth and QueueCapacity describe the admission queue:
-	// requests admitted but not yet collected into a batch, and the
-	// bound beyond which admission returns 429.
-	QueueDepth    int `json:"queue_depth"`
-	QueueCapacity int `json:"queue_capacity"`
-	// Inflight counts admitted requests whose responses are still
-	// pending (queued, under collection, or riding the running batch) —
-	// the replica's outstanding work, the E term of the placement
-	// model.
-	Inflight int `json:"inflight"`
-	// BatchOccupancy is the most recent launched batch's fill fraction
-	// (LastBatchSize/MaxBatch): how much of the batch-sharing win the
-	// replica is currently realizing.
-	BatchOccupancy float64 `json:"batch_occupancy"`
-	// MaxBatch is the configured micro-batch size cap.
-	MaxBatch int `json:"max_batch"`
-	// PID identifies the serving process, so a cluster controller can
-	// correlate replicas with processes (and chaos drills can kill
-	// them).
-	PID int `json:"pid"`
-}
-
 // Load snapshots the current load signals (the /readyz body).
-func (s *Server) Load() LoadInfo {
+func (s *Server) Load() wire.Load {
 	status := "ready"
 	if s.draining.Load() {
 		status = "draining"
 	}
-	return LoadInfo{
+	return wire.Load{
 		Status:         status,
 		QueueDepth:     s.batcher.QueueDepth(),
 		QueueCapacity:  s.cfg.QueueSize,
 		Inflight:       s.batcher.Inflight(),
 		BatchOccupancy: float64(s.batcher.LastBatchSize()) / float64(s.cfg.MaxBatch),
 		MaxBatch:       s.cfg.MaxBatch,
+		BodyLimit:      wire.ClassifyBodyLimit(s.imgLen),
 		PID:            os.Getpid(),
 	}
 }
 
 // handleReadyz reports readiness to take traffic: 503 once draining,
-// with the LoadInfo JSON body in both states.
+// with the wire.Load JSON body in both states.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	info := s.Load()
 	w.Header().Set("Content-Type", "application/json")

@@ -16,8 +16,8 @@ import (
 
 	"pimcapsnet/internal/capsnet"
 	"pimcapsnet/internal/dataset"
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
 
 // testNetwork builds a small seeded network plus matching synthetic
@@ -39,9 +39,9 @@ func testNetwork(t testing.TB, classes int) (*capsnet.Network, [][]float32) {
 	return net, images
 }
 
-func postClassify(t testing.TB, url string, img []float32) (*http.Response, ClassifyResponse) {
+func postClassify(t testing.TB, url string, img []float32) (*http.Response, wire.ClassifyResponse) {
 	t.Helper()
-	body, err := json.Marshal(ClassifyRequest{Image: img})
+	body, err := json.Marshal(wire.ClassifyRequest{Image: img})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func postClassify(t testing.TB, url string, img []float32) (*http.Response, Clas
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var cr ClassifyResponse
+	var cr wire.ClassifyResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestServeMatchesDirectForwardBitForBit(t *testing.T) {
 		refs[i] = r
 	}
 
-	check := func(i int, cr ClassifyResponse) {
+	check := func(i int, cr wire.ClassifyResponse) {
 		t.Helper()
 		for j, p := range cr.Probs {
 			if math.Float32bits(p) != math.Float32bits(refs[i].probs[j]) {
@@ -171,7 +171,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("readyz %d", resp.StatusCode)
 	}
 
-	var info ModelInfo
+	var info wire.ModelInfo
 	resp, body := get("/v1/model")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("model %d", resp.StatusCode)
@@ -220,7 +220,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 // TestReadyzLoadBody covers the machine-readable /readyz contract the
-// router tier's prober consumes: 200 with a JSON LoadInfo while
+// router tier's prober consumes: 200 with a JSON wire.Load while
 // serving, 503 with status "draining" afterwards, and load signals
 // (inflight, batch occupancy) that reflect real traffic. The status
 // codes must stay exactly the pre-JSON 200/503 pair.
@@ -235,7 +235,7 @@ func TestReadyzLoadBody(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	readyz := func() (int, LoadInfo) {
+	readyz := func() (int, wire.Load) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
@@ -245,9 +245,9 @@ func TestReadyzLoadBody(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("readyz Content-Type %q, want application/json", ct)
 		}
-		var info LoadInfo
+		var info wire.Load
 		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatalf("readyz body is not LoadInfo JSON: %v", err)
+			t.Fatalf("readyz body is not wire.Load JSON: %v", err)
 		}
 		return resp.StatusCode, info
 	}
@@ -371,9 +371,9 @@ func TestServerDeadlineOnItsClock(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(ClassifyRequest{Image: images[0]})
+	body, _ := json.Marshal(wire.ClassifyRequest{Image: images[0]})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", bytes.NewReader(body))
-	deadline.Set(req.Header, time.Now().Add(time.Minute))
+	wire.SetDeadline(req.Header, time.Now().Add(time.Minute))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -424,10 +424,12 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestClassifyBodyBound: a classify body is read through
-// classifyBodyLimit. A valid body padded with whitespace to exactly the
-// bound classifies; one byte more is 413, counted under its own code;
-// and a body far past the bound is not read beyond it.
+// TestClassifyBodyBound: a classify body is read through the bound
+// /readyz advertises as body_limit, wire.ClassifyBodyLimit of the image
+// length — the one the router enforces in front of the replica. A valid
+// body padded with whitespace to exactly the bound classifies; one byte
+// more is 413, counted under its own code; and a body far past the
+// bound is not read beyond it.
 func TestClassifyBodyBound(t *testing.T) {
 	net, images := testNetwork(t, 3)
 	srv, err := New(net, capsnet.ExactMath{}, Config{MaxBatch: 1})
@@ -435,8 +437,17 @@ func TestClassifyBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close(context.Background())
-	limit := int(classifyBodyLimit(net.ImageLen()))
-	valid, err := json.MarshalIndent(ClassifyRequest{Image: images[0]}, "", "\t")
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var load wire.Load
+	if err := json.Unmarshal(rec.Body.Bytes(), &load); err != nil {
+		t.Fatalf("readyz body: %v", err)
+	}
+	if want := wire.ClassifyBodyLimit(net.ImageLen()); load.BodyLimit != want {
+		t.Fatalf("readyz body_limit %d, want %d", load.BodyLimit, want)
+	}
+	limit := int(load.BodyLimit)
+	valid, err := json.MarshalIndent(wire.ClassifyRequest{Image: images[0]}, "", "\t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +485,7 @@ func TestClassifyBodyLimitAdmitsLongestEncodings(t *testing.T) {
 	for i := range img {
 		img[i] = worst[i%len(worst)]
 	}
-	indented, err := json.MarshalIndent(ClassifyRequest{Image: img}, "", "\t\t\t\t")
+	indented, err := json.MarshalIndent(wire.ClassifyRequest{Image: img}, "", "\t\t\t\t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +498,7 @@ func TestClassifyBodyLimitAdmitsLongestEncodings(t *testing.T) {
 		fmt.Fprintf(&wide, "\n%s%.16e", strings.Repeat(" ", 21), float64(v))
 	}
 	wide.WriteString("\n  ]\n}\n")
-	limit := classifyBodyLimit(n)
+	limit := wire.ClassifyBodyLimit(n)
 	for name, size := range map[string]int{"encoding/json indented": len(indented), "float64, 17 digits": wide.Len()} {
 		if int64(size) > limit {
 			t.Errorf("%s: %d bytes, over the %d-byte bound", name, size, limit)

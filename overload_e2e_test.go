@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"pimcapsnet/internal/cluster"
-	"pimcapsnet/internal/deadline"
 	"pimcapsnet/internal/obs"
+	"pimcapsnet/internal/wire"
 )
 
 // TestOverloadBrownoutE2E is the overload-smoke drill CI runs: the real
@@ -81,7 +81,7 @@ func TestOverloadBrownoutE2E(t *testing.T) {
 			return 0, nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		deadline.Set(req.Header, time.Now().Add(budget))
+		wire.SetDeadline(req.Header, time.Now().Add(budget))
 		resp, err := client.Do(req)
 		if err != nil {
 			return 0, nil, err

@@ -16,6 +16,7 @@ import (
 	"pimcapsnet/internal/cluster"
 	"pimcapsnet/internal/obs"
 	"pimcapsnet/internal/serve"
+	"pimcapsnet/internal/wire"
 )
 
 // onePool is a fixed single-replica cluster.Pool.
@@ -91,7 +92,7 @@ func TestDebugRequestsSameAtBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, err := json.Marshal(serve.ClassifyRequest{Image: make([]float32, network.ImageLen())})
+	body, err := json.Marshal(wire.ClassifyRequest{Image: make([]float32, network.ImageLen())})
 	if err != nil {
 		t.Fatal(err)
 	}

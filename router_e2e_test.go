@@ -72,6 +72,13 @@ func TestRouterChaosE2E(t *testing.T) {
 		return resp.StatusCode, nil
 	}
 
+	// A body past the bound the replicas advertise on /readyz is refused
+	// by the router itself; no replica sees it (checked on the router's
+	// per-replica counters below).
+	if code, err := post(append(bytes.Repeat([]byte(" "), 1<<20), makeBody(0)...)); err != nil || code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB body through the router: %d, %v; want 413 from the router", code, err)
+	}
+
 	// Pick the kill target and pre-craft a request whose placement home
 	// is that replica, so the kill deterministically costs a retry.
 	var fleet []cluster.ReplicaInfo
@@ -171,6 +178,9 @@ func TestRouterChaosE2E(t *testing.T) {
 		if !strings.Contains(metricsText, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(metricsText, `code="413"`) {
+		t.Errorf("a replica answered the oversized body:\n%s", metricsText)
 	}
 	if v := seriesValue(t, samples, "router_retries_total"); v < 1 {
 		t.Errorf("router_retries_total = %g, want >= 1 with every replica corrupting its first batch", v)
