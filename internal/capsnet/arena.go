@@ -70,20 +70,23 @@ type scratch struct {
 	routing
 
 	// Layer geometry, computed once.
-	imgLen, convLen    int
-	ph, pw             int // primary-caps conv output spatial size
-	cols1Len, cols2Len int
-	primRawLen         int
-	cl, nclass         int
+	imgLen, convLen int
+	ph, pw          int // primary-caps conv output spatial size
+	cols1Len        int
+	primRawLen      int
+	primChunks      int // PrimaryCaps dispatch units: see primChunkRows
+	cl, nclass      int
 
 	// The other arena-carved buffers. batch backs ForwardBatch image
-	// assembly; feats holds the conv outputs batch-wide; u the primary
-	// capsules Eq. 1 reads; lengths the ‖v_j‖ outputs; cols1/cols2/praw
-	// are per-worker conv scratch (as routing.agreeV is Eq. 4's).
-	arena              *tensor.Arena
-	batch, feats, u    []float32
-	lengths            []float32
-	cols1, cols2, praw [][]float32
+	// assembly; feats holds the conv outputs batch-wide; praw the
+	// PrimaryCaps conv's raw output, batch-wide as one Cout × nb·ph·pw
+	// product; u the primary capsules Eq. 1 reads; lengths the ‖v_j‖
+	// outputs; cols1/cols2 are per-worker conv scratch (as
+	// routing.agreeV is Eq. 4's).
+	arena                 *tensor.Arena
+	batch, feats, praw, u []float32
+	lengths               []float32
+	cols1, cols2          [][]float32
 
 	// in is the pass's input images, bound per call.
 	in []float32
@@ -112,9 +115,9 @@ func newScratch(n *Network, nb int) *scratch {
 	s.convLen = convSpec.Cout * n.convH * n.convW
 	primSpec := n.Primary.Conv.Spec
 	s.ph, s.pw = primSpec.OutSize(n.convH, n.convW)
-	s.cols1Len = n.convH * n.convW * convSpec.Cin * convSpec.K * convSpec.K
-	s.cols2Len = s.ph * s.pw * primSpec.Cin * primSpec.K * primSpec.K
+	s.cols1Len = tensor.ConvColsLen(convSpec, cfg.InputH, cfg.InputW, 1)
 	s.primRawLen = primSpec.Cout * s.ph * s.pw
+	s.primChunks = min(n.Primary.Channels, max(1, primSpec.Cout/primChunkRows))
 	s.nl, s.cl = n.Digit.NumIn, n.Digit.DimIn
 	s.nh, s.ch = n.Digit.NumOut, n.Digit.DimOut
 	s.nclass = cfg.Classes
@@ -144,10 +147,11 @@ func newScratch(n *Network, nb int) *scratch {
 // kernels read the slice fields at call time, so swapping the buffers
 // here is safe between forward passes.
 func (s *scratch) alloc(nb int) {
-	perSample := s.imgLen + s.convLen + s.nl*s.cl + s.nl*s.nh*s.ch +
+	perSample := s.imgLen + s.convLen + s.primRawLen + s.nl*s.cl + s.nl*s.nh*s.ch +
 		2*s.nl*s.nh + 2*s.nh*s.ch + s.nclass
 	agreeVLen := agreeReplicaLen(s.nh, s.ch)
-	perWorker := s.cols1Len + s.cols2Len + s.primRawLen + agreeVLen
+	cols2Len := tensor.ConvColsLen(s.net.Primary.Conv.Spec, s.net.convH, s.net.convW, nb)
+	perWorker := s.cols1Len + cols2Len + agreeVLen
 	total := nb*perSample + s.workers*perWorker
 	old := 0
 	if s.arena != nil {
@@ -158,6 +162,7 @@ func (s *scratch) alloc(nb int) {
 	a := s.arena
 	s.batch = a.Alloc(nb * s.imgLen)
 	s.feats = a.Alloc(nb * s.convLen)
+	s.praw = a.Alloc(nb * s.primRawLen)
 	s.u = a.Alloc(nb * s.nl * s.cl)
 	s.preds = a.Alloc(nb * s.nl * s.nh * s.ch)
 	s.b = a.Alloc(nb * s.nl * s.nh)
@@ -168,13 +173,11 @@ func (s *scratch) alloc(nb int) {
 	if s.cols1 == nil {
 		s.cols1 = make([][]float32, s.workers)
 		s.cols2 = make([][]float32, s.workers)
-		s.praw = make([][]float32, s.workers)
 		s.agreeV = make([][]float32, s.workers)
 	}
 	for w := 0; w < s.workers; w++ {
 		s.cols1[w] = a.Alloc(s.cols1Len)
-		s.cols2[w] = a.Alloc(s.cols2Len)
-		s.praw[w] = a.Alloc(s.primRawLen)
+		s.cols2[w] = a.Alloc(cols2Len)
 		s.agreeV[w] = a.Alloc(agreeVLen)
 	}
 	s.capB = nb
@@ -203,25 +206,47 @@ func (s *scratch) convRange(w, lo, hi int) {
 	n := s.net
 	for k := lo; k < hi; k++ {
 		feat := s.feats[k*s.convLen : (k+1)*s.convLen]
-		tensor.Conv2DInto(feat, s.cols1[w], s.in[k*s.imgLen:(k+1)*s.imgLen], n.Conv.Weights.Data(), n.Conv.Bias, n.Conv.Spec, n.Config.InputH, n.Config.InputW)
+		tensor.Conv2DInto(feat, s.cols1[w], s.in[k*s.imgLen:(k+1)*s.imgLen], n.Conv.Weights.Data(), n.Conv.Bias, n.Conv.Spec, n.Config.InputH, n.Config.InputW, 1)
 		tensor.ReLU(feat)
 	}
 }
 
-// primRange runs the PrimaryCaps conv for samples [lo, hi) into worker
-// w's raw buffer and regroups and squashes each straight into the
-// sample's u rows — the same kernel and epilogue as
-// PrimaryCapsLayer.Forward.
+// primChunkRows is about the fewest PrimaryCaps output rows (capsule
+// channels × capsule dimension) a worker takes. Every worker lowers the
+// whole batch's im2col for itself, at about the cost of ten output
+// rows' multiply-adds (0.35–0.5 ns per lowered float against 24 GMAC/s
+// of tile), so splitting the rows finer would spend added cores on
+// repeated lowering: at 64 rows a worker the repeat is about a sixth of
+// its work. cv288's 64 rows run on one worker, mn1's and rp3872's 256
+// on up to four.
+const primChunkRows = 64
+
+// primRange runs the PrimaryCaps conv for dispatch units [lo, hi) of
+// primChunks, each a contiguous run of capsule channels, over every
+// sample in the pass — one product of the channels' weight rows with
+// the whole batch's lowering, using worker w's im2col scratch — and
+// regroups and squashes its rows of praw straight into each sample's
+// u rows: the same kernel and epilogue as PrimaryCapsLayer.Forward.
+// Chunking over channels rather than samples means each worker streams
+// only its share of the weights, once per pass, and a batch of one
+// still spreads over the workers primChunks allows.
 //
 //pimcaps:hotpath
 func (s *scratch) primRange(w, lo, hi int) {
 	n := s.net
 	prim := n.Primary
-	praw := s.praw[w]
-	for k := lo; k < hi; k++ {
-		tensor.Conv2DInto(praw, s.cols2[w], s.feats[k*s.convLen:(k+1)*s.convLen],
-			prim.Conv.Weights.Data(), prim.Conv.Bias, prim.Conv.Spec, n.convH, n.convW)
-		regroupSquash(s.u[k*s.nl*s.cl:(k+1)*s.nl*s.cl], praw, prim.Channels, prim.CapsDim, s.ph*s.pw)
+	lo, hi = lo*prim.Channels/s.primChunks, hi*prim.Channels/s.primChunks
+	d, kk, hw := prim.CapsDim, prim.Conv.Weights.Dim(1), s.ph*s.pw
+	nb, pos := s.nb, s.nb*hw
+	spec := prim.Conv.Spec
+	spec.Cout = (hi - lo) * d
+	raw := s.praw[lo*d*pos : hi*d*pos]
+	cols := s.cols2[w][:tensor.ConvColsLen(spec, n.convH, n.convW, nb)] // sized for capB ≥ nb
+	tensor.Conv2DInto(raw, cols, s.feats[:nb*s.convLen], prim.Conv.Weights.Data()[lo*d*kk:hi*d*kk],
+		prim.Conv.Bias[lo*d:hi*d], spec, n.convH, n.convW, nb)
+	for k := 0; k < nb; k++ {
+		u := s.u[k*s.nl*s.cl : (k+1)*s.nl*s.cl]
+		regroupSquash(u[lo*hw*d:hi*hw*d], raw[k*hw:], hi-lo, d, hw, pos)
 	}
 }
 

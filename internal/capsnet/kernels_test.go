@@ -430,3 +430,92 @@ func BenchmarkAgreementRange(b *testing.B) {
 		})
 	}
 }
+
+// TestRegroupSquashBitIdenticalToSquashInto holds the PrimaryCaps
+// epilogue, with the exact scale inlined, to the squashInto with
+// ExactMath it replaces: several position counts, rows wider than the
+// positions (as in a batch-wide raw output), and capsules that are all
+// zero, too small for their squares to register, huge enough to
+// overflow them, or carry a NaN or an Inf. A NaN matches a NaN.
+func TestRegroupSquashBitIdenticalToSquashInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-30, -3e-25, 3e38, float32(math.NaN()), float32(math.Inf(-1))}
+	for _, hw := range []int{1, 3, 4, 5, 36, 121} {
+		for _, capsDim := range []int{1, 4, 8} {
+			for _, ld := range []int{hw, 3*hw + 2} {
+				const channels = 3
+				raw := make([]float32, channels*capsDim*ld)
+				for i := range raw {
+					raw[i] = 2*rng.Float32() - 1
+					if rng.Intn(9) == 0 {
+						raw[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				for d := 0; d < capsDim; d++ { // capsule (0, 0) all zero, (0, 1) underflows
+					raw[d*ld] = 0
+					if hw > 1 {
+						raw[d*ld+1] = 1e-30
+					}
+				}
+				got := make([]float32, channels*hw*capsDim)
+				regroupSquash(got, raw, channels, capsDim, hw, ld)
+				for c := 0; c < channels; c++ {
+					for p := 0; p < hw; p++ {
+						want := make([]float32, capsDim)
+						for d := range want {
+							want[d] = raw[(c*capsDim+d)*ld+p]
+						}
+						squashInto(ExactMath{}, want, want)
+						for d, x := range want {
+							g := got[(c*hw+p)*capsDim+d]
+							if math.Float32bits(g) != math.Float32bits(x) && !(g != g && x != x) {
+								t.Fatalf("hw=%d capsDim=%d ld=%d: capsule (%d, %d)[%d] = %x, want %x",
+									hw, capsDim, ld, c, p, d, math.Float32bits(g), math.Float32bits(x))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRegroupSquash times the PrimaryCaps epilogue alone as
+// primRange runs it — every sample of a batch-wide raw output, rows
+// nb·hw floats apart — on rp3872 at serve_sat's batch of 8 and mn1 at
+// offline_mn1's 2, one core, and reports ns per capsule.
+func BenchmarkRegroupSquash(b *testing.B) {
+	for _, sh := range []struct {
+		name                  string
+		channels, capsDim, hw int
+		nb                    int
+	}{
+		{"rp3872", 32, 8, 121, 8},
+		{"mn1", 32, 8, 36, 2},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			ld := sh.nb * sh.hw
+			raw := make([]float32, sh.channels*sh.capsDim*ld)
+			for i := range raw {
+				raw[i] = rng.Float32() - 0.5
+			}
+			caps := make([]float32, sh.nb*sh.channels*sh.hw*sh.capsDim)
+			per := sh.channels * sh.hw * sh.capsDim
+			run := func() {
+				for k := 0; k < sh.nb; k++ {
+					regroupSquash(caps[k*per:(k+1)*per], raw[k*sh.hw:], sh.channels, sh.capsDim, sh.hw, ld)
+				}
+			}
+			if a := testing.AllocsPerRun(1, run); a != 0 {
+				b.Fatalf("regroupSquash allocates %v times per call, want 0", a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(sh.nb*sh.channels*sh.hw), "ns/capsule")
+		})
+	}
+}

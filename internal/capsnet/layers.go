@@ -68,26 +68,47 @@ func (l *PrimaryCapsLayer) Forward(input *tensor.Tensor) *tensor.Tensor {
 	raw := tensor.Conv2D(input, l.Conv.Weights, l.Conv.Bias, l.Conv.Spec) // (ch·dim)×oh×ow
 	hw := raw.Dim(1) * raw.Dim(2)
 	out := tensor.New(l.Channels*hw, l.CapsDim)
-	regroupSquash(out.Data(), raw.Data(), l.Channels, l.CapsDim, hw)
+	regroupSquash(out.Data(), raw.Data(), l.Channels, l.CapsDim, hw, hw)
 	return out
 }
 
-// regroupSquash is the PrimaryCaps epilogue: it regroups the raw
-// (channels·capsDim)×hw convolution output into channels·hw capsules of
-// capsDim contiguous values — capsule (c, p) takes dimension d from
-// feature map c·capsDim+d at position p — and squashes each in place
-// with exact math (PrimaryCaps runs on the host).
+// regroupSquash is the PrimaryCaps epilogue: it regroups a raw
+// (channels·capsDim)-row convolution output, rows ld floats apart, into
+// channels·hw capsules of capsDim contiguous values — capsule (c, p)
+// takes dimension d from raw[(c·capsDim+d)·ld + p] — and squashes each
+// with exact math (PrimaryCaps runs on the host): squashInto with
+// ExactMath, operation for operation, but called directly rather than
+// through RoutingMath.
 //
 //pimcaps:hotpath
-func regroupSquash(caps, raw []float32, channels, capsDim, hw int) {
+func regroupSquash(caps, raw []float32, channels, capsDim, hw, ld int) {
 	for c := 0; c < channels; c++ {
+		rows := raw[c*capsDim*ld:]
 		for p := 0; p < hw; p++ {
 			v := caps[(c*hw+p)*capsDim : (c*hw+p+1)*capsDim]
+			var sq float32
 			for d := range v {
-				v[d] = raw[(c*capsDim+d)*hw+p]
+				v[d] = rows[d*ld+p]
+				sq += v[d] * v[d]
 			}
-			squashInto(ExactMath{}, v, v)
+			scaleCapsule(v, sq)
 		}
+	}
+}
+
+// scaleCapsule finishes squashInto with ExactMath on a capsule v whose
+// squared norm is sq: v · sq · Recip(1+sq) · InvSqrt(sq), or zeros
+// where sq is 0.
+//
+//pimcaps:hotpath
+func scaleCapsule(v []float32, sq float32) {
+	if sq == 0 {
+		clear(v)
+		return
+	}
+	scale := sq * (1 / (1 + sq)) * float32(1/math.Sqrt(float64(sq)))
+	for d := range v {
+		v[d] *= scale
 	}
 }
 

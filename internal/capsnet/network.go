@@ -285,11 +285,11 @@ func (n *Network) routingIterations() int {
 
 // forward is the scratch-arena forward core shared by Forward and
 // ForwardBatch: the input images are already bound at scr.in and every
-// intermediate lives in scr's arena. Conv and PrimaryCaps each run as
-// one batch-wide dispatch, then Eq. 1, the routing loop, the finite
-// guard and the ‖v_j‖ lengths; per-sample work is independent and every
-// accumulation order fixed, so outputs do not depend on batch size,
-// partition or worker count.
+// intermediate lives in scr's arena. Conv (chunked over samples) and
+// PrimaryCaps (over capsule channels) each run as one batch-wide
+// dispatch, then Eq. 1, the routing loop, the finite guard and the
+// ‖v_j‖ lengths; every output's accumulation order is fixed, so
+// outputs do not depend on batch size, partition or worker count.
 func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	scr.math = mathOps
 	scr.bind()
@@ -299,7 +299,7 @@ func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	scr.runChunks(nb, scr.convFn)
 	endStage(end)
 	end = beginStage(st, StagePrimaryCaps, -1)
-	scr.runChunks(nb, scr.primFn)
+	scr.runChunks(scr.primChunks, scr.primFn)
 	endStage(end)
 	if hook := n.RoutingInputHook; hook != nil {
 		hook(scr.uT.Data())

@@ -273,13 +273,26 @@ func (d *Dispatcher) send(ctx context.Context, rep ReplicaInfo, body []byte, tra
 		return res
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	// The reply is read at most one byte past the reply_limit the
+	// replica advertises; 0 (unreported) keeps the unbounded read.
+	limit := rep.Load.ReplyLimit
+	var rd io.Reader = resp.Body
+	if limit > 0 {
+		rd = io.LimitReader(resp.Body, limit+1)
+	}
+	respBody, err := io.ReadAll(rd)
 	if err != nil {
 		res.code = "error"
 		return res
 	}
 	res.status, res.header, res.body = resp.StatusCode, resp.Header, respBody
 	res.code = strconv.Itoa(resp.StatusCode)
+	if limit > 0 && int64(len(respBody)) > limit {
+		// No reply this model can write is that long: like a corrupt
+		// body it costs a retry and never reaches the client.
+		res.code, res.body = "corrupt", nil
+		return res
+	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		if !wire.ValidClassifyReply(respBody) {

@@ -320,6 +320,49 @@ func TestDispatchRefusesOversizedBody(t *testing.T) {
 	}
 }
 
+// TestDispatchBoundsReplicaReply: the router reads a replica's reply
+// through the reply_limit it advertises. A 1 MiB 200 reply — valid
+// JSON, padded with whitespace, so only its length is wrong — is
+// counted corrupt and retried on the other replica; with no limit
+// advertised (0) the same reply is read whole and delivered.
+func TestDispatchBoundsReplicaReply(t *testing.T) {
+	huge := strings.Repeat(" ", 1<<20) + goodBody
+	_, repHuge := fakeReplica(t, "r0", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, huge)
+	})
+	_, repGood := fakeReplica(t, "r1", okHandler(nil))
+	limit := wire.ClassifyReplyLimit(3, 16)
+	repHuge.Load.ReplyLimit, repGood.Load.ReplyLimit = limit, limit
+	pool := &staticPool{reps: []ReplicaInfo{repHuge, repGood}}
+	d := newTestDispatcher(t, DispatcherConfig{Pool: pool, HedgeDelay: -1})
+
+	body := ""
+	for i := 0; ; i++ {
+		b := `{"image":[0.` + strings.Repeat("3", i+1) + `]}`
+		if Ready(pool)[Home(Key([]byte(b)), Ready(pool))].Name == "r0" {
+			body = b
+			break
+		}
+	}
+	w := classify(t, d, body, nil)
+	if w.Code != http.StatusOK || w.Body.String() != goodBody {
+		t.Fatalf("status %d, body of %d bytes; want 200 with r1's reply", w.Code, w.Body.Len())
+	}
+	if got := d.Metrics().ReplicaRequests.With("r0", "corrupt").Value(); got != 1 {
+		t.Fatalf("overlong reply counted corrupt %d times, want 1", got)
+	}
+	if d.Metrics().Retries.Value() == 0 {
+		t.Fatalf("overlong reply not retried")
+	}
+
+	repHuge.Load.ReplyLimit = 0
+	d = newTestDispatcher(t, DispatcherConfig{Pool: &staticPool{reps: []ReplicaInfo{repHuge}}, HedgeDelay: -1})
+	if w := classify(t, d, body, nil); w.Code != http.StatusOK || w.Body.Len() != len(huge) {
+		t.Fatalf("unbounded read: status %d, body of %d bytes; want 200 with all %d", w.Code, w.Body.Len(), len(huge))
+	}
+}
+
 // countingReader counts the bytes a handler pulls from a request body.
 type countingReader struct {
 	r io.Reader

@@ -372,6 +372,7 @@ func (s *Server) Load() wire.Load {
 		BatchOccupancy: float64(s.batcher.LastBatchSize()) / float64(s.cfg.MaxBatch),
 		MaxBatch:       s.cfg.MaxBatch,
 		BodyLimit:      wire.ClassifyBodyLimit(s.imgLen),
+		ReplyLimit:     wire.ClassifyReplyLimit(s.net.Config.Classes, s.net.Config.DigitDim),
 		PID:            os.Getpid(),
 	}
 }

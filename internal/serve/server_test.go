@@ -426,7 +426,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // TestClassifyBodyBound: a classify body is read through the bound
 // /readyz advertises as body_limit, wire.ClassifyBodyLimit of the image
-// length — the one the router enforces in front of the replica. A valid
+// length — the one the router enforces in front of the replica; the
+// reply bound it advertises beside it, reply_limit, is
+// wire.ClassifyReplyLimit of the model's classes and capsule dimension. A valid
 // body padded with whitespace to exactly the bound classifies; one byte
 // more is 413, counted under its own code; and a body far past the
 // bound is not read beyond it.
@@ -445,6 +447,9 @@ func TestClassifyBodyBound(t *testing.T) {
 	}
 	if want := wire.ClassifyBodyLimit(net.ImageLen()); load.BodyLimit != want {
 		t.Fatalf("readyz body_limit %d, want %d", load.BodyLimit, want)
+	}
+	if want := wire.ClassifyReplyLimit(net.Config.Classes, net.Config.DigitDim); load.ReplyLimit != want {
+		t.Fatalf("readyz reply_limit %d, want %d", load.ReplyLimit, want)
 	}
 	limit := int(load.BodyLimit)
 	valid, err := json.MarshalIndent(wire.ClassifyRequest{Image: images[0]}, "", "\t")

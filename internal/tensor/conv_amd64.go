@@ -13,6 +13,9 @@ func convTile1x8(acc, w, cols []float32, n, kc, lanes int, first bool)
 func convTile8x32(acc, w, cols []float32, n, kk, kc int, first bool)
 
 //go:noescape
+func lowerGather8(cols, src, pos []float32, taps []int32, n int)
+
+//go:noescape
 func packedMulAddPeak(steps int)
 
 //go:noescape

@@ -265,6 +265,69 @@ run32:
 	VZEROUPPER
 	RET
 
+// func lowerGather8(cols, src, pos []float32, taps []int32, n int)
+//
+// The transposed im2col of one reduction block (conv.go's lowerBlock):
+// cols[t·n + p] = src[taps[t] + pos[p]] for taps t < len(taps) and
+// positions p < n, where pos holds int32 offsets (as float32 bits) and
+// is padded to a multiple of 8 entries. One VGATHERDPS per 8
+// positions; the last n%8 lanes are masked in the gather and in the
+// store, so they neither load nor store. The gather is the only packed
+// lowering: a 16-lane ZMM gather, alternated with this one on the
+// Sapphire Rapids dev host, ran no faster.
+TEXT ·lowerGather8(SB), NOSPLIT, $0-104
+	MOVQ cols_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ pos_base+48(FP), R8
+	MOVQ taps_base+72(FP), R9
+	MOVQ taps_len+80(FP), R10
+	MOVQ n+96(FP), DX
+	MOVQ DX, R12
+	ANDQ $7, R12                     // lanes of the tail vector
+	SHRQ $3, DX                      // full vectors a row
+	LEAQ laneMask<>(SB), AX
+	MOVQ R12, CX
+	NEGQ CX
+	VMOVDQU 32(AX)(CX*4), Y10
+	TESTQ R10, R10
+	JZ    done8g
+
+tap8:
+	MOVLQSX (R9), AX
+	LEAQ    (SI)(AX*4), BX
+	MOVQ    R8, CX
+	MOVQ    DX, R11
+	TESTQ   R11, R11
+	JZ      tail8
+
+full8g:
+	VMOVDQU    (CX), Y1
+	VPCMPEQD   Y2, Y2, Y2
+	VGATHERDPS Y2, (BX)(Y1*4), Y0
+	VMOVUPS    Y0, (DI)
+	ADDQ       $32, CX
+	ADDQ       $32, DI
+	DECQ       R11
+	JNZ        full8g
+
+tail8:
+	TESTQ      R12, R12
+	JZ         next8
+	VMOVDQU    (CX), Y1
+	VMOVDQU    Y10, Y2
+	VGATHERDPS Y2, (BX)(Y1*4), Y0
+	VMASKMOVPS Y0, Y10, (DI)
+	LEAQ       (DI)(R12*4), DI
+
+next8:
+	ADDQ $4, R9
+	DECQ R10
+	JNZ  tap8
+
+done8g:
+	VZEROUPPER
+	RET
+
 // func packedMulAddPeak(steps int)
 //
 // What convTile8x8's arithmetic costs with nothing to load: steps ×

@@ -46,3 +46,38 @@ func TestConvTilesReadNothingPastTheirOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestConvGathersReadNothingPastTheirOperands runs the packed path with
+// every operand flush against a PROT_NONE page: the input, whose last
+// float the last tap of the last window reads (the shapes fit the
+// kernel exactly), and cols, whose position table the gather loads its
+// offsets from. A VGATHERDPS reads computed addresses, so a wrong
+// offset or an unmasked tail lane shows here as a fault even when it
+// lands on memory a sentinel margin would not watch.
+func TestConvGathersReadNothingPastTheirOperands(t *testing.T) {
+	if !Packed() {
+		t.Skip("this CPU has no packed path")
+	}
+	operand := func(m int) []float32 {
+		xs := testutil.GuardedTail(t, m)
+		for i := range xs {
+			xs[i] = float32(i%7) - 3
+		}
+		return xs
+	}
+	for _, k := range []int{1, 3, 9} {
+		for _, stride := range []int{1, 2, 3} {
+			for nb := 1; nb <= 3; nb++ {
+				spec := ConvSpec{Cin: 3, Cout: 9, K: k, Stride: stride}
+				h, w := 4*stride+k, 2*stride+k // 5×3 positions an image: every tail length of the batch
+				oh, ow := spec.OutSize(h, w)
+				in := operand(nb * spec.Cin * h * w)
+				wt, bias := operand(spec.Cout*spec.Cin*k*k), operand(spec.Cout)
+				dst, cols := operand(spec.Cout*nb*oh*ow), operand(ConvColsLen(spec, h, w, nb))
+				if addr, faulted := testutil.Faults(func() { Conv2DInto(dst, cols, in, wt, bias, spec, h, w, nb) }); faulted {
+					t.Fatalf("K=%d stride=%d nb=%d: Conv2DInto touched %#x, past its operands", k, stride, nb, addr)
+				}
+			}
+		}
+	}
+}

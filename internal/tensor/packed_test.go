@@ -87,13 +87,13 @@ func conv2DIntoBitIdenticalAt(t *testing.T, l packedtest.Level) {
 						}
 						want := make([]float32, cout*n)
 						packedtest.At(t, packedtest.Off, func() {
-							tensor.Conv2DInto(want, make([]float32, n*kk), in, wt, bias, spec, h, w)
+							tensor.Conv2DInto(want, make([]float32, tensor.ConvColsLen(spec, h, w, 1)), in, wt, bias, spec, h, w, 1)
 						})
 
 						got, gotOK := guarded(cout*n, sentinel)
-						cols, colsOK := guarded(n*kk, sentinel)
+						cols, colsOK := guarded(tensor.ConvColsLen(spec, h, w, 1), sentinel)
 						packedtest.At(t, l, func() {
-							tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w)
+							tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w, 1)
 						})
 						for i := range want {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -152,7 +152,7 @@ func TestConv2DIntoNonFiniteStaysInItsOutput(t *testing.T) {
 	run := func(on bool) []float32 {
 		out := make([]float32, spec.Cout*n)
 		packedtest.With(t, on, func() {
-			tensor.Conv2DInto(out, make([]float32, n*kk), in, wt, nil, spec, h, w)
+			tensor.Conv2DInto(out, make([]float32, tensor.ConvColsLen(spec, h, w, 1)), in, wt, nil, spec, h, w, 1)
 		})
 		return out
 	}
@@ -174,24 +174,25 @@ func TestConv2DIntoNonFiniteStaysInItsOutput(t *testing.T) {
 }
 
 // TestConv2DIntoRejectsBadLengths: every operand's length is checked
-// in Go, with the message it always had, before either path touches
-// memory.
+// in Go, with a message naming it, before either path touches memory.
+// cols is held to ConvColsLen, the one length both paths accept.
 func TestConv2DIntoRejectsBadLengths(t *testing.T) {
 	spec := tensor.ConvSpec{Cin: 2, Cout: 8, K: 3, Stride: 1}
 	const h, w = 5, 5
 	n, kk := 9, 18
+	cols := tensor.ConvColsLen(spec, h, w, 1)
 	for _, on := range []bool{false, true} {
 		for _, tc := range []struct {
 			name                            string
 			dst, cols, input, weights, bias int
 			want                            string
 		}{
-			{"short dst", 8*n - 1, n * kk, 2 * h * w, 8 * kk, 8, "Conv2DInto dst length"},
-			{"short cols", 8 * n, n*kk - 1, 2 * h * w, 8 * kk, 8, "Im2ColInto cols length"},
-			{"long cols", 8 * n, n*kk + 1, 2 * h * w, 8 * kk, 8, "Im2ColInto cols length"},
-			{"short input", 8 * n, n * kk, 2*h*w - 1, 8 * kk, 8, "Im2ColInto input length"},
-			{"short weights", 8 * n, n * kk, 2 * h * w, 8*kk - 1, 8, "Conv2DInto weights length"},
-			{"short bias", 8 * n, n * kk, 2 * h * w, 8 * kk, 7, "Conv2DInto bias length"},
+			{"short dst", 8*n - 1, cols, 2 * h * w, 8 * kk, 8, "Conv2DInto dst length"},
+			{"short cols", 8 * n, cols - 1, 2 * h * w, 8 * kk, 8, "Conv2DInto cols length"},
+			{"long cols", 8 * n, cols + 1, 2 * h * w, 8 * kk, 8, "Conv2DInto cols length"},
+			{"short input", 8 * n, cols, 2*h*w - 1, 8 * kk, 8, "Conv2DInto input length"},
+			{"short weights", 8 * n, cols, 2 * h * w, 8*kk - 1, 8, "Conv2DInto weights length"},
+			{"short bias", 8 * n, cols, 2 * h * w, 8 * kk, 7, "Conv2DInto bias length"},
 		} {
 			t.Run(fmt.Sprintf("packed=%v/%s", on, tc.name), func(t *testing.T) {
 				defer func() {
@@ -201,7 +202,7 @@ func TestConv2DIntoRejectsBadLengths(t *testing.T) {
 				}()
 				packedtest.With(t, on, func() {
 					tensor.Conv2DInto(make([]float32, tc.dst), make([]float32, tc.cols), make([]float32, tc.input),
-						make([]float32, tc.weights), make([]float32, tc.bias), spec, h, w)
+						make([]float32, tc.weights), make([]float32, tc.bias), spec, h, w, 1)
 				})
 			})
 		}
@@ -209,18 +210,19 @@ func TestConv2DIntoRejectsBadLengths(t *testing.T) {
 }
 
 // FuzzConv2DIntoPacked is the differential target of the dense
-// kernel's packed bodies (convTile8x32, convTile8x8 and convTile1x8):
-// for operands of any bit pattern — data is read as little-endian
-// float32 bits and cycled over input, weights and bias, so NaN
-// payloads, ±0, ±Inf and denormals are all reachable — Cout 1–40,
-// oh×ow up to 12×12 (n crosses 8 and 32), kk = Cin·K·K up to one
-// ConvKC block and 32 taps past it, and stride 1 or 2, every level this
-// CPU has must give the bits of the Go tile and leave the sentinel
+// kernel's packed bodies (convTile8x32, convTile8x8, convTile1x8 and the
+// lowerGather8 lowering): for operands of any bit pattern — data is
+// read as little-endian float32 bits and cycled over input, weights and
+// bias, so NaN payloads, ±0, ±Inf and denormals are all reachable —
+// Cout 1–40, oh×ow up to 12×12 (n crosses 8 and 32), kk = Cin·K·K up
+// to one ConvKC block and 32 taps past it, stride 1 or 2, and 1–3
+// images in one product, every level this CPU has must give the bits
+// of the Go tile run one image at a time, and leave the sentinel
 // margins around dst and cols alone. Where two NaNs meet, x86 keeps the
 // first operand's payload and the Go tile does not fix which operand
 // that is, so a NaN of any payload matches a NaN.
 func FuzzConv2DIntoPacked(f *testing.F) {
-	f.Fuzz(func(t *testing.T, cout, oh, ow, k uint8, cin uint16, stride2, withBias bool, data []byte) {
+	f.Fuzz(func(t *testing.T, cout, oh, ow, k uint8, cin uint16, stride2, withBias bool, batch uint8, data []byte) {
 		vals := make([]float32, len(data)/4)
 		for i := range vals {
 			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
@@ -233,6 +235,7 @@ func FuzzConv2DIntoPacked(f *testing.F) {
 		if stride2 {
 			spec.Stride = 2
 		}
+		nb := 1 + int(batch)%3
 		outH, outW := 1+int(oh)%12, 1+int(ow)%12
 		h, w := (outH-1)*spec.Stride+spec.K, (outW-1)*spec.Stride+spec.K
 		n, kk := outH*outW, spec.Cin*spec.K*spec.K
@@ -243,7 +246,7 @@ func FuzzConv2DIntoPacked(f *testing.F) {
 				next++
 			}
 		}
-		in := make([]float32, spec.Cin*h*w)
+		in := make([]float32, nb*spec.Cin*h*w)
 		wt := make([]float32, spec.Cout*kk)
 		fill(in)
 		fill(wt)
@@ -252,28 +255,99 @@ func FuzzConv2DIntoPacked(f *testing.F) {
 			bias = make([]float32, spec.Cout)
 			fill(bias)
 		}
-		want := make([]float32, spec.Cout*n)
-		packedtest.At(t, packedtest.Off, func() {
-			tensor.Conv2DInto(want, make([]float32, n*kk), in, wt, bias, spec, h, w)
-		})
+		want := singles(t, packedtest.Off, in, wt, bias, spec, h, w, nb)
 		for _, l := range packedtest.PackedLevels() {
 			if l > packedtest.Detected() {
 				break
 			}
 			got, gotOK := guarded(len(want), -12345)
-			cols, colsOK := guarded(n*kk, -12345)
-			packedtest.At(t, l, func() { tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w) })
+			cols, colsOK := guarded(tensor.ConvColsLen(spec, h, w, nb), -12345)
+			packedtest.At(t, l, func() { tensor.Conv2DInto(got, cols, in, wt, bias, spec, h, w, nb) })
 			for i := range want {
 				g, x := got[i], want[i]
 				if math.Float32bits(g) != math.Float32bits(x) && !(g != g && x != x) {
-					t.Fatalf("%v: Cout=%d n=%d kk=%d stride=%d: out[%d] = %x, want %x",
-						l, spec.Cout, n, kk, spec.Stride, i, math.Float32bits(g), math.Float32bits(x))
+					t.Fatalf("%v: Cout=%d nb=%d n=%d kk=%d stride=%d: out[%d] = %x, want %x",
+						l, spec.Cout, nb, n, kk, spec.Stride, i, math.Float32bits(g), math.Float32bits(x))
 				}
 			}
 			if !gotOK() || !colsOK() {
-				t.Fatalf("%v: Cout=%d n=%d kk=%d stride=%d: wrote outside dst (%v) or cols (%v)",
-					l, spec.Cout, n, kk, spec.Stride, gotOK(), colsOK())
+				t.Fatalf("%v: Cout=%d nb=%d n=%d kk=%d stride=%d: wrote outside dst (%v) or cols (%v)",
+					l, spec.Cout, nb, n, kk, spec.Stride, gotOK(), colsOK())
 			}
 		}
 	})
+}
+
+// singles runs Conv2DInto at level l on each of the nb images of in
+// alone and lays the results out as one nb-image call's dst: image i's
+// output channel c at [c·nb·n + i·n :][:n].
+func singles(t *testing.T, l packedtest.Level, in, wt, bias []float32, spec tensor.ConvSpec, h, w, nb int) []float32 {
+	t.Helper()
+	oh, ow := spec.OutSize(h, w)
+	n, imgLen := oh*ow, spec.Cin*h*w
+	out := make([]float32, spec.Cout*nb*n)
+	one := make([]float32, spec.Cout*n)
+	cols := make([]float32, tensor.ConvColsLen(spec, h, w, 1))
+	for img := 0; img < nb; img++ {
+		packedtest.At(t, l, func() {
+			tensor.Conv2DInto(one, cols, in[img*imgLen:(img+1)*imgLen], wt, bias, spec, h, w, 1)
+		})
+		for c := 0; c < spec.Cout; c++ {
+			copy(out[c*nb*n+img*n:][:n], one[c*n:(c+1)*n])
+		}
+	}
+	return out
+}
+
+// TestConv2DIntoBatchBitIdentical concatenates 1–9 images into one
+// product over the tile-edge table — channel counts on both sides of a
+// group of 8, positions that do and do not fill a tile (so the
+// batch's n crosses tiles one image does not), reductions of one tap,
+// of a few, and of one ConvKC block and a few more — at every level,
+// Off included, and demands the bits of the images run one at a time.
+// Every output is still its own sum over j from +0, so how many
+// images share the product changes nothing.
+func TestConv2DIntoBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	outs := []struct{ oh, ow int }{{1, 1}, {1, 2}, {3, 1}, {6, 6}, {11, 11}} // n = 1, 2, 3, 36, 121
+	kernels := []struct{ cin, k int }{{1, 1}, {1, 3}, {9, 3}, {29, 3}}       // kk = 1, 9, 81, 261
+	for _, l := range append([]packedtest.Level{packedtest.Off}, packedtest.PackedLevels()...) {
+		t.Run(l.String(), func(t *testing.T) {
+			if l > packedtest.Detected() {
+				t.Skipf("this CPU has no %v path", l)
+			}
+			for _, cout := range []int{1, 3, 8, 9} {
+				for _, o := range outs {
+					for _, kr := range kernels {
+						for _, stride := range []int{1, 2} {
+							spec := tensor.ConvSpec{Cin: kr.cin, Cout: cout, K: kr.k, Stride: stride}
+							h, w := (o.oh-1)*stride+kr.k, (o.ow-1)*stride+kr.k
+							wt := make([]float32, cout*kr.cin*kr.k*kr.k)
+							bias := make([]float32, cout)
+							in := make([]float32, 9*kr.cin*h*w)
+							for _, xs := range [][]float32{wt, bias, in} {
+								for i := range xs {
+									xs[i] = rng.Float32() - 0.5
+								}
+							}
+							for nb := 1; nb <= 9; nb++ {
+								batch := in[:nb*kr.cin*h*w]
+								want := singles(t, l, batch, wt, bias, spec, h, w, nb)
+								got := make([]float32, len(want))
+								cols := make([]float32, tensor.ConvColsLen(spec, h, w, nb))
+								packedtest.At(t, l, func() { tensor.Conv2DInto(got, cols, batch, wt, bias, spec, h, w, nb) })
+								for i := range want {
+									if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+										t.Fatalf("Cout=%d n=%d kk=%d stride=%d nb=%d: out[%d] = %x, want %x",
+											cout, o.oh*o.ow, kr.cin*kr.k*kr.k, stride, nb, i,
+											math.Float32bits(got[i]), math.Float32bits(want[i]))
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
 }

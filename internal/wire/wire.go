@@ -63,6 +63,10 @@ type Load struct {
 	// BodyLimit is ClassifyBodyLimit of the replica's image length, the
 	// bound the router enforces before forwarding; 0 is unreported.
 	BodyLimit int64 `json:"body_limit"`
+	// ReplyLimit is ClassifyReplyLimit of the replica's class count and
+	// capsule dimension, the bound the router reads a classify reply
+	// through; 0 is unreported.
+	ReplyLimit int64 `json:"reply_limit"`
 	// PID identifies the serving process (chaos drills kill it).
 	PID int `json:"pid"`
 }
@@ -75,6 +79,17 @@ type Load struct {
 // fits — plus 4 KiB for the envelope and whitespace. A reader reads at
 // most one byte past it; a longer body gets 413.
 func ClassifyBodyLimit(imgLen int) int64 { return 48*int64(imgLen) + 4<<10 }
+
+// ClassifyReplyLimit bounds the classify reply of a model with classes
+// capsules of digitDim dimensions: 23 bytes for each of its
+// classes·(1+digitDim) float32s — the longest encoding/json writes for
+// a finite one is 22 (e.g. -999999900000000000000), plus a comma — 3
+// for the brackets and comma of each pose, plus 4 KiB for the class,
+// the batch size, the keys and whitespace. A reader reads at most one
+// byte past it.
+func ClassifyReplyLimit(classes, digitDim int) int64 {
+	return 23*int64(classes)*int64(1+digitDim) + 3*int64(classes) + 4<<10
+}
 
 // ValidClassifyReply vets a replica's 200 classify body before it
 // reaches the client: decodable JSON, a plausible class, non-empty
