@@ -79,7 +79,6 @@ func TestServeMetricsGolden(t *testing.T) {
 	m := serve.NewMetrics()
 	m.QueueDepth = func() int { return 5 }
 	m.ArenaBytes = func() uint64 { return 23909824 }
-	m.PartitionCounts = func() (batch, hcaps uint64) { return 116, 114 }
 	m.BrownoutLevel = func() int { return 2 }
 	m.BrownoutRequests.With("1")
 

@@ -7,7 +7,7 @@ import (
 )
 
 // BitexactDirective exempts a whole file from floateqcheck: the
-// repository's bit-identity tests (arena reuse, partition forcing,
+// repository's bit-identity tests (arena reuse, routing chunk edges,
 // serialization round-trips, batching invariance) compare exact bit
 // patterns on purpose — that is the property under test.
 const BitexactDirective = "//pimcaps:bitexact"

@@ -271,7 +271,7 @@ func (s *scratch) rerouteSample(k, iterations int) {
 	r.v = pass.v[k*rowV : (k+1)*rowV]
 	r.s = pass.s[k*rowV : (k+1)*rowV]
 	r.nb, r.math = 1, ExactMath{}
-	r.run(s.chunker, s.net.Digit.Mode, iterations, s.net.Partition, nil, nil)
+	r.run(s.chunker, s.net.Digit.Mode, iterations, nil, nil)
 	s.routing = pass
 }
 
@@ -333,11 +333,3 @@ func (o *Output) Release() {
 // batch seen and are retained by the pool). Serving exposes it as the
 // capsnet_arena_bytes gauge.
 func (n *Network) ArenaBytes() uint64 { return 4 * n.arenaFloats.Load() }
-
-// PartitionCounts reports how many routing runs sharded on the batch
-// dimension and on the high-level-capsule dimension respectively —
-// the observable face of the Eqs. 6–12 cost model behind the
-// Partition knob.
-func (n *Network) PartitionCounts() (batch, hcaps uint64) {
-	return n.partB.Load(), n.partH.Load()
-}

@@ -175,48 +175,6 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForcedPartitionsBitIdentical holds the Partition knob's
-// contract: forcing either shard dimension changes no output bit
-// relative to the automatic choice, for both routing modes.
-func TestForcedPartitionsBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // make multi-worker sharding real
-	defer runtime.GOMAXPROCS(prev)
-	for _, shared := range []bool{false, true} {
-		cfg := TinyConfig(4)
-		cfg.SharedRouting = shared
-		var ref *Output
-		for _, part := range []Partition{PartitionAuto, PartitionB, PartitionH} {
-			net, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net.Partition = part
-			images := arenaTestImages(net, 5, 42)
-			out := net.ForwardBatch(images, ExactMath{})
-			if ref == nil {
-				ref = out
-				continue
-			}
-			for j, v := range ref.Capsules.Data() {
-				if math.Float32bits(v) != math.Float32bits(out.Capsules.Data()[j]) {
-					t.Fatalf("shared=%v partition=%v: capsule %d differs from auto", shared, part, j)
-				}
-			}
-			pb, ph := net.PartitionCounts()
-			switch part {
-			case PartitionB:
-				if pb == 0 || ph != 0 {
-					t.Fatalf("forced B: counts (%d, %d)", pb, ph)
-				}
-			case PartitionH:
-				if ph == 0 || pb != 0 {
-					t.Fatalf("forced H: counts (%d, %d)", pb, ph)
-				}
-			}
-		}
-	}
-}
-
 // TestConcurrentForwardBatchRelease drives concurrent ForwardBatch
 // callers through the shared scratch pool and worker pool (this is the
 // race-detector target for the arena path) and checks each goroutine

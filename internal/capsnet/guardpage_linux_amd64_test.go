@@ -40,9 +40,9 @@ func TestPackedKernelsReadNothingPastTheirOperands(t *testing.T) {
 		run(fmt.Sprintf("predTile4 ch=%d", ch), func() { predTile4(u4, w, o4, ustride, ostride, nh, cl, ch) })
 		u1, o1 := operand(cl), operand(nh*ch)
 		run(fmt.Sprintf("predTile1 ch=%d", ch), func() { predTile1(u1, w, o1, nh, cl, ch) })
-		// All capsules (the B-partition) and the last four of them (the
-		// H-partition's last worker): the final row of c and û ends at
-		// the guard either way.
+		// All capsules (a whole row) and the last four of them (a chunk
+		// that ends on a row's last capsule): the final row of c and û
+		// ends at the guard either way.
 		for _, nj := range []int{nh, 4} {
 			s, c, u := operand(nj*ch), operand((nl-1)*nh+nj), operand(((nl-1)*nh+nj)*ch)
 			run(fmt.Sprintf("aggregateRows ch=%d nj=%d", ch, nj), func() { aggregateRows(s, c, u, nl, nj, ch, nh, nh*ch) })

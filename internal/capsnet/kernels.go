@@ -16,8 +16,8 @@ import (
 // capsule) rows — and every per-output-element accumulation runs in
 // the same order (d, then i or k ascending) however the range is split
 // or tiled, which is what keeps results bit-identical to a serial
-// sample-at-a-time loop under any B/H partitioning (see Partition) and
-// any batch size.
+// sample-at-a-time loop wherever the chunk edges fall and at any batch
+// size.
 //
 // Eqs. 1, 2 and 4 here and Eq. 5 in math.go each have two bodies: the
 // Go loops and, where tensor.Packed reports AVX2 and ch divides into
@@ -32,15 +32,16 @@ import (
 
 // aggregateRange performs Eq. 2 (s_j ← Σ_i c_ij·û_j|i) and Eq. 3
 // (v_j ← squash(s_j)) for samples [klo, khi) × high-level capsules
-// [jlo, jhi): the B-partition passes a sample range and all capsules,
-// the H-partition all samples and a capsule range. sd must be
-// pre-zeroed for that rectangle. Per (k, j) the sum over i ascends
-// whatever the rectangle, and a term whose c_ij is ±0 is skipped, in
-// the Go loop and in aggregateRows (one sample's multiply-accumulate on
-// the packed path) alike. The Go multiply-accumulate loop ranges over up
-// with a capped sp slice: under this function's register pressure a
-// plain counted loop spills its induction variable to the stack on
-// every iteration, which costs ~45% on the whole kernel. For the same
+// [jlo, jhi): the routing loop passes one sample and a run of its
+// capsules per call, the serial test reference the whole nb × nh grid.
+// sd must be pre-zeroed for that rectangle. Per (k, j) the sum over i
+// ascends whatever the rectangle, and a term whose c_ij is ±0 is
+// skipped, in the Go loop and in aggregateRows (one sample's
+// multiply-accumulate on the packed path) alike. The Go
+// multiply-accumulate loop ranges over up with a capped sp slice:
+// under this function's register pressure a plain counted loop spills
+// its induction variable to the stack on every iteration, which costs
+// ~45% on the whole kernel. For the same
 // reason the rectangle's rows of c, û and s are sliced once per (k, i)
 // and indexed from 0: with the k and jlo offsets carried into the j
 // loop it ran 4.6 ms against 3.3–3.5 (rp3872, batch 8, one core).

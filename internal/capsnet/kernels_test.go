@@ -213,7 +213,7 @@ func TestChunkedSoftmaxBitIdenticalToSerial(t *testing.T) {
 				out := net.ForwardBatch(imgs, ExactMath{})
 				defer out.Release()
 				preds := PredictionVectors(out.Primary, net.Digit.Weights)
-				wantC, wantB := serialRouting(preds, net.Digit.Iterations, ExactMath{}, mode)
+				wantC, wantB, _ := serialRouting(preds, net.Digit.Iterations, ExactMath{}, mode)
 				pub := DynamicRoutingMode(preds, net.Digit.Iterations, ExactMath{}, mode)
 				for _, got := range []struct {
 					name string
@@ -236,13 +236,14 @@ func TestChunkedSoftmaxBitIdenticalToSerial(t *testing.T) {
 
 // serialRouting is the routing loop with nothing chunked and no
 // first-iteration shortcut: softmaxRows over every row of every
-// iteration, one kernel call per stage.
-func serialRouting(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode) (c, b []float32) {
+// iteration, one kernel call per stage — the aggregate one
+// aggregateRange over the whole nb × nh rectangle.
+func serialRouting(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode) (c, b, v []float32) {
 	nb, nl, nh, ch := preds.Dim(0), preds.Dim(1), preds.Dim(2), preds.Dim(3)
 	pd := preds.Data()
 	b = make([]float32, nb*nl*nh)
 	c = make([]float32, nb*nl*nh)
-	v := make([]float32, nb*nh*ch)
+	v = make([]float32, nb*nh*ch)
 	s := make([]float32, nb*nh*ch)
 	rows, bstride := nb*nl, nl*nh
 	if mode == RouteBatchShared {
@@ -267,7 +268,7 @@ func serialRouting(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mo
 			copy(b[k*nl*nh:(k+1)*nl*nh], b[:nl*nh])
 		}
 	}
-	return c, b
+	return c, b, v
 }
 
 // BenchmarkPredictionVectorsRange times Eq. 1 alone on the digit-layer

@@ -140,14 +140,6 @@ type Network struct {
 	// timed results are bit-identical to untimed ones.
 	Stages StageTimer
 
-	// Partition pins the dimension the routing workload is sharded on
-	// across workers: PartitionAuto (the default) picks per run with
-	// the Eqs. 6–12-style execution-score model, PartitionB forces
-	// batch sharding, PartitionH forces high-level-capsule sharding.
-	// Results are bit-identical under every setting; only the
-	// work-to-worker assignment changes.
-	Partition Partition
-
 	convH, convW int // conv output spatial size
 
 	// fallbacks counts forward passes' per-sample exact-math routing
@@ -157,8 +149,8 @@ type Network struct {
 	// Scratch-arena pool state (see arena.go): released scratches
 	// await reuse in scratchFree; closed is set by Close and makes
 	// acquireScratch refuse the next pass; pool holds the persistent
-	// chunk workers; the atomics feed the ArenaBytes / PartitionCounts
-	// gauges serving exposes.
+	// chunk workers; arenaFloats feeds the ArenaBytes gauge serving
+	// exposes.
 	scratchMu sync.Mutex
 	//pimcaps:guardedby scratchMu
 	scratchFree []*scratch
@@ -170,8 +162,6 @@ type Network struct {
 	//pimcaps:guardedby poolMu
 	poolSpawned int
 	arenaFloats atomic.Uint64
-	partB       atomic.Uint64
-	partH       atomic.Uint64
 }
 
 // CancelCheck reports whether an in-flight forward pass should stop
@@ -289,7 +279,7 @@ func (n *Network) routingIterations() int {
 // PrimaryCaps (over capsule channels) each run as one batch-wide
 // dispatch, then Eq. 1, the routing loop, the finite guard and the
 // ‖v_j‖ lengths; every output's accumulation order is fixed, so
-// outputs do not depend on batch size, partition or worker count.
+// outputs do not depend on batch size or worker count.
 func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	scr.math = mathOps
 	scr.bind()
@@ -308,12 +298,7 @@ func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	scr.runChunks(n.Digit.NumIn, scr.predFn)
 	endStage(end)
 	iterations := n.routingIterations()
-	aborted := scr.routing.run(scr.chunker, n.Digit.Mode, iterations, n.Partition, n.Cancel, st)
-	if scr.dim == PartitionB {
-		n.partB.Add(1)
-	} else {
-		n.partH.Add(1)
-	}
+	aborted := scr.routing.run(scr.chunker, n.Digit.Mode, iterations, n.Cancel, st)
 	out := &scr.out
 	out.Capsules = scr.vT
 	out.Lengths = scr.lengthsT

@@ -13,7 +13,7 @@ import (
 
 // TestIdentitySuiteOnGoKernels re-runs, with the packed path switched
 // off, the tests that pin the forward pass's bits — to an earlier
-// commit, across batch size, partition, worker count and arena reuse,
+// commit, across batch size, worker count, chunk edges and arena reuse,
 // and through the finite-value guard — so the Go kernels of all four
 // equations stay held to the same constants as the packed ones on a
 // host that would otherwise never execute them.
@@ -48,7 +48,7 @@ func identitySuiteAt(t *testing.T, l packedtest.Level) {
 		}{
 			{"PinnedParent", TestLengthsBitIdenticalToPinnedParent},
 			{"ArenaReuse", TestArenaReuseBitIdentical},
-			{"ForcedPartitions", TestForcedPartitionsBitIdentical},
+			{"FlatRoutingChunks", TestFlatRoutingChunksBitIdentical},
 			{"BatchComposition", TestPerSampleIndependentOfBatchComposition},
 			{"BatchConsistency", TestDynamicRoutingBatchConsistency},
 			{"RoutingParallelism", TestRoutingParallelismDeterministic},
@@ -89,9 +89,9 @@ func guarded(n int, fill float32) (inner []float32, intact func() bool) {
 }
 
 // TestAggregateRangePackedBitIdenticalToGoLoop runs Eq. 2+3 on the
-// packed path over the rectangles both partitions cut (sample ranges ×
-// all capsules, all samples × capsule ranges) and over capsule widths
-// with one, two and three vectors, against the Go loop. Seeded into the
+// packed path over sample ranges × all capsules and all samples ×
+// capsule ranges, and over capsule widths with one, two and three
+// vectors, against the Go loop. Seeded into the
 // operands: c_ij = +0 and −0 facing û rows of +Inf, −Inf and NaN (the
 // skip must hold, or the sum is poisoned), and a NaN and a +Inf û in
 // single lanes under ordinary coefficients (that lane of s must carry
@@ -103,8 +103,8 @@ func TestAggregateRangePackedBitIdenticalToGoLoop(t *testing.T) {
 	const sentinel = float32(-12345)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	rects := [][4]int{
-		{0, nb, 0, nh}, {0, 1, 0, nh}, {1, 3, 0, nh}, // B-partition
-		{0, nb, 0, 4}, {0, nb, 4, 7}, {0, nb, 9, nh}, // H-partition
+		{0, nb, 0, nh}, {0, 1, 0, nh}, {1, 3, 0, nh}, // whole rows
+		{0, nb, 0, 4}, {0, nb, 4, 7}, {0, nb, 9, nh}, // capsule runs
 	}
 	for _, ch := range []int{8, 16, 24} {
 		rng := rand.New(rand.NewSource(int64(ch)))

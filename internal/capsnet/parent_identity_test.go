@@ -11,7 +11,7 @@ import (
 
 // TestLengthsBitIdenticalToPinnedParent pins output bits of seeded
 // images, hashed, as an earlier commit computed them. The repository
-// benchmark's reference and every batch/partition/arena identity test
+// benchmark's reference and every batch/chunking/arena identity test
 // compare the engine with itself, so none of them can see a kernel
 // that changes a summation order everywhere at once; this one can.
 //

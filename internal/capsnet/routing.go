@@ -108,7 +108,7 @@ func dynamicRouting(d *chunker, preds *tensor.Tensor, iterations int, mathOps Ro
 		r.agreeV[w] = make([]float32, agreeReplicaLen(nh, ch))
 	}
 	r.bindKernels()
-	r.run(d, mode, iterations, PartitionAuto, nil, timer)
+	r.run(d, mode, iterations, nil, timer)
 	return RoutingResult{V: v, C: c, B: b}
 }
 
@@ -126,10 +126,8 @@ type routing struct {
 	// scratch for agreementRows.
 	agreeV [][]float32
 
-	// dim is the run's resolved shard dimension and shared whether the
-	// logits are one matrix for the batch; run sets them, aggRange and
-	// agreeRange read them.
-	dim    Partition
+	// shared says whether the logits are one matrix for the batch; run
+	// sets it, agreeRange reads it.
 	shared bool
 
 	// The chunk kernels as method values, bound once by bindKernels:
@@ -153,10 +151,19 @@ func (r *routing) softmaxRange(_, lo, hi int) {
 	softmaxRows(r.math, r.c[lo*r.nh:hi*r.nh], r.b[lo*r.nh:hi*r.nh], hi-lo, r.nh)
 }
 
+// aggRange performs Eqs. 2–3 for outputs [lo, hi) of the flattened
+// nb·nh (k, j) grid: one aggregateRange call per sample row the chunk
+// touches, so each s_kj still sums i ascending from +0 wherever the
+// chunk edges fall.
+//
 //pimcaps:hotpath
 func (r *routing) aggRange(_, lo, hi int) {
-	klo, khi, jlo, jhi := partitionRect(r.dim, r.nb, r.nh, lo, hi)
-	aggregateRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, klo, khi, jlo, jhi)
+	for lo < hi {
+		k, jlo := lo/r.nh, lo%r.nh
+		jhi := min(r.nh, jlo+hi-lo)
+		aggregateRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, k, k+1, jlo, jhi)
+		lo += jhi - jlo
+	}
 }
 
 // agreeRange performs Eq. 4 for a chunk: of the nb·nl flattened rows
@@ -173,32 +180,23 @@ func (r *routing) agreeRange(w, lo, hi int) {
 }
 
 // run executes iterations of the routing procedure over d's workers,
-// sharded on the dimension policy resolves to, and reports whether
+// each stage chunked over its flattened outputs, and reports whether
 // cancel stopped it between iterations (the state is then partial).
-// Every accumulation order is independent of the shard dimension and
-// the worker count, so results are bit-identical to a serial loop.
+// Every accumulation order is independent of where the chunk edges
+// fall, so results are bit-identical to a serial loop.
 //
 //pimcaps:hotpath
-func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Partition, cancel CancelCheck, st StageTimer) (aborted bool) {
+func (r *routing) run(d *chunker, mode RoutingMode, iterations int, cancel CancelCheck, st StageTimer) (aborted bool) {
 	nb, nl, nh, ch := r.nb, r.nl, r.nh, r.ch
 	bd := r.b[:nb*nl*nh]
 	cd := r.c[:nb*nl*nh]
 	sd := r.s[:nb*nh*ch]
 	clear(bd) // logits start at zero, as a fresh tensor would
 
-	// Pick the shard dimension once per run with the paper's
-	// execution-score model and surface it as a zero-duration marker
-	// stage (iteration = the chosen Partition value) so stage traces
-	// record which way the workload was split.
-	dim := ChoosePartition(policy, nb, nl, nh, ch, d.workers)
-	endStage(beginStage(st, StageRoutingPartition, int(dim)))
-	// shardN is the extent of the chosen shard dimension; softRows the
-	// rows Eq. 5 computes (the shared matrix is sample 0's).
-	shardN, softRows := nb, nb*nl
-	if dim == PartitionH {
-		shardN = nh
-	}
-	r.dim, r.shared = dim, mode == RouteBatchShared
+	// softRows is the rows Eq. 5 computes (the shared matrix is
+	// sample 0's).
+	softRows := nb * nl
+	r.shared = mode == RouteBatchShared
 	if r.shared {
 		softRows = nl
 	}
@@ -214,8 +212,7 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Parti
 		iterEnd := beginStage(st, StageRoutingIteration, it)
 
 		// Step 4/6: routing coefficients from agreement logits. Rows are
-		// independent, so they chunk over the workers whatever the shard
-		// dimension is.
+		// independent, so they chunk over the workers.
 		end := beginStage(st, StageRoutingSoftmax, it)
 		if it == 0 {
 			firstIterationCoefficients(r.math, cd, bd, nh)
@@ -230,11 +227,11 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Parti
 		endStage(end)
 
 		// Step 5 (Eq. 2) + Step 6 (Eq. 3): weighted aggregation over L
-		// capsules and squash, sharded contiguously on the chosen
-		// dimension (workers write disjoint s/v regions — see kernels.go).
+		// capsules and squash, chunked over the flattened nb·nh outputs
+		// (workers write disjoint s/v regions — see kernels.go).
 		end = beginStage(st, StageRoutingAggregate, it)
 		clear(sd)
-		d.runChunks(shardN, r.aggFn)
+		d.runChunks(nb*nh, r.aggFn)
 		endStage(end)
 
 		if it == iterations-1 {
@@ -244,19 +241,15 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, policy Parti
 
 		// Step 7 (Eq. 4): agreement accumulation. Per-sample logits are
 		// disjoint entries with one increment each, so they chunk over
-		// the flattened rows as the softmax does, whatever the shard
-		// dimension; the paper's batch-shared Σ_k accumulates into one
-		// matrix, which B-sharding would reorder, so it runs serial under
-		// PartitionB and shards the disjoint (i, j) entries under
-		// PartitionH with k ascending per entry — bit-identical either way.
+		// the flattened rows as the softmax does; the paper's
+		// batch-shared Σ_k accumulates into one matrix, so it chunks
+		// over the high-level capsules, each (i, j) entry summing k
+		// ascending within one chunk.
 		end = beginStage(st, StageRoutingAgreement, it)
-		switch {
-		case !r.shared:
-			d.runChunks(softRows, r.agreeFn)
-		case dim == PartitionH:
+		if r.shared {
 			d.runChunks(nh, r.agreeFn)
-		default:
-			r.agreeRange(0, 0, nh)
+		} else {
+			d.runChunks(softRows, r.agreeFn)
 		}
 		endStage(end)
 		endStage(iterEnd)

@@ -3,8 +3,10 @@
 package capsnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -335,6 +337,96 @@ func TestRoutingParallelismDeterministic(t *testing.T) {
 		b := DynamicRoutingMode(preds, 3, ExactMath{}, mode)
 		if !a.V.Equal(b.V) || !a.C.Equal(b.C) {
 			t.Fatalf("%v: routing is not deterministic under parallelism", mode)
+		}
+	}
+}
+
+// TestFlatRoutingChunksBitIdentical holds the routing loop's chunking
+// to a reference that splits nothing: for every worker count 1..4 and
+// batch 1..9, in both routing modes, the arena pass's capsules,
+// coefficients and logits match serialRouting (whose aggregate is one
+// aggregateRange over the whole nb × nh rectangle) bit for bit. Five
+// classes put chunk edges mid-row for odd batches at two workers and
+// for most shapes beyond.
+func TestFlatRoutingChunksBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, mode := range []RoutingMode{RoutePerSample, RouteBatchShared} {
+		for workers := 1; workers <= 4; workers++ {
+			t.Run(fmt.Sprintf("%v/workers%d", mode, workers), func(t *testing.T) {
+				runtime.GOMAXPROCS(workers) // a scratch sizes its chunker from it
+				net, err := New(TinyConfig(5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer net.Close()
+				net.Digit.Mode = mode
+				for nb := 1; nb <= 9; nb++ {
+					out := net.ForwardBatch(arenaTestImages(net, nb, int64(100+nb)), ExactMath{})
+					preds := PredictionVectors(out.Primary, net.Digit.Weights)
+					wantC, wantB, wantV := serialRouting(preds, net.Digit.Iterations, ExactMath{}, mode)
+					for _, c := range []struct {
+						name      string
+						got, want []float32
+					}{
+						{"Capsules", out.Capsules.Data(), wantV},
+						{"Routing.C", out.Routing.C.Data(), wantC},
+						{"Routing.B", out.Routing.B.Data(), wantB},
+					} {
+						if len(c.got) != len(c.want) {
+							t.Fatalf("nb=%d: %s has %d floats, want %d", nb, c.name, len(c.got), len(c.want))
+						}
+						if at, ok := sameBits(c.got, c.want); !ok {
+							t.Errorf("nb=%d: %s[%d] = %v, want %v", nb, c.name, at, c.got[at], c.want[at])
+						}
+					}
+					out.Release()
+				}
+			})
+		}
+	}
+}
+
+// TestAggRangeCoversEachOutputOnce runs aggRange over every chunk
+// [lo, hi) of the flattened nb·nh (k, j) grid with c = 1 and û = 1 on
+// s cleared beforehand, so each s_kj element it aggregates reads nl:
+// an output the split visits twice reads 2·nl, one it skips 0, and
+// anything but 0 outside the chunk is a stray write.
+func TestAggRangeCoversEachOutputOnce(t *testing.T) {
+	const nl, ch = 3, 8
+	for _, tc := range []struct{ nb, nh int }{
+		{1, 1}, {4, 1}, {1, 10}, {2, 10}, {3, 4}, {8, 10}, {5, 3},
+	} {
+		nb, nh := tc.nb, tc.nh
+		ones := func(n int) []float32 {
+			xs := make([]float32, n)
+			for i := range xs {
+				xs[i] = 1
+			}
+			return xs
+		}
+		r := &routing{
+			preds: ones(nb * nl * nh * ch), c: ones(nb * nl * nh),
+			s: make([]float32, nb*nh*ch), v: make([]float32, nb*nh*ch),
+			nb: nb, nl: nl, nh: nh, ch: ch, math: ExactMath{},
+		}
+		n := nb * nh
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				clear(r.s)
+				r.aggRange(0, lo, hi)
+				for o := 0; o < n; o++ {
+					want := float32(0)
+					if lo <= o && o < hi {
+						want = nl
+					}
+					for d, x := range r.s[o*ch : (o+1)*ch] {
+						if x != want {
+							t.Fatalf("nb=%d nh=%d chunk [%d,%d): s[k=%d][j=%d][%d] = %v, want %v",
+								nb, nh, lo, hi, o/nh, o%nh, d, x, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

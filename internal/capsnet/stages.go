@@ -19,10 +19,9 @@ const (
 	StagePrimaryCaps = "primary_caps"
 	// StagePredictionVectors is Eq. 1: û_j|i = u_i × W_ij.
 	StagePredictionVectors = "prediction_vectors"
-	// StageRoutingPartition is a zero-duration marker emitted once per
-	// routing run, recording which dimension the workload was sharded
-	// on: its iteration argument is the resolved Partition value
-	// (PartitionB or PartitionH) the Eqs. 6–12-style cost model chose.
+	// StageRoutingPartition named a marker of the retired B/H routing
+	// partition. Nothing emits it; it remains only because the
+	// benchmark module (bench/spans.go) compiles against it.
 	StageRoutingPartition = "routing_partition"
 	// StageRoutingIteration brackets one full dynamic-routing
 	// iteration (reported with its iteration index).

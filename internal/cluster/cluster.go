@@ -1,8 +1,7 @@
 // Package cluster is the sharded replica tier: it lifts PIM-CapsNet's
 // inter-vault workload distribution model (paper §5.1, Eqs. 6–12) from
-// intra-process chunk placement (internal/capsnet/partition.go,
-// internal/distribute) to request placement across N capsnet-serve
-// replicas running as real subprocesses.
+// the vault model (internal/distribute) to request placement across N
+// capsnet-serve replicas running as real subprocesses.
 //
 // The analogy is exact in structure: a vault becomes a replica, the
 // largest-per-vault workload E becomes a replica's outstanding

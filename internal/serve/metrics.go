@@ -86,14 +86,11 @@ type Metrics struct {
 	// Scrape-time sources, reporting zero until a server wires them:
 	// the brownout controller's level (a server with brownout disabled
 	// is permanently at full fidelity), the admission queue's depth,
-	// the bytes the network's scratch-arena pool holds resident
-	// (capsnet.Network.ArenaBytes), and how many routing runs sharded on
-	// the batch vs the high-level-capsule dimension
-	// (capsnet.Network.PartitionCounts).
-	BrownoutLevel   func() int
-	QueueDepth      func() int
-	ArenaBytes      func() uint64
-	PartitionCounts func() (batch, hcaps uint64)
+	// and the bytes the network's scratch-arena pool holds resident
+	// (capsnet.Network.ArenaBytes).
+	BrownoutLevel func() int
+	QueueDepth    func() int
+	ArenaBytes    func() uint64
 }
 
 // responseCodes is the fixed set of status codes the server emits;
@@ -107,11 +104,10 @@ var responseCodes = [...]int{200, 400, 404, 405, 413, 429, 500, 503, 504}
 func NewMetrics() *Metrics {
 	r := obs.NewRegistry()
 	m := &Metrics{
-		Registry:        r,
-		BrownoutLevel:   func() int { return 0 },
-		QueueDepth:      func() int { return 0 },
-		ArenaBytes:      func() uint64 { return 0 },
-		PartitionCounts: func() (uint64, uint64) { return 0, 0 },
+		Registry:      r,
+		BrownoutLevel: func() int { return 0 },
+		QueueDepth:    func() int { return 0 },
+		ArenaBytes:    func() uint64 { return 0 },
 	}
 	r.BuildInfo("capsnet_build_info")
 	m.Requests = r.Counter("capsnet_requests_total")
@@ -122,11 +118,6 @@ func NewMetrics() *Metrics {
 	m.responses[len(responseCodes)] = responses.With("other")
 	r.GaugeFunc("capsnet_queue_depth", func() uint64 { return uint64(m.QueueDepth()) })
 	r.GaugeFunc("capsnet_arena_bytes", func() uint64 { return m.ArenaBytes() })
-	r.Collect(func(e *obs.Emitter) {
-		batch, hcaps := m.PartitionCounts()
-		e.Int("capsnet_routing_partition_total", batch, "dim", "batch")
-		e.Int("capsnet_routing_partition_total", hcaps, "dim", "hcaps")
-	})
 	m.Batches = r.Counter("capsnet_batches_total")
 	m.RoutingIterations = r.Counter("capsnet_routing_iterations_total")
 	m.Traces = r.Counter("capsnet_request_traces_total")

@@ -133,10 +133,9 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 	})
 	network.Stages = rec
 	b.rec = rec
-	// Scrape-time gauges over the network's scratch-arena pool and the
-	// routing partition choices (callback pattern, like QueueDepth).
+	// Scrape-time gauge over the network's scratch-arena pool (callback
+	// pattern, like QueueDepth).
 	m.ArenaBytes = network.ArenaBytes
-	m.PartitionCounts = network.PartitionCounts
 	s := newServer(network, cfg, b, m)
 	b.Start()
 	return s, nil
