@@ -1,8 +1,8 @@
-# Development entry points. The bench-gate pair mirrors the CI job:
-# regenerate BENCH_BASELINE.json with `make bench-baseline` whenever a
-# PR intentionally shifts hot-path performance, and run `make
-# bench-gate` to check a working tree against it (see
-# internal/benchgate for the gate rules). The load-baseline/slo-gate
+# Development entry points. `make bench-gate` is the CI job's
+# hot-path gate: it benchmarks the working tree and the commit BASE
+# (default HEAD, so a clean tree is an A/A run; CI passes the merge
+# commit's parent) side by side on this host and fails on a regression
+# (see internal/benchgate for the rules). The load-baseline/slo-gate
 # pair is its tail-latency sibling: cmd/capsnet-load spawns a replica,
 # replays a seeded open-loop schedule, and internal/slogate diffs the
 # run against SLO_BASELINE.json.
@@ -10,13 +10,17 @@
 GO      ?= go
 BENCHES  = $(GO) test -bench=. -benchtime=5x -benchmem -count=6 -run '^$$' . ./internal/tensor ./internal/capsnet
 
+# The gate's benchmarks: the two kernel packages, one pass per run.
+BASE       ?= HEAD
+GATE_BENCH  = $(GO) test -run '^$$' -bench . -benchtime=5x -benchmem -count=1 ./internal/tensor ./internal/capsnet
+
 # One reference operating point shared by baseline and gate so both
 # always measure the same schedule (slogate rejects mismatches).
 LOADFLAGS = -shape constant -rate 50 -duration 5s -seed 42 \
             -sweep 25,50,100,200 -sweep-duration 2s \
             -spawn ./capsnet-serve-bin -baseline SLO_BASELINE.json
 
-.PHONY: build test bench bench-baseline bench-gate load-baseline slo-gate fmt vet lint
+.PHONY: build test bench bench-gate load-baseline slo-gate fmt vet lint
 
 build:
 	$(GO) build ./...
@@ -39,15 +43,27 @@ lint: vet
 bench:
 	$(BENCHES)
 
-bench-baseline:
-	$(BENCHES) | tee BENCH_raw.txt
-	$(GO) run ./cmd/pimcaps-bench -bench-input BENCH_raw.txt -baseline BENCH_BASELINE.json -update-baseline
-	rm -f BENCH_raw.txt
-
+# Six passes of GATE_BENCH on each side, BASE checked out into a
+# temporary worktree, the side that runs first alternating. A failed
+# pass fails the gate and shows the tail of its output. BENCH_base.txt
+# and BENCH_new.txt keep the raw runs (for benchstat), BENCH_pr.json
+# both sides' medians and the verdict.
 bench-gate:
-	$(BENCHES) | tee BENCH_raw.txt
-	$(GO) run ./cmd/pimcaps-bench -bench-input BENCH_raw.txt -baseline BENCH_BASELINE.json -check-baseline -out BENCH_pr.json
-	rm -f BENCH_raw.txt
+	@set -e; base=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$base"; git worktree prune' EXIT; \
+	git worktree add --quiet --detach "$$base" $(BASE); \
+	: > BENCH_base.txt; : > BENCH_new.txt; \
+	pass() { \
+		echo "bench-gate: pass $$1/6, $$2"; \
+		if ! (cd "$$3" && $(GATE_BENCH)) >> BENCH_$$2.txt; then \
+			grep -v '^Benchmark' BENCH_$$2.txt | tail -n 20; exit 1; \
+		fi; \
+	}; \
+	for i in 1 2 3 4 5 6; do \
+		if [ $$((i % 2)) -eq 1 ]; then pass $$i base "$$base"; pass $$i new .; \
+		else pass $$i new .; pass $$i base "$$base"; fi; \
+	done; \
+	$(GO) run ./cmd/pimcaps-bench -bench-input BENCH_new.txt -parent-input BENCH_base.txt -out BENCH_pr.json
 
 # Regenerate SLO_BASELINE.json when a PR intentionally moves capacity
 # or tail latency.

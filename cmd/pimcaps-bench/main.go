@@ -5,15 +5,16 @@
 // -markdown renders GitHub-flavored tables.
 //
 // It is also the CLI for the benchmark-regression gate: -bench-input
-// parses `go test -bench` output and, combined with -update-baseline,
-// -check-baseline, or -out, maintains and enforces BENCH_BASELINE.json
-// (see internal/benchgate and `make bench-gate`).
+// and -parent-input take `go test -bench` output of a change and of its
+// parent, run on the same host, and the gate exits 1 if the change
+// regresses (see internal/benchgate and `make bench-gate`); -out writes
+// both sides' medians and the verdict as JSON.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,32 +29,21 @@ func main() {
 	markdown := flag.Bool("markdown", false, "render tables as markdown")
 	csvOut := flag.Bool("csv", false, "render tables as CSV")
 
-	benchInput := flag.String("bench-input", "", "path to `go test -bench` output to parse ('-' for stdin); enables gate mode")
-	baseline := flag.String("baseline", "BENCH_BASELINE.json", "benchmark baseline JSON path")
-	updateBaseline := flag.Bool("update-baseline", false, "write -bench-input medians to -baseline, hot list = benchgate.DefaultHot ∩ the benchmarks in the run")
-	checkBaseline := flag.Bool("check-baseline", false, "gate -bench-input medians against -baseline; exit 1 on regression")
-	out := flag.String("out", "", "write -bench-input medians as JSON (the CI artifact)")
-	emitBaselineText := flag.Bool("emit-baseline-text", false, "print -baseline in `go test -bench` text format (for benchstat) and exit")
+	benchInput := flag.String("bench-input", "", "path to the change's `go test -bench` output; with -parent-input, gates it and exits 1 on regression")
+	parentInput := flag.String("parent-input", "", "path to the parent's `go test -bench` output, run on the same host")
+	out := flag.String("out", "", "write both sides' medians and the gate verdict as JSON (the CI artifact)")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 		return
 	}
-	if *emitBaselineText {
-		base, err := benchgate.Load(*baseline)
-		if err != nil {
-			fatal(err)
+	if *benchInput != "" || *parentInput != "" || *out != "" {
+		if *benchInput == "" || *parentInput == "" {
+			fatal(fmt.Errorf("pimcaps-bench: the gate needs both -bench-input and -parent-input"))
 		}
-		benchgate.EmitBenchFormat(os.Stdout, base)
+		runGate(*benchInput, *parentInput, *out)
 		return
-	}
-	if *benchInput != "" {
-		runGate(*benchInput, *baseline, *updateBaseline, *checkBaseline, *out)
-		return
-	}
-	if *updateBaseline || *checkBaseline || *out != "" {
-		fatal(fmt.Errorf("pimcaps-bench: -update-baseline/-check-baseline/-out need -bench-input"))
 	}
 
 	ids := experiments.IDs()
@@ -78,57 +68,50 @@ func main() {
 	}
 }
 
-func runGate(input, baselinePath string, update, check bool, outPath string) {
-	var r io.Reader = os.Stdin
-	if input != "-" {
-		f, err := os.Open(input)
+func runGate(changePath, parentPath, outPath string) {
+	change, parent := medians(changePath), medians(parentPath)
+	rep := benchgate.Check(parent, change)
+	if outPath != "" {
+		data, err := json.MarshalIndent(struct {
+			Geomean  float64                   `json:"geomean"`
+			Failures []string                  `json:"failures"`
+			Parent   map[string]benchgate.Stat `json:"parent"`
+			Change   map[string]benchgate.Stat `json:"change"`
+		}{rep.Geomean, rep.Failures, parent, change}, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		r = f
+		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
 	}
-	runs, err := benchgate.Parse(r)
+	for _, line := range rep.Lines {
+		fmt.Println(line)
+	}
+	fmt.Printf("hot-path geomean ns/op ratio (change/parent): %.3f (fail above %.2f)\n",
+		rep.Geomean, 1+benchgate.Tolerance)
+	if !rep.OK() {
+		for _, f := range rep.Failures {
+			fmt.Fprintln(os.Stderr, "GATE FAIL: "+f)
+		}
+		os.Exit(1)
+	}
+	fmt.Println("benchmark gate: PASS")
+}
+
+// medians parses one side's `go test -bench` output to per-benchmark
+// medians.
+func medians(path string) map[string]benchgate.Stat {
+	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	med := benchgate.Medians(runs)
-
-	if outPath != "" {
-		cur := &benchgate.Baseline{Hot: benchgate.HotIn(med), Benchmarks: med}
-		if err := benchgate.Save(outPath, cur); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", outPath, len(med))
+	defer f.Close()
+	runs, err := benchgate.Parse(f)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", path, err))
 	}
-
-	if update {
-		hot := benchgate.HotIn(med)
-		if err := benchgate.Save(baselinePath, &benchgate.Baseline{Hot: hot, Benchmarks: med}); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "updated %s (%d benchmarks, %d hot)\n", baselinePath, len(med), len(hot))
-	}
-
-	if check {
-		base, err := benchgate.Load(baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		rep := benchgate.Check(base, med)
-		for _, line := range rep.Lines {
-			fmt.Println(line)
-		}
-		fmt.Printf("hot-path geomean ns/op ratio: %.3f (fail above %.2f)\n",
-			rep.Geomean, 1+benchgate.Tolerance)
-		if !rep.OK() {
-			for _, f := range rep.Failures {
-				fmt.Fprintln(os.Stderr, "GATE FAIL: "+f)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("benchmark gate: PASS")
-	}
+	return benchgate.Medians(runs)
 }
 
 func fatal(err error) {

@@ -1,20 +1,19 @@
 // Package benchgate implements the CI benchmark-regression gate: it
 // parses `go test -bench` output, condenses repeated runs (-count=N)
-// to per-benchmark medians, and compares them against a checked-in
-// baseline. The gate fails when the geometric-mean ns/op ratio over
-// the hot-path benchmarks regresses by more than Tolerance, when any
-// hot benchmark's allocs/op rises (the scratch-arena steady state
-// must stay allocation-free), or when a hot benchmark is missing
-// from the new run. Non-hot benchmarks are reported but never gate.
+// to per-benchmark medians, and compares a change's medians with its
+// parent's, both measured in one run on the same host. The
+// gate fails when the geometric-mean ns/op ratio over the hot
+// benchmarks regresses by more than Tolerance, or when any hot
+// benchmark's allocs/op rises (the scratch-arena steady state must
+// stay allocation-free). A benchmark on one side only is listed but
+// never gates: a rename or deletion shows in the change's own diff.
 package benchgate
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -22,55 +21,27 @@ import (
 )
 
 // Tolerance is the allowed geomean ns/op regression over the hot
-// set before the gate fails: 10%, wide enough to absorb shared-CI
-// noise at -benchtime=5x -count=6 medians but narrow enough to catch
-// a real hot-loop slip.
+// set before the gate fails: 10%, wide enough to absorb host noise in
+// medians of six -benchtime=5x passes a side (A/A geomeans of
+// 0.97–1.08 on a 2-vCPU VM) but narrow enough to catch a real
+// hot-loop slip.
 const Tolerance = 0.10
 
-// DefaultHot lists the hot-path benchmarks the gate enforces: the
-// routing and forward kernels the scratch-arena work targets and the
-// one-core kernel benchmarks of internal/tensor and internal/capsnet on the repository
-// benchmark's shapes — long enough at -benchtime=5x for 10% to mean
-// something, and failing on any allocation.
-var DefaultHot = []string{
-	"BenchmarkDynamicRoutingMNIST",
-	"BenchmarkDynamicRoutingPEMath",
-	"BenchmarkPredictionVectors",
-	"BenchmarkNetworkForward",
-	"BenchmarkForwardArenaSteady",
-	"BenchmarkConv2DInto/mn1_conv",
-	"BenchmarkConv2DInto/mn1_primary",
-	"BenchmarkConv2DInto/cv288_primary",
-	"BenchmarkConv2DInto/rp3872_primary",
-	"BenchmarkConv2DInto/cv288_conv",
-	"BenchmarkConv2DInto/rp3872_conv",
-	"BenchmarkPredictionVectorsRange/rp3872/nb1",
-	"BenchmarkPredictionVectorsRange/rp3872/nb8",
-	"BenchmarkPredictionVectorsRange/mn1/nb1",
-	"BenchmarkPredictionVectorsRange/mn1/nb8",
-	"BenchmarkPredictionVectorsRange/cv288/nb1",
-	"BenchmarkPredictionVectorsRange/cv288/nb8",
-	"BenchmarkAggregateRange/rp3872",
-	"BenchmarkAggregateRange/mn1",
-	"BenchmarkAggregateRange/cv288",
-	"BenchmarkAgreementRange/rp3872/nb1",
-	"BenchmarkAgreementRange/rp3872/nb8",
-	"BenchmarkSoftmaxRows/rp3872/nb1",
-	"BenchmarkSoftmaxRows/rp3872/nb8",
-}
+// ceilings are the benchmarks that measure the host rather than the
+// code — the packed multiply-add and read-stream ceilings the kernel
+// rows are a share of — so they never gate.
+var ceilings = []string{"BenchmarkPackedMulAddPeak", "BenchmarkStreamRead"}
 
-// HotIn returns the DefaultHot benchmarks that run has results for, in
-// DefaultHot's order: the hot list a baseline written from that run
-// carries, so a benchmark that was renamed or deleted leaves the gate
-// with the run that no longer has it instead of lingering in the file.
-func HotIn(run map[string]Stat) []string {
-	var hot []string
-	for _, name := range DefaultHot {
-		if _, ok := run[name]; ok {
-			hot = append(hot, name)
+// hot reports whether a benchmark gates: every benchmark but the
+// ceilings and their sub-benchmarks.
+func hot(name string) bool {
+	top, _, _ := strings.Cut(name, "/")
+	for _, c := range ceilings {
+		if top == c {
+			return false
 		}
 	}
-	return hot
+	return true
 }
 
 // Stat holds one benchmark's condensed metrics.
@@ -80,20 +51,11 @@ type Stat struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// Baseline is the checked-in gate reference (BENCH_BASELINE.json).
-type Baseline struct {
-	// Hot names the benchmarks whose regression fails the gate.
-	Hot []string `json:"hot"`
-	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped)
-	// to its median metrics at baseline time.
-	Benchmarks map[string]Stat `json:"benchmarks"`
-}
-
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s`)
 
 // Parse reads `go test -bench -benchmem` output and returns every
 // run of every benchmark, keyed by name with any -N GOMAXPROCS
-// suffix stripped so baselines transfer across machines. Lines that
+// suffix stripped so runs at different core counts compare. Lines that
 // are not benchmark results are ignored.
 func Parse(r io.Reader) (map[string][]Stat, error) {
 	runs := make(map[string][]Stat)
@@ -180,58 +142,58 @@ type Report struct {
 	Lines []string
 	// Failures lists gate violations; empty means the gate passes.
 	Failures []string
-	// Geomean is the geometric-mean ns/op ratio (new/old) over the
-	// hot benchmarks present in both sets.
+	// Geomean is the geometric-mean ns/op ratio (change/parent) over
+	// the hot benchmarks present on both sides.
 	Geomean float64
 }
 
 // OK reports whether the gate passed.
 func (r *Report) OK() bool { return len(r.Failures) == 0 }
 
-// Check compares current medians against the baseline. Hot
-// benchmarks gate on geomean ns/op (> Tolerance regression fails),
-// per-benchmark allocs/op increases, and presence; everything else
-// is informational.
-func Check(base *Baseline, cur map[string]Stat) *Report {
+// Check compares a change's medians with its parent's. Hot benchmarks
+// on both sides gate on geomean ns/op (> Tolerance regression fails)
+// and on any allocs/op increase; the ceilings are informational, and a
+// benchmark on one side only is listed without gating.
+func Check(parent, change map[string]Stat) *Report {
 	rep := &Report{}
-	hot := make(map[string]bool, len(base.Hot))
-	for _, name := range base.Hot {
-		hot[name] = true
-	}
-
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
+	names := make([]string, 0, len(parent)+len(change))
+	for name := range parent {
 		names = append(names, name)
+	}
+	for name := range change {
+		if _, ok := parent[name]; !ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 
 	var logSum float64
 	var logN int
 	for _, name := range names {
-		b := base.Benchmarks[name]
-		c, ok := cur[name]
-		if !ok {
-			if hot[name] {
-				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("hot benchmark %s missing from current run", name))
+		p, inParent := parent[name]
+		c, inChange := change[name]
+		if !inParent || !inChange {
+			side := "parent"
+			if inChange {
+				side = "change"
 			}
-			rep.Lines = append(rep.Lines, fmt.Sprintf("%-40s missing", name))
+			rep.Lines = append(rep.Lines, fmt.Sprintf("%-40s only in %s", name, side))
 			continue
 		}
-		ratio := c.NsPerOp / b.NsPerOp
+		ratio := c.NsPerOp / p.NsPerOp
 		tag := ""
-		if hot[name] {
+		if hot(name) {
 			tag = " [hot]"
 			logSum += math.Log(ratio)
 			logN++
-			if c.AllocsPerOp > b.AllocsPerOp {
+			if c.AllocsPerOp > p.AllocsPerOp {
 				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("%s allocs/op rose %.0f -> %.0f", name, b.AllocsPerOp, c.AllocsPerOp))
+					fmt.Sprintf("%s allocs/op rose %.0f -> %.0f", name, p.AllocsPerOp, c.AllocsPerOp))
 			}
 		}
 		rep.Lines = append(rep.Lines, fmt.Sprintf(
 			"%-40s %12.0f -> %12.0f ns/op  (%+.1f%%)  allocs %.0f -> %.0f%s",
-			name, b.NsPerOp, c.NsPerOp, 100*(ratio-1), b.AllocsPerOp, c.AllocsPerOp, tag))
+			name, p.NsPerOp, c.NsPerOp, 100*(ratio-1), p.AllocsPerOp, c.AllocsPerOp, tag))
 	}
 	rep.Geomean = 1
 	if logN > 0 {
@@ -243,46 +205,4 @@ func Check(base *Baseline, cur map[string]Stat) *Report {
 			100*(rep.Geomean-1), 100*Tolerance))
 	}
 	return rep
-}
-
-// Load reads a baseline JSON file.
-func Load(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("benchgate: parsing %s: %w", path, err)
-	}
-	if len(b.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchgate: baseline %s has no benchmarks", path)
-	}
-	return &b, nil
-}
-
-// Save writes a baseline (or a current-run summary, for the CI
-// artifact) as deterministic, indented JSON.
-func Save(path string, b *Baseline) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// EmitBenchFormat writes the baseline back out in `go test -bench`
-// text format (one iteration per line) so benchstat can diff it
-// against a fresh run for the informational CI comparison.
-func EmitBenchFormat(w io.Writer, b *Baseline) {
-	names := make([]string, 0, len(b.Benchmarks))
-	for name := range b.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := b.Benchmarks[name]
-		fmt.Fprintf(w, "%s 1 %.1f ns/op %.0f B/op %.0f allocs/op\n",
-			name, s.NsPerOp, s.BytesPerOp, s.AllocsPerOp)
-	}
 }

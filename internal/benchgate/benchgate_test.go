@@ -55,22 +55,22 @@ func TestMediansOddAndEven(t *testing.T) {
 	}
 }
 
-func baselineForTest() *Baseline {
-	return &Baseline{
-		Hot: []string{"BenchmarkHotA", "BenchmarkHotB"},
-		Benchmarks: map[string]Stat{
-			"BenchmarkHotA": {NsPerOp: 1000, AllocsPerOp: 0},
-			"BenchmarkHotB": {NsPerOp: 2000, AllocsPerOp: 4},
-			"BenchmarkCold": {NsPerOp: 500, AllocsPerOp: 100},
-		},
+// parentForTest is a parent run with two hot rows, a ceiling row and
+// a row the change deleted.
+func parentForTest() map[string]Stat {
+	return map[string]Stat{
+		"BenchmarkHotA":                  {NsPerOp: 1000, AllocsPerOp: 0},
+		"BenchmarkHotB/sub":              {NsPerOp: 2000, AllocsPerOp: 4},
+		"BenchmarkPackedMulAddPeak/avx2": {NsPerOp: 500, AllocsPerOp: 0},
+		"BenchmarkGone":                  {NsPerOp: 700, AllocsPerOp: 0},
 	}
 }
 
 func TestCheckPassesWithinTolerance(t *testing.T) {
-	rep := Check(baselineForTest(), map[string]Stat{
-		"BenchmarkHotA": {NsPerOp: 1050, AllocsPerOp: 0},
-		"BenchmarkHotB": {NsPerOp: 2100, AllocsPerOp: 4},
-		"BenchmarkCold": {NsPerOp: 5000, AllocsPerOp: 999}, // cold never gates
+	rep := Check(parentForTest(), map[string]Stat{
+		"BenchmarkHotA":                  {NsPerOp: 1050, AllocsPerOp: 0},
+		"BenchmarkHotB/sub":              {NsPerOp: 2100, AllocsPerOp: 4},
+		"BenchmarkPackedMulAddPeak/avx2": {NsPerOp: 5000, AllocsPerOp: 9},
 	})
 	if !rep.OK() {
 		t.Fatalf("want pass, got failures %v", rep.Failures)
@@ -81,95 +81,81 @@ func TestCheckPassesWithinTolerance(t *testing.T) {
 }
 
 func TestCheckFailsOnGeomeanRegression(t *testing.T) {
-	rep := Check(baselineForTest(), map[string]Stat{
-		"BenchmarkHotA": {NsPerOp: 1200, AllocsPerOp: 0},
-		"BenchmarkHotB": {NsPerOp: 2400, AllocsPerOp: 4},
+	rep := Check(parentForTest(), map[string]Stat{
+		"BenchmarkHotA":     {NsPerOp: 1120, AllocsPerOp: 0},
+		"BenchmarkHotB/sub": {NsPerOp: 2240, AllocsPerOp: 4},
 	})
 	if rep.OK() {
-		t.Fatal("want failure at +20% geomean")
+		t.Fatal("want failure at +12% geomean")
 	}
 }
 
 func TestCheckFailsOnAllocIncrease(t *testing.T) {
-	rep := Check(baselineForTest(), map[string]Stat{
-		"BenchmarkHotA": {NsPerOp: 1000, AllocsPerOp: 1}, // 0 -> 1 allocs
-		"BenchmarkHotB": {NsPerOp: 2000, AllocsPerOp: 4},
+	rep := Check(parentForTest(), map[string]Stat{
+		"BenchmarkHotA":     {NsPerOp: 1000, AllocsPerOp: 1}, // 0 -> 1 allocs
+		"BenchmarkHotB/sub": {NsPerOp: 2000, AllocsPerOp: 4},
 	})
 	if rep.OK() {
 		t.Fatal("want failure when a hot benchmark starts allocating")
 	}
 }
 
-func TestCheckFailsOnMissingHot(t *testing.T) {
-	rep := Check(baselineForTest(), map[string]Stat{
-		"BenchmarkHotA": {NsPerOp: 1000},
+// TestCheckListsOneSidedRowsWithoutFailing: a row the change deleted or
+// added is listed with its side and gates nothing, however it ran.
+func TestCheckListsOneSidedRowsWithoutFailing(t *testing.T) {
+	rep := Check(parentForTest(), map[string]Stat{
+		"BenchmarkHotA":     {NsPerOp: 1000},
+		"BenchmarkHotB/sub": {NsPerOp: 2000, AllocsPerOp: 4},
+		"BenchmarkNew":      {NsPerOp: 1e9, AllocsPerOp: 100},
 	})
-	if rep.OK() {
-		t.Fatal("want failure when a hot benchmark disappears")
+	if !rep.OK() {
+		t.Fatalf("one-sided rows must not gate, got %v", rep.Failures)
+	}
+	if rep.Geomean != 1 {
+		t.Fatalf("geomean = %v, want 1 (one-sided rows excluded)", rep.Geomean)
+	}
+	for _, want := range []string{"BenchmarkGone", "only in parent", "BenchmarkNew", "only in change"} {
+		if !strings.Contains(strings.Join(rep.Lines, "\n"), want) {
+			t.Fatalf("report lines lack %q:\n%s", want, strings.Join(rep.Lines, "\n"))
+		}
+	}
+}
+
+// TestCeilingsNeverGate: the host-ceiling rows are informational
+// whatever they do; every other row, sub-benchmarks included, is hot.
+func TestCeilingsNeverGate(t *testing.T) {
+	for name, want := range map[string]bool{
+		"BenchmarkPackedMulAddPeak/avx2":   false,
+		"BenchmarkPackedMulAddPeak/avx512": false,
+		"BenchmarkStreamRead/plain":        false,
+		"BenchmarkStreamRead/prefetch":     false,
+		"BenchmarkConv2DInto/mn1_conv":     true,
+		"BenchmarkForwardBatch/mn1/nb8":    true,
+		"BenchmarkStreamReadish":           true,
+	} {
+		if got := hot(name); got != want {
+			t.Errorf("hot(%s) = %v, want %v", name, got, want)
+		}
+	}
+	rep := Check(parentForTest(), map[string]Stat{
+		"BenchmarkHotA":                  {NsPerOp: 1000},
+		"BenchmarkHotB/sub":              {NsPerOp: 2000, AllocsPerOp: 4},
+		"BenchmarkPackedMulAddPeak/avx2": {NsPerOp: 1e6, AllocsPerOp: 3},
+	})
+	if !rep.OK() || rep.Geomean != 1 {
+		t.Fatalf("a ceiling row gated: geomean %v, failures %v", rep.Geomean, rep.Failures)
 	}
 }
 
 func TestCheckImprovementPasses(t *testing.T) {
-	rep := Check(baselineForTest(), map[string]Stat{
-		"BenchmarkHotA": {NsPerOp: 800, AllocsPerOp: 0},
-		"BenchmarkHotB": {NsPerOp: 1500, AllocsPerOp: 2},
+	rep := Check(parentForTest(), map[string]Stat{
+		"BenchmarkHotA":     {NsPerOp: 800, AllocsPerOp: 0},
+		"BenchmarkHotB/sub": {NsPerOp: 1500, AllocsPerOp: 2},
 	})
 	if !rep.OK() {
 		t.Fatalf("improvements must pass, got %v", rep.Failures)
 	}
 	if rep.Geomean >= 1 {
 		t.Fatalf("geomean = %v, want < 1", rep.Geomean)
-	}
-}
-
-func TestEmitBenchFormatRoundTrips(t *testing.T) {
-	base := baselineForTest()
-	var sb strings.Builder
-	EmitBenchFormat(&sb, base)
-	runs, err := Parse(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("emitted format did not re-parse: %v", err)
-	}
-	med := Medians(runs)
-	for name, want := range base.Benchmarks {
-		got := med[name]
-		if got.NsPerOp != want.NsPerOp || got.AllocsPerOp != want.AllocsPerOp {
-			t.Fatalf("%s round-trip = %+v, want %+v", name, got, want)
-		}
-	}
-}
-
-func TestLoadSaveRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/baseline.json"
-	base := baselineForTest()
-	if err := Save(path, base); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Hot) != len(base.Hot) || len(got.Benchmarks) != len(base.Benchmarks) {
-		t.Fatalf("round-trip mismatch: %+v", got)
-	}
-	if got.Benchmarks["BenchmarkHotB"].NsPerOp != 2000 {
-		t.Fatal("benchmark stats lost in round-trip")
-	}
-}
-
-// TestHotInKeepsOnlyWhatRan: a baseline's hot list is DefaultHot cut to
-// the benchmarks the run has, in DefaultHot's order, whatever else ran.
-func TestHotInKeepsOnlyWhatRan(t *testing.T) {
-	run := map[string]Stat{
-		DefaultHot[3]:          {NsPerOp: 1},
-		DefaultHot[0]:          {NsPerOp: 1},
-		"BenchmarkNotHotAtAll": {NsPerOp: 1},
-	}
-	got := HotIn(run)
-	if len(got) != 2 || got[0] != DefaultHot[0] || got[1] != DefaultHot[3] {
-		t.Fatalf("HotIn = %v, want [%s %s]", got, DefaultHot[0], DefaultHot[3])
-	}
-	if got := HotIn(map[string]Stat{"BenchmarkNotHotAtAll": {}}); len(got) != 0 {
-		t.Fatalf("HotIn of a run with no hot benchmark = %v, want none", got)
 	}
 }

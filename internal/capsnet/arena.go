@@ -72,7 +72,6 @@ type scratch struct {
 	// Layer geometry, computed once.
 	imgLen, convLen int
 	ph, pw          int // primary-caps conv output spatial size
-	cols1Len        int
 	primRawLen      int
 	primChunks      int // PrimaryCaps dispatch units: see primChunkRows
 	cl, nclass      int
@@ -81,12 +80,14 @@ type scratch struct {
 	// assembly; feats holds the conv outputs batch-wide; praw the
 	// PrimaryCaps conv's raw output, batch-wide as one Cout × nb·ph·pw
 	// product; u the primary capsules Eq. 1 reads; lengths the ‖v_j‖
-	// outputs; cols1/cols2 are per-worker conv scratch (as
-	// routing.agreeV is Eq. 4's).
+	// outputs; cols is per-worker im2col scratch (as routing.agreeV is
+	// Eq. 4's), sized for the larger of the two conv layers: their
+	// dispatches run one after the other, so they never share a
+	// worker's buffer at once.
 	arena                 *tensor.Arena
 	batch, feats, praw, u []float32
 	lengths               []float32
-	cols1, cols2          [][]float32
+	cols                  [][]float32
 
 	// in is the pass's input images, bound per call.
 	in []float32
@@ -115,7 +116,6 @@ func newScratch(n *Network, nb int) *scratch {
 	s.convLen = convSpec.Cout * n.convH * n.convW
 	primSpec := n.Primary.Conv.Spec
 	s.ph, s.pw = primSpec.OutSize(n.convH, n.convW)
-	s.cols1Len = tensor.ConvColsLen(convSpec, cfg.InputH, cfg.InputW, 1)
 	s.primRawLen = primSpec.Cout * s.ph * s.pw
 	s.primChunks = min(n.Primary.Channels, max(1, primSpec.Cout/primChunkRows))
 	s.nl, s.cl = n.Digit.NumIn, n.Digit.DimIn
@@ -150,15 +150,17 @@ func (s *scratch) alloc(nb int) {
 	perSample := s.imgLen + s.convLen + s.primRawLen + s.nl*s.cl + s.nl*s.nh*s.ch +
 		2*s.nl*s.nh + 2*s.nh*s.ch + s.nclass
 	agreeVLen := agreeReplicaLen(s.nh, s.ch)
-	cols2Len := tensor.ConvColsLen(s.net.Primary.Conv.Spec, s.net.convH, s.net.convW, nb)
-	perWorker := s.cols1Len + cols2Len + agreeVLen
+	n := s.net
+	colsLen := max(tensor.ConvColsLen(n.Conv.Spec, n.Config.InputH, n.Config.InputW, 1),
+		tensor.ConvColsLen(n.Primary.Conv.Spec, n.convH, n.convW, nb))
+	perWorker := colsLen + agreeVLen
 	total := nb*perSample + s.workers*perWorker
 	old := 0
 	if s.arena != nil {
 		old = s.arena.Size()
 	}
 	s.arena = tensor.NewArena(total)
-	s.net.arenaFloats.Add(uint64(total - old))
+	n.arenaFloats.Add(uint64(total - old))
 	a := s.arena
 	s.batch = a.Alloc(nb * s.imgLen)
 	s.feats = a.Alloc(nb * s.convLen)
@@ -170,14 +172,12 @@ func (s *scratch) alloc(nb int) {
 	s.v = a.Alloc(nb * s.nh * s.ch)
 	s.s = a.Alloc(nb * s.nh * s.ch)
 	s.lengths = a.Alloc(nb * s.nclass)
-	if s.cols1 == nil {
-		s.cols1 = make([][]float32, s.workers)
-		s.cols2 = make([][]float32, s.workers)
+	if s.cols == nil {
+		s.cols = make([][]float32, s.workers)
 		s.agreeV = make([][]float32, s.workers)
 	}
 	for w := 0; w < s.workers; w++ {
-		s.cols1[w] = a.Alloc(s.cols1Len)
-		s.cols2[w] = a.Alloc(cols2Len)
+		s.cols[w] = a.Alloc(colsLen)
 		s.agreeV[w] = a.Alloc(agreeVLen)
 	}
 	s.capB = nb
@@ -204,9 +204,11 @@ func (s *scratch) bind() {
 //pimcaps:hotpath
 func (s *scratch) convRange(w, lo, hi int) {
 	n := s.net
+	h, wd := n.Config.InputH, n.Config.InputW
+	cols := s.cols[w][:tensor.ConvColsLen(n.Conv.Spec, h, wd, 1)]
 	for k := lo; k < hi; k++ {
 		feat := s.feats[k*s.convLen : (k+1)*s.convLen]
-		tensor.Conv2DInto(feat, s.cols1[w], s.in[k*s.imgLen:(k+1)*s.imgLen], n.Conv.Weights.Data(), n.Conv.Bias, n.Conv.Spec, n.Config.InputH, n.Config.InputW, 1)
+		tensor.Conv2DInto(feat, cols, s.in[k*s.imgLen:(k+1)*s.imgLen], n.Conv.Weights.Data(), n.Conv.Bias, n.Conv.Spec, h, wd, 1)
 		tensor.ReLU(feat)
 	}
 }
@@ -241,7 +243,7 @@ func (s *scratch) primRange(w, lo, hi int) {
 	spec := prim.Conv.Spec
 	spec.Cout = (hi - lo) * d
 	raw := s.praw[lo*d*pos : hi*d*pos]
-	cols := s.cols2[w][:tensor.ConvColsLen(spec, n.convH, n.convW, nb)] // sized for capB ≥ nb
+	cols := s.cols[w][:tensor.ConvColsLen(spec, n.convH, n.convW, nb)] // sized for capB ≥ nb
 	tensor.Conv2DInto(raw, cols, s.feats[:nb*s.convLen], prim.Conv.Weights.Data()[lo*d*kk:hi*d*kk],
 		prim.Conv.Bias[lo*d:hi*d], spec, n.convH, n.convW, nb)
 	for k := 0; k < nb; k++ {

@@ -330,3 +330,56 @@ func TestCloseJoinsWorkersAndRejectsForward(t *testing.T) {
 	}()
 	net.ForwardBatch(images, ExactMath{})
 }
+
+// arenaFootprint is the closed form of a scratch's arena for batches
+// up to nb over workers chunk workers, in bytes: per sample the input
+// image, the conv features, the PrimaryCaps conv output, u, û, b and c,
+// v and s, and the lengths; per worker one im2col scratch sized for the
+// larger of the two conv layers and Eq. 4's v replica.
+func arenaFootprint(n *Network, nb, workers int) uint64 {
+	cfg := n.Config
+	conv, prim := n.Conv.Spec, n.Primary.Conv.Spec
+	fh, fw := conv.OutSize(cfg.InputH, cfg.InputW)
+	ph, pw := prim.OutSize(fh, fw)
+	nl, cl, nh, ch := n.Digit.NumIn, n.Digit.DimIn, n.Digit.NumOut, n.Digit.DimOut
+	perSample := cfg.InputChannels*cfg.InputH*cfg.InputW + conv.Cout*fh*fw + prim.Cout*ph*pw +
+		nl*cl + nl*nh*ch + 2*nl*nh + 2*nh*ch + cfg.Classes
+	perWorker := max(tensor.ConvColsLen(conv, cfg.InputH, cfg.InputW, 1), tensor.ConvColsLen(prim, fh, fw, nb)) +
+		agreeReplicaLen(nh, ch)
+	return 4 * uint64(nb*perSample+workers*perWorker)
+}
+
+// TestArenaBytesPinned pins the forward-pass arena of the repository
+// benchmark's models at the batch sizes its workloads run to the
+// closed form above and to its value, at one and two workers, so any
+// growth of the scratch is a deliberate diff here.
+func TestArenaBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		nb   int
+		want [2]uint64 // bytes at 1 and 2 workers
+	}{
+		{"mn1", MNISTConfig(), 2, [2]uint64{5622992, 8611536}},
+		{"rp3872", rp3872Config, 1, [2]uint64{3121000, 3183464}},
+		{"rp3872", rp3872Config, 8, [2]uint64{24753536, 25038784}},
+		{"cv288", cv288Config, 1, [2]uint64{1081704, 1830760}},
+	} {
+		for i, workers := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(workers)
+			net, err := New(tc.cfg)
+			if err != nil {
+				runtime.GOMAXPROCS(prev)
+				t.Fatal(err)
+			}
+			net.ForwardBatch(arenaTestImages(net, tc.nb, 1), ExactMath{}).Release()
+			got, closed := net.ArenaBytes(), arenaFootprint(net, tc.nb, workers)
+			net.Close()
+			runtime.GOMAXPROCS(prev)
+			if got != closed || got != tc.want[i] {
+				t.Errorf("%s nb%d at %d workers: ArenaBytes %d, closed form %d, pinned %d",
+					tc.name, tc.nb, workers, got, closed, tc.want[i])
+			}
+		}
+	}
+}

@@ -148,7 +148,7 @@ func (t *FullTrainer) TrainBatch(batch *tensor.Tensor, labels []int) (loss float
 		}
 	})
 	preds := predictionVectors(d, u, net.Digit.Weights)
-	routed := dynamicRouting(d, preds, net.Digit.Iterations, mathOps, net.Digit.Mode, nil)
+	routed := dynamicRouting(d, preds, net.Digit.Iterations, mathOps, net.Digit.Mode)
 	v := routed.V
 
 	lengths := tensor.New(nb, nc)

@@ -18,6 +18,17 @@ var rp3872Config = Config{
 	Seed: 1,
 }
 
+// cv288Config is the repository benchmark's cv288: Caps-MN1 at a
+// quarter of its width (conv 64×9×9, PrimaryCaps 8×8-D 9×9/2, L = 288),
+// the conv-bound model a replica serves behind the router.
+var cv288Config = Config{
+	InputChannels: 1, InputH: 28, InputW: 28,
+	ConvChannels: 64, ConvKernel: 9, ConvStride: 1,
+	PrimaryChannels: 8, PrimaryDim: 8, PrimaryKernel: 9, PrimaryStride: 2,
+	Classes: 10, DigitDim: 16, RoutingIterations: 3,
+	Seed: 1,
+}
+
 // serveBenchNet builds rp3872Config and eight seeded images for it.
 func serveBenchNet(b *testing.B) (*Network, [][]float32) {
 	b.Helper()
@@ -41,6 +52,7 @@ func serveBenchNet(b *testing.B) (*Network, [][]float32) {
 // time — the compute profile of a serving path without micro-batching.
 func BenchmarkForwardSequential8(b *testing.B) {
 	net, imgs := serveBenchNet(b)
+	net.ForwardBatch(imgs[:1], ExactMath{}).Release() // grow the arena, spawn the workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, img := range imgs {
@@ -55,6 +67,7 @@ func BenchmarkForwardSequential8(b *testing.B) {
 // the chunk workers split the batch between them.
 func BenchmarkForwardMicroBatch8(b *testing.B) {
 	net, imgs := serveBenchNet(b)
+	net.ForwardBatch(imgs, ExactMath{}).Release() // grow the arena, spawn the workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ForwardBatch(imgs, ExactMath{}).Release()

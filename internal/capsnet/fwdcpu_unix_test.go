@@ -9,17 +9,6 @@ import (
 	"time"
 )
 
-// cv288Config is the repository benchmark's cv288: Caps-MN1 at a
-// quarter of its width (conv 64×9×9, PrimaryCaps 8×8-D 9×9/2, L = 288),
-// the conv-bound model a replica serves behind the router.
-var cv288Config = Config{
-	InputChannels: 1, InputH: 28, InputW: 28,
-	ConvChannels: 64, ConvKernel: 9, ConvStride: 1,
-	PrimaryChannels: 8, PrimaryDim: 8, PrimaryKernel: 9, PrimaryStride: 2,
-	Classes: 10, DigitDim: 16, RoutingIterations: 3,
-	Seed: 1,
-}
-
 // selfCPU returns the user+system CPU time this process has used.
 func selfCPU(b *testing.B) time.Duration {
 	var ru syscall.Rusage

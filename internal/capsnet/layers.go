@@ -153,7 +153,7 @@ func (l *CapsLayer) Forward(u *tensor.Tensor, mathOps RoutingMath) RoutingResult
 	d := openChunker()
 	defer d.pool.close()
 	preds := predictionVectors(d, u, l.Weights)
-	return dynamicRouting(d, preds, l.Iterations, mathOps, l.Mode, nil)
+	return dynamicRouting(d, preds, l.Iterations, mathOps, l.Mode)
 }
 
 // FCLayer is a fully-connected layer with a selectable activation,

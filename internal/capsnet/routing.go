@@ -71,24 +71,14 @@ func DynamicRoutingShared(preds *tensor.Tensor, iterations int, mathOps RoutingM
 // after the final iteration (it would only feed a next iteration that
 // never runs), matching reference implementations.
 func DynamicRoutingMode(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode) RoutingResult {
-	return DynamicRoutingTimed(preds, iterations, mathOps, mode, nil)
-}
-
-// DynamicRoutingTimed is DynamicRoutingMode with per-stage
-// observation: each iteration is bracketed as StageRoutingIteration
-// (with its index) and its softmax, aggregate+squash, and agreement
-// phases reported as nested sub-stages — the production counterpart
-// of the per-phase timelines the HMC co-simulator emits. A nil timer
-// is the untimed fast path; results are identical either way.
-func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode, timer StageTimer) RoutingResult {
 	d := openChunker()
 	defer d.pool.close()
-	return dynamicRouting(d, preds, iterations, mathOps, mode, timer)
+	return dynamicRouting(d, preds, iterations, mathOps, mode)
 }
 
 // dynamicRouting validates preds, allocates fresh Eq. 2–5 state for it
 // and runs the routing loop over d's workers.
-func dynamicRouting(d *chunker, preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode, timer StageTimer) RoutingResult {
+func dynamicRouting(d *chunker, preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode) RoutingResult {
 	if preds.Rank() != 4 {
 		panic(fmt.Sprintf("capsnet: DynamicRouting wants B×L×H×CH predictions, got %v", preds.Shape()))
 	}
@@ -108,7 +98,7 @@ func dynamicRouting(d *chunker, preds *tensor.Tensor, iterations int, mathOps Ro
 		r.agreeV[w] = make([]float32, agreeReplicaLen(nh, ch))
 	}
 	r.bindKernels()
-	r.run(d, mode, iterations, nil, timer)
+	r.run(d, mode, iterations, nil, nil)
 	return RoutingResult{V: v, C: c, B: b}
 }
 
