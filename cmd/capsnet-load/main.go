@@ -5,9 +5,10 @@
 // latency with internal/loadgen, correlates the run with the server's
 // Figure-3 stage decomposition scraped from /metrics, optionally
 // sweeps offered rate to locate the knee of the latency/throughput
-// curve, and emits the machine-readable report the slo-gate CI job
-// diffs against SLO_BASELINE.json (see internal/slogate). It is the
-// one program in this module that fires load.
+// curve, and emits the machine-readable report the slo-gate compares
+// (see internal/slogate): with -parent it gates this run against the
+// parent's report from the same schedule. It is the one program in
+// this module that fires load.
 //
 // Against a server you run yourself:
 //
@@ -23,17 +24,21 @@
 //	go run ./cmd/capsnet-router -replicas 3 -- -demo-classes 5 &
 //	go run ./cmd/capsnet-load -target router -rate 50 -duration 5s
 //
-// Spawning its own replica (what `make slo-gate` does; flags after
-// "--" go to the spawned capsnet-serve):
+// Spawning its own replica, once per side, as `make slo-gate` does
+// (flags after "--" go to the spawned capsnet-serve): the parent's
+// run writes its report, the change's run is gated against it and
+// exits 1 on a regression:
 //
-//	go build -o serve-bin ./cmd/capsnet-serve
-//	go run ./cmd/capsnet-load -spawn ./serve-bin -rate 50 -duration 5s \
-//	    -sweep 25,50,100,200 -baseline SLO_BASELINE.json -check-baseline -- -demo-classes 3
+//	go run ./cmd/capsnet-load -spawn ./serve-parent -rate 50 -duration 5s \
+//	    -sweep 25,50,100,200 -out SLO_base.json -- -demo-classes 3
+//	go run ./cmd/capsnet-load -spawn ./serve-change -rate 50 -duration 5s \
+//	    -sweep 25,50,100,200 -parent SLO_base.json -out SLO_pr.json -- -demo-classes 3
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,9 +81,7 @@ func run() int {
 	budget := flag.Duration("deadline", 0, "per-request end-to-end budget stamped as X-Deadline (0 = none)")
 	sweepList := flag.String("sweep", "", "comma-separated offered rates to sweep for the knee (e.g. 25,50,100,200); empty skips the sweep")
 	sweepDuration := flag.Duration("sweep-duration", 2*time.Second, "per-rate run length during the sweep")
-	baseline := flag.String("baseline", "SLO_BASELINE.json", "SLO baseline path")
-	update := flag.Bool("update-baseline", false, "write this run out as the new baseline")
-	check := flag.Bool("check-baseline", false, "gate this run against the baseline (exit 1 on regression)")
+	parentPath := flag.String("parent", "", "report of the parent's run over the same schedule: gate this run against it (exit 1 on regression)")
 	out := flag.String("out", "", "also write the run's report JSON here (the slo-gate CI artifact)")
 	flag.Parse()
 
@@ -132,6 +135,16 @@ func run() int {
 				return 2
 			}
 			sweepSchedules = append(sweepSchedules, sched)
+		}
+	}
+	var parent *loadgen.Report
+	if *parentPath != "" {
+		if parent, err = loadgen.LoadReport(*parentPath); err == nil && parent.Offered == 0 {
+			err = errors.New("holds no load run")
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-parent %s: %v\n", *parentPath, err)
+			return 2
 		}
 	}
 
@@ -244,7 +257,7 @@ func run() int {
 				p.OfferedRate, p.AchievedRate, p.Availability, p.P50, p.P99, p.P999)
 			time.Sleep(200 * time.Millisecond) // drain between operating points
 		}
-		knee, idx, unsaturated := loadgen.FindKnee(report.Sweep, loadgen.KneeConfig{})
+		knee, idx, unsaturated := loadgen.FindKnee(report.Sweep)
 		report.KneeRate, report.KneeUnsaturated = knee, unsaturated
 		switch {
 		case idx < 0:
@@ -257,7 +270,7 @@ func run() int {
 	}
 
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "interrupted: partial run — skipping report, baseline, and gate actions")
+		fmt.Fprintln(os.Stderr, "interrupted: partial run — skipping the report and the gate")
 		return 2
 	}
 	if *out != "" {
@@ -266,31 +279,9 @@ func run() int {
 			return 2
 		}
 	}
-	if *update {
-		b := &slogate.Baseline{
-			Report: *report,
-			Tolerances: slogate.Tolerances{
-				MaxAvailabilityDrop: slogate.DefaultMaxAvailabilityDrop,
-				MaxP99Factor:        slogate.DefaultMaxP99Factor,
-				MaxP999Factor:       slogate.DefaultMaxP999Factor,
-				MaxKneeDrop:         slogate.DefaultMaxKneeDrop,
-				LatencyFloor:        slogate.DefaultLatencyFloor,
-			},
-		}
-		if err := slogate.Save(*baseline, b); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Printf("\nwrote baseline %s\n", *baseline)
-	}
-	if *check {
-		b, err := slogate.Load(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		rep := slogate.Check(b, report)
-		fmt.Printf("\nSLO gate vs %s:\n", *baseline)
+	if parent != nil {
+		rep := slogate.Check(parent, report)
+		fmt.Printf("\nSLO gate vs parent %s:\n", *parentPath)
 		for _, line := range rep.Lines {
 			fmt.Println("  " + line)
 		}

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
 // Placer ranks ready replicas for a request with the paper's
 // inter-vault score S = 1/(αE + βM) (Eqs. 6–12), generalized to
@@ -79,34 +76,26 @@ func Home(key uint64, candidates []ReplicaInfo) int {
 
 // Pick returns the index into candidates of the replica the request
 // should land on: the one with the least cost E + M (Eq. 12's argmax
-// with α = β = 1). Candidates are considered in descending rendezvous
-// weight with a strictly-less comparison, so cost ties resolve to the
-// key's hash preference (home first) and the choice is deterministic.
-// Returns -1 for an empty slice.
+// with α = β = 1). Cost ties resolve to the higher rendezvous weight,
+// the key's hash preference — the home first — so the choice is
+// deterministic. Returns -1 for an empty slice.
 func (p Placer) Pick(key uint64, candidates []ReplicaInfo) int {
 	penalty := p.MovePenalty
 	if penalty == 0 {
 		penalty = DefaultMovePenalty
 	}
-	if len(candidates) == 0 {
-		return -1
-	}
-	order := make([]int, len(candidates))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return rendezvous(key, candidates[order[a]].Name) > rendezvous(key, candidates[order[b]].Name)
-	})
-	home := order[0] // highest rendezvous weight = affinity home
-	best, bestCost := -1, 0.0
-	for _, i := range order {
-		cost := outstanding(candidates[i].Load) + 1 // the request being placed
+	home := Home(key, candidates)
+	best, bestCost, bestW := -1, 0.0, uint64(0)
+	for i, r := range candidates {
+		cost := outstanding(r.Load) + 1 // the request being placed
 		if i != home {
 			cost += penalty
 		}
-		if best == -1 || cost < bestCost {
-			best, bestCost = i, cost
+		if best != -1 && cost > bestCost {
+			continue
+		}
+		if w := rendezvous(key, r.Name); best == -1 || cost < bestCost || w > bestW {
+			best, bestCost, bestW = i, cost, w
 		}
 	}
 	return best

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -159,5 +161,74 @@ func TestPickEmptyAndSingle(t *testing.T) {
 	}
 	if got := p.Pick(1, mkReplicas(1, 9999)); got != 0 {
 		t.Fatalf("Pick on singleton = %d, want 0", got)
+	}
+}
+
+// sortedPick is the placement rule written the long way: candidates
+// in descending rendezvous weight, the first of least cost E + M wins,
+// and the heaviest is the home.
+func sortedPick(p Placer, key uint64, candidates []ReplicaInfo) int {
+	penalty := p.MovePenalty
+	if penalty == 0 {
+		penalty = DefaultMovePenalty
+	}
+	if len(candidates) == 0 {
+		return -1
+	}
+	order := make([]int, len(candidates))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return rendezvous(key, candidates[order[a]].Name) > rendezvous(key, candidates[order[b]].Name)
+	})
+	best, bestCost := -1, 0.0
+	for _, i := range order {
+		cost := outstanding(candidates[i].Load) + 1
+		if i != order[0] {
+			cost += penalty
+		}
+		if best == -1 || cost < bestCost {
+			best, bestCost = i, cost
+		}
+	}
+	return best
+}
+
+// TestPickMatchesSortedReference holds the one-scan Pick to the sorted
+// rule on a seeded table of fleets: 1–6 replicas, small loads so cost
+// ties are common, penalties 0.5–3 in half steps so the home ties too.
+func TestPickMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 20000; c++ {
+		reps := mkReplicas(1 + rng.Intn(6))
+		for i := range reps {
+			reps[i].Name = fmt.Sprintf("r%d", rng.Intn(1000)*10+i)
+			reps[i].Load.QueueDepth = rng.Intn(5)
+			reps[i].Load.Inflight = rng.Intn(3)
+		}
+		p := Placer{MovePenalty: 0.5 * float64(1+rng.Intn(6))}
+		key := rng.Uint64()
+		if got, want := p.Pick(key, reps), sortedPick(p, key, reps); got != want {
+			t.Fatalf("case %d: penalty %v, fleet %+v: Pick=%d, sorted reference %d",
+				c, p.MovePenalty, reps, got, want)
+		}
+	}
+}
+
+func TestPickAllocatesNothing(t *testing.T) {
+	reps := mkReplicas(2, 3, 0)
+	var p Placer
+	if n := testing.AllocsPerRun(100, func() { p.Pick(42, reps) }); n != 0 {
+		t.Fatalf("Pick allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkPick(b *testing.B) {
+	reps := mkReplicas(2, 3, 0)
+	var p Placer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Pick(uint64(i), reps)
 	}
 }

@@ -29,10 +29,10 @@ import (
 	"pimcapsnet/internal/obs"
 )
 
-// DefaultLatencyBuckets mirror the server's request-latency layout
-// with extra tail room: open-loop latencies include queueing delay,
-// which under overload runs far past any closed-loop observation.
-var DefaultLatencyBuckets = []float64{
+// latencyBuckets mirror the server's request-latency layout with
+// extra tail room: open-loop latencies include queueing delay, which
+// under overload runs far past any closed-loop observation.
+var latencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
@@ -48,14 +48,12 @@ type Target interface {
 	Do(ctx context.Context, i int) (status int, err error)
 }
 
-// HTTPTarget posts pre-built bodies to one URL, rotating through them
-// by request index.
+// HTTPTarget posts pre-built JSON bodies to one URL, rotating through
+// them by request index.
 type HTTPTarget struct {
 	Client *http.Client
 	URL    string
 	Bodies [][]byte
-	// ContentType defaults to application/json.
-	ContentType string
 	// Decorate, when set, mutates each request before it is sent
 	// (deadline headers, auth, trace IDs).
 	Decorate func(*http.Request)
@@ -68,11 +66,7 @@ func (t *HTTPTarget) Do(ctx context.Context, i int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ct := t.ContentType
-	if ct == "" {
-		ct = "application/json"
-	}
-	req.Header.Set("Content-Type", ct)
+	req.Header.Set("Content-Type", "application/json")
 	if t.Decorate != nil {
 		t.Decorate(req)
 	}
@@ -99,8 +93,6 @@ type Options struct {
 	// timed-out request records its full latency as a failure — it is
 	// precisely the observation closed-loop clients omit.
 	Timeout time.Duration
-	// Buckets overrides DefaultLatencyBuckets.
-	Buckets []float64
 }
 
 // Result is the outcome of one open-loop run.
@@ -165,15 +157,11 @@ func Run(ctx context.Context, target Target, opts Options) *Result {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	buckets := opts.Buckets
-	if buckets == nil {
-		buckets = DefaultLatencyBuckets
-	}
 
 	res := &Result{
 		Offered: len(opts.Schedule),
 		Codes:   make(map[int]int),
-		Latency: obs.NewHistogram(buckets...),
+		Latency: obs.NewHistogram(latencyBuckets...),
 	}
 	var mu sync.Mutex // guards Codes/OK/Shed/Failed/MaxLateness
 	var wg sync.WaitGroup

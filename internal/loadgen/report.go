@@ -32,33 +32,16 @@ func PointFromResult(offeredRate float64, r *Result) SweepPoint {
 	}
 }
 
-// KneeConfig defines what "still healthy" means when walking the
-// sweep toward saturation.
-type KneeConfig struct {
-	// MinAvailability is the floor below which a point is saturated
-	// (default 0.99).
-	MinAvailability float64
-	// P99Factor saturates a point whose p99 exceeds this multiple of
-	// the lowest-rate point's p99 (default 5). The comparison floor
-	// is P99Floor so a sub-millisecond base p99 does not make 5× a
-	// meaninglessly tight bound.
-	P99Factor float64
-	// P99Floor is the minimum p99 budget in seconds (default 50ms).
-	P99Floor float64
-}
-
-func (c KneeConfig) withDefaults() KneeConfig {
-	if c.MinAvailability <= 0 {
-		c.MinAvailability = 0.99
-	}
-	if c.P99Factor <= 0 {
-		c.P99Factor = 5
-	}
-	if c.P99Floor <= 0 {
-		c.P99Floor = 0.05
-	}
-	return c
-}
+// What "still healthy" means when walking a sweep toward saturation:
+// availability at least kneeMinAvailability, and a p99 within
+// kneeP99Factor× the lowest-rate point's, floored at kneeP99Floor
+// seconds so a sub-millisecond base p99 does not make the multiple a
+// meaninglessly tight bound.
+const (
+	kneeMinAvailability = 0.99
+	kneeP99Factor       = 5
+	kneeP99Floor        = 0.05
+)
 
 // FindKnee locates the knee of the latency/throughput curve: the
 // highest offered rate (scanning points in ascending rate order)
@@ -73,19 +56,15 @@ func (c KneeConfig) withDefaults() KneeConfig {
 // knee point, and whether the sweep never saturated (the knee is then
 // a lower bound: the true capacity lies beyond the highest swept
 // rate). Index −1 means the whole sweep was saturated.
-func FindKnee(points []SweepPoint, cfg KneeConfig) (rate float64, idx int, saturatedNowhere bool) {
-	cfg = cfg.withDefaults()
+func FindKnee(points []SweepPoint) (rate float64, idx int, saturatedNowhere bool) {
 	pts := append([]SweepPoint(nil), points...)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].OfferedRate < pts[j].OfferedRate })
 	if len(pts) == 0 {
 		return 0, -1, false
 	}
-	budget := cfg.P99Factor * pts[0].P99
-	if budget < cfg.P99Floor {
-		budget = cfg.P99Floor
-	}
+	budget := max(kneeP99Factor*pts[0].P99, kneeP99Floor)
 	saturated := func(p SweepPoint) bool {
-		return p.Availability < cfg.MinAvailability || p.P99 > budget
+		return p.Availability < kneeMinAvailability || p.P99 > budget
 	}
 	// t is the start of the terminal saturated run (len if none).
 	t := len(pts)
@@ -153,9 +132,9 @@ func StageShares(before, after map[string]float64) []StageShare {
 	return out
 }
 
-// Report is the machine-readable outcome of a capsnet-load run —
-// SLO_BASELINE.json holds the committed reference, SLO_pr.json the
-// current run the slo-gate CI job uploads.
+// Report is the machine-readable outcome of a capsnet-load run. The
+// slo-gate writes one per side: SLO_base.json for the parent,
+// SLO_pr.json for the change, which internal/slogate compares.
 type Report struct {
 	// Target names the tier driven (serve | router) and Shape/Seed/
 	// DurationSeconds identify the replayed schedule.
@@ -187,8 +166,7 @@ type Report struct {
 	Stages []StageShare `json:"stages,omitempty"`
 }
 
-// LoadReport reads a report (or SLO baseline's report half) from
-// disk.
+// LoadReport reads a report from disk.
 func LoadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestFindKnee(t *testing.T) {
 		pt(50, 1, 0.01), pt(100, 1, 0.012), pt(200, 1, 0.02),
 		pt(400, 0.97, 0.8), pt(800, 0.5, 5),
 	}
-	rate, idx, unsat := FindKnee(healthyThenCollapse, KneeConfig{})
+	rate, idx, unsat := FindKnee(healthyThenCollapse)
 	if rate != 200 || idx != 2 || unsat {
 		t.Errorf("collapse curve: knee (%g, %d, %v), want (200, 2, false)", rate, idx, unsat)
 	}
@@ -29,7 +29,7 @@ func TestFindKnee(t *testing.T) {
 	latencyKnee := []SweepPoint{
 		pt(50, 1, 0.02), pt(100, 1, 0.04), pt(200, 1, 0.3),
 	}
-	rate, idx, _ = FindKnee(latencyKnee, KneeConfig{})
+	rate, idx, _ = FindKnee(latencyKnee)
 	if rate != 100 || idx != 1 {
 		t.Errorf("latency curve: knee (%g, %d), want (100, 1)", rate, idx)
 	}
@@ -37,13 +37,13 @@ func TestFindKnee(t *testing.T) {
 	// Sub-millisecond base p99: the floor keeps 5× from being
 	// spuriously tight — 40ms at 100 req/s is still healthy.
 	floored := []SweepPoint{pt(50, 1, 0.0005), pt(100, 1, 0.04)}
-	rate, _, unsat = FindKnee(floored, KneeConfig{})
+	rate, _, unsat = FindKnee(floored)
 	if rate != 100 || !unsat {
 		t.Errorf("floored curve: knee (%g, unsat=%v), want (100, true)", rate, unsat)
 	}
 
 	// Never saturates: knee is the top rate, flagged as a lower bound.
-	rate, idx, unsat = FindKnee([]SweepPoint{pt(50, 1, 0.01), pt(100, 1, 0.011)}, KneeConfig{})
+	rate, idx, unsat = FindKnee([]SweepPoint{pt(50, 1, 0.01), pt(100, 1, 0.011)})
 	if rate != 100 || idx != 1 || !unsat {
 		t.Errorf("unsaturated curve: (%g, %d, %v), want (100, 1, true)", rate, idx, unsat)
 	}
@@ -54,19 +54,19 @@ func TestFindKnee(t *testing.T) {
 	spike := []SweepPoint{
 		pt(50, 1, 0.01), pt(100, 1, 0.3), pt(200, 1, 0.02),
 	}
-	rate, idx, unsat = FindKnee(spike, KneeConfig{})
+	rate, idx, unsat = FindKnee(spike)
 	if rate != 200 || idx != 2 || !unsat {
 		t.Errorf("transient-spike curve: (%g, %d, %v), want (200, 2, true)", rate, idx, unsat)
 	}
 
 	// Saturated from the first point.
-	rate, idx, _ = FindKnee([]SweepPoint{pt(50, 0.2, 3), pt(100, 0.1, 6)}, KneeConfig{})
+	rate, idx, _ = FindKnee([]SweepPoint{pt(50, 0.2, 3), pt(100, 0.1, 6)})
 	if idx != -1 || rate != 0 {
 		t.Errorf("dead curve: (%g, %d), want (0, -1)", rate, idx)
 	}
 
 	// Unordered input is sorted by rate before scanning.
-	rate, _, _ = FindKnee([]SweepPoint{pt(200, 1, 0.02), pt(50, 1, 0.01), pt(400, 0.5, 2)}, KneeConfig{})
+	rate, _, _ = FindKnee([]SweepPoint{pt(200, 1, 0.02), pt(50, 1, 0.01), pt(400, 0.5, 2)})
 	if rate != 200 {
 		t.Errorf("unsorted input: knee %g, want 200", rate)
 	}

@@ -3,101 +3,42 @@
 // the hot kernels, slogate blocks regressions in what users actually
 // experience under sustained load — availability and p99/p999 at the
 // reference offered rate, and the position of the latency/throughput
-// knee — by comparing a fresh capsnet-load report against the
-// committed SLO_BASELINE.json. Tolerances live in the baseline file
-// so they are reviewed like any other SLO change.
+// knee. Like benchgate it compares a change with its parent measured
+// side by side on one host: `make slo-gate` replays the same seeded
+// schedule against both sides' capsnet-serve and hands the two
+// capsnet-load reports to Check.
 package slogate
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"pimcapsnet/internal/loadgen"
 )
 
-// Default tolerances, applied when the baseline leaves a field zero.
-// They are deliberately loose: shared CI runners add real latency
-// noise, and the gate exists to catch the step-function regressions —
-// a serialization point on the batch path, a lost shed response, a
-// collapsed knee — not 10% jitter.
+// The gate's tolerances. They are deliberately loose: open-loop
+// measurement records every scheduler stall on a shared runner as
+// user-visible latency, and the gate exists to catch the
+// step-function regressions — a serialization point on the batch
+// path, a lost shed response, a collapsed knee — not jitter.
 const (
-	// DefaultMaxAvailabilityDrop is the absolute availability loss
-	// allowed at the reference rate (baseline 0.999 → floor 0.979).
-	DefaultMaxAvailabilityDrop = 0.02
-	// DefaultMaxP99Factor is the allowed multiplicative p99 growth.
-	DefaultMaxP99Factor = 2.0
-	// DefaultMaxP999Factor is the allowed multiplicative p999 growth.
-	DefaultMaxP999Factor = 2.5
-	// DefaultMaxKneeDrop is the allowed fractional knee-rate loss.
-	DefaultMaxKneeDrop = 0.3
-	// DefaultLatencyFloor is the absolute latency budget below which
-	// quantile ratios are ignored: a 2× regression from 1ms to 2ms on
-	// a shared runner is noise, not a finding.
-	DefaultLatencyFloor = 0.025
+	// maxAvailabilityDrop is the absolute availability loss allowed at
+	// the reference rate (parent 0.999 → floor 0.979).
+	maxAvailabilityDrop = 0.02
+	// maxP99Factor is the allowed multiplicative p99 growth.
+	maxP99Factor = 2.0
+	// maxP999Factor is the allowed multiplicative p999 growth.
+	maxP999Factor = 2.5
+	// latencyFloor is the absolute latency budget in seconds below
+	// which quantile ratios are ignored. The demo net the gate serves
+	// answers in single-digit milliseconds, so its whole honest tail
+	// sits below scheduler-noise amplitude; the floor sits above it.
+	latencyFloor = 0.25
+	// maxKneeDrop is the allowed fractional knee-rate loss.
+	maxKneeDrop = 0.75
+	// maxLateness voids a run whose generator fell this many seconds
+	// behind its own schedule.
+	maxLateness = 0.1
 )
-
-// Tolerances bound how far a run may drift from the baseline before
-// the gate fails.
-type Tolerances struct {
-	MaxAvailabilityDrop float64 `json:"max_availability_drop"`
-	MaxP99Factor        float64 `json:"max_p99_factor"`
-	MaxP999Factor       float64 `json:"max_p999_factor"`
-	MaxKneeDrop         float64 `json:"max_knee_drop"`
-	LatencyFloor        float64 `json:"latency_floor_seconds"`
-}
-
-func (t Tolerances) withDefaults() Tolerances {
-	if t.MaxAvailabilityDrop <= 0 {
-		t.MaxAvailabilityDrop = DefaultMaxAvailabilityDrop
-	}
-	if t.MaxP99Factor <= 0 {
-		t.MaxP99Factor = DefaultMaxP99Factor
-	}
-	if t.MaxP999Factor <= 0 {
-		t.MaxP999Factor = DefaultMaxP999Factor
-	}
-	if t.MaxKneeDrop <= 0 {
-		t.MaxKneeDrop = DefaultMaxKneeDrop
-	}
-	if t.LatencyFloor <= 0 {
-		t.LatencyFloor = DefaultLatencyFloor
-	}
-	return t
-}
-
-// Baseline is the committed gate reference (SLO_BASELINE.json): the
-// report of a blessed run plus the tolerances future runs are held
-// to.
-type Baseline struct {
-	Report     loadgen.Report `json:"report"`
-	Tolerances Tolerances     `json:"tolerances"`
-}
-
-// Load reads a baseline JSON file.
-func Load(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("slogate: parsing %s: %w", path, err)
-	}
-	if b.Report.Offered == 0 {
-		return nil, fmt.Errorf("slogate: baseline %s holds no load run", path)
-	}
-	return &b, nil
-}
-
-// Save writes a baseline as deterministic, indented JSON.
-func Save(path string, b *Baseline) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // Report is the outcome of a gate check.
 type Report struct {
@@ -110,68 +51,67 @@ type Report struct {
 // OK reports whether the gate passed.
 func (r *Report) OK() bool { return len(r.Failures) == 0 }
 
-// Check compares a fresh run against the baseline. The run must have
-// been measured at the baseline's reference rate and shape — a sweep
-// at a different operating point is a config error, not a regression,
-// and fails loudly.
-func Check(base *Baseline, cur *loadgen.Report) *Report {
+// Check compares the change's run with the parent's. Both must have
+// been measured at the same reference rate and shape — runs at
+// different operating points are a config error, not a regression,
+// and fail loudly — and both must have kept pace with their schedule.
+func Check(parent, change *loadgen.Report) *Report {
 	rep := &Report{}
-	tol := base.Tolerances.withDefaults()
-	b := &base.Report
-
-	if cur.Shape != b.Shape || cur.Seed != b.Seed {
+	if change.Shape != parent.Shape || change.Seed != parent.Seed {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(
-			"run replayed shape %s/seed %d but the baseline pins %s/%d — regenerate the baseline or fix the flags",
-			cur.Shape, cur.Seed, b.Shape, b.Seed))
+			"change replayed shape %s/seed %d but the parent ran %s/%d — both sides must replay one schedule",
+			change.Shape, change.Seed, parent.Shape, parent.Seed))
 	}
-	if ratio(cur.ReferenceRate, b.ReferenceRate) > 1.001 || ratio(b.ReferenceRate, cur.ReferenceRate) > 1.001 {
+	if ratio(change.ReferenceRate, parent.ReferenceRate) > 1.001 || ratio(parent.ReferenceRate, change.ReferenceRate) > 1.001 {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(
-			"run offered %.4g req/s but the baseline was measured at %.4g — SLOs only compare at the same operating point",
-			cur.ReferenceRate, b.ReferenceRate))
+			"change offered %.4g req/s but the parent was measured at %.4g — SLOs only compare at the same operating point",
+			change.ReferenceRate, parent.ReferenceRate))
 	}
 
 	rep.Lines = append(rep.Lines, fmt.Sprintf("availability    %8.4f -> %8.4f  (floor %.4f)",
-		b.Availability, cur.Availability, b.Availability-tol.MaxAvailabilityDrop))
-	if cur.Availability < b.Availability-tol.MaxAvailabilityDrop {
+		parent.Availability, change.Availability, parent.Availability-maxAvailabilityDrop))
+	if change.Availability < parent.Availability-maxAvailabilityDrop {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(
 			"availability at %.4g req/s dropped %.4f -> %.4f (allowed drop %.4f)",
-			b.ReferenceRate, b.Availability, cur.Availability, tol.MaxAvailabilityDrop))
+			parent.ReferenceRate, parent.Availability, change.Availability, maxAvailabilityDrop))
 	}
 
-	checkQuantile(rep, "p99", b.P99, cur.P99, tol.MaxP99Factor, tol.LatencyFloor)
-	checkQuantile(rep, "p999", b.P999, cur.P999, tol.MaxP999Factor, tol.LatencyFloor)
+	checkQuantile(rep, "p99", parent.P99, change.P99, maxP99Factor)
+	checkQuantile(rep, "p999", parent.P999, change.P999, maxP999Factor)
 
-	if b.KneeRate > 0 {
-		floor := b.KneeRate * (1 - tol.MaxKneeDrop)
+	if parent.KneeRate > 0 {
+		floor := parent.KneeRate * (1 - maxKneeDrop)
 		rep.Lines = append(rep.Lines, fmt.Sprintf("knee rate       %8.4g -> %8.4g  (floor %.4g)",
-			b.KneeRate, cur.KneeRate, floor))
-		if cur.KneeRate < floor {
+			parent.KneeRate, change.KneeRate, floor))
+		if change.KneeRate < floor {
 			rep.Failures = append(rep.Failures, fmt.Sprintf(
 				"latency/throughput knee fell %.4g -> %.4g req/s (allowed drop %.0f%%)",
-				b.KneeRate, cur.KneeRate, 100*tol.MaxKneeDrop))
+				parent.KneeRate, change.KneeRate, 100*maxKneeDrop))
 		}
 	}
-	if cur.MaxLateness > 0.1 {
-		rep.Failures = append(rep.Failures, fmt.Sprintf(
-			"generator fell %.3gs behind its own schedule — the run is not open-loop-faithful; rerun on a quieter machine",
-			cur.MaxLateness))
+	for _, run := range []struct {
+		side string
+		r    *loadgen.Report
+	}{{"parent", parent}, {"change", change}} {
+		if run.r.MaxLateness > maxLateness {
+			rep.Failures = append(rep.Failures, fmt.Sprintf(
+				"%s's generator fell %.3gs behind its own schedule — the run is not open-loop-faithful; rerun on a quieter machine",
+				run.side, run.r.MaxLateness))
+		}
 	}
 	return rep
 }
 
 // checkQuantile gates one latency quantile: regression beyond
-// factor× the baseline fails, unless the current value is still
-// under the absolute floor where ratios are all noise.
-func checkQuantile(rep *Report, name string, base, cur, factor, floor float64) {
-	budget := base * factor
-	if budget < floor {
-		budget = floor
-	}
-	rep.Lines = append(rep.Lines, fmt.Sprintf("%-8s %12.4gs -> %8.4gs  (budget %.4gs)", name, base, cur, budget))
-	if cur > budget {
+// factor× the parent fails, unless the change's value is still under
+// the absolute floor where ratios are all noise.
+func checkQuantile(rep *Report, name string, parent, change, factor float64) {
+	budget := max(parent*factor, latencyFloor)
+	rep.Lines = append(rep.Lines, fmt.Sprintf("%-8s %12.4gs -> %8.4gs  (budget %.4gs)", name, parent, change, budget))
+	if change > budget {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(
-			"%s regressed %.4gs -> %.4gs (budget %.4gs = max(%.3g× baseline, %.3gs floor))",
-			name, base, cur, budget, factor, floor))
+			"%s regressed %.4gs -> %.4gs (budget %.4gs = max(%.3g× parent, %.3gs floor))",
+			name, parent, change, budget, factor, latencyFloor))
 	}
 }
 

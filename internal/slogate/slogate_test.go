@@ -3,26 +3,27 @@
 package slogate
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"pimcapsnet/internal/loadgen"
 )
 
-func baseReport() loadgen.Report {
+// parentReport is the parent side of every pair below. Its p99 and
+// p999 sit near the 0.25 s floor, so their 2× and 2.5× budgets (0.4 s,
+// 0.75 s) lie above it and a quantile regression can fail the gate.
+func parentReport() loadgen.Report {
 	return loadgen.Report{
 		Target: "serve", Shape: "constant", Seed: 42,
 		DurationSeconds: 5, ReferenceRate: 100, Offered: 500,
-		Availability: 0.999, P50: 0.01, P99: 0.05, P999: 0.08,
+		Availability: 0.999, P50: 0.01, P99: 0.2, P999: 0.3,
 		KneeRate: 400,
 	}
 }
 
 func TestCheckPassesUnchangedRun(t *testing.T) {
-	b := &Baseline{Report: baseReport()}
-	cur := baseReport()
-	rep := Check(b, &cur)
+	parent, change := parentReport(), parentReport()
+	rep := Check(&parent, &change)
 	if !rep.OK() {
 		t.Fatalf("identical run failed the gate: %v", rep.Failures)
 	}
@@ -32,13 +33,12 @@ func TestCheckPassesUnchangedRun(t *testing.T) {
 }
 
 func TestCheckPassesWithinTolerance(t *testing.T) {
-	b := &Baseline{Report: baseReport()}
-	cur := baseReport()
-	cur.Availability = 0.985 // −0.014, inside the 0.02 default
-	cur.P99 = 0.09           // 1.8×, inside 2×
-	cur.P999 = 0.19          // 2.4×, inside 2.5×
-	cur.KneeRate = 300       // −25%, inside 30%
-	if rep := Check(b, &cur); !rep.OK() {
+	parent, change := parentReport(), parentReport()
+	change.Availability = 0.985 // −0.014, inside 0.02
+	change.P99 = 0.36           // 1.8×, inside 2×
+	change.P999 = 0.72          // 2.4×, inside 2.5×
+	change.KneeRate = 120       // −70%, inside 75%
+	if rep := Check(&parent, &change); !rep.OK() {
 		t.Fatalf("in-tolerance run failed: %v", rep.Failures)
 	}
 }
@@ -46,22 +46,23 @@ func TestCheckPassesWithinTolerance(t *testing.T) {
 func TestCheckFailsEachAxis(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*loadgen.Report)
+		mutate func(parent, change *loadgen.Report)
 		want   string
 	}{
-		{"availability", func(r *loadgen.Report) { r.Availability = 0.9 }, "availability"},
-		{"p99", func(r *loadgen.Report) { r.P99 = 0.2 }, "p99 regressed"},
-		{"p999", func(r *loadgen.Report) { r.P999 = 0.5 }, "p999 regressed"},
-		{"knee", func(r *loadgen.Report) { r.KneeRate = 100 }, "knee fell"},
-		{"lateness", func(r *loadgen.Report) { r.MaxLateness = 0.5 }, "behind its own schedule"},
-		{"shape mismatch", func(r *loadgen.Report) { r.Shape = "bursty" }, "baseline pins"},
-		{"rate mismatch", func(r *loadgen.Report) { r.ReferenceRate = 250 }, "same operating point"},
+		{"availability", func(_, c *loadgen.Report) { c.Availability = 0.9 }, "availability"},
+		{"p99", func(_, c *loadgen.Report) { c.P99 = 0.5 }, "p99 regressed"},
+		{"p999", func(_, c *loadgen.Report) { c.P999 = 1.0 }, "p999 regressed"},
+		{"knee", func(_, c *loadgen.Report) { c.KneeRate = 80 }, "knee fell"},
+		{"change lateness", func(_, c *loadgen.Report) { c.MaxLateness = 0.5 }, "change's generator fell"},
+		{"parent lateness", func(p, _ *loadgen.Report) { p.MaxLateness = 0.5 }, "parent's generator fell"},
+		{"shape mismatch", func(_, c *loadgen.Report) { c.Shape = "bursty" }, "one schedule"},
+		{"seed mismatch", func(_, c *loadgen.Report) { c.Seed = 7 }, "one schedule"},
+		{"rate mismatch", func(_, c *loadgen.Report) { c.ReferenceRate = 250 }, "same operating point"},
 	}
 	for _, c := range cases {
-		b := &Baseline{Report: baseReport()}
-		cur := baseReport()
-		c.mutate(&cur)
-		rep := Check(b, &cur)
+		parent, change := parentReport(), parentReport()
+		c.mutate(&parent, &change)
+		rep := Check(&parent, &change)
 		if rep.OK() {
 			t.Errorf("%s: regression passed the gate", c.name)
 			continue
@@ -78,69 +79,27 @@ func TestCheckFailsEachAxis(t *testing.T) {
 	}
 }
 
-// TestCheckLatencyFloor: a fast server may double its p99 and still
-// pass while under the absolute floor — ratio noise on shared
-// runners must not gate.
+// TestCheckLatencyFloor: a fast server may multiply its p99 and still
+// pass while under the absolute floor — ratio noise on shared runners
+// must not gate.
 func TestCheckLatencyFloor(t *testing.T) {
-	b := &Baseline{Report: baseReport()}
-	b.Report.P99 = 0.002
-	b.Report.P999 = 0.004
-	cur := baseReport()
-	cur.P99 = 0.02  // 10× but under the 25ms floor
-	cur.P999 = 0.02 // 5× but under the floor
-	if rep := Check(b, &cur); !rep.OK() {
+	parent, change := parentReport(), parentReport()
+	parent.P99 = 0.002
+	parent.P999 = 0.004
+	change.P99 = 0.2  // 100× but under the 250 ms floor
+	change.P999 = 0.2 // 50× but under the floor
+	if rep := Check(&parent, &change); !rep.OK() {
 		t.Fatalf("sub-floor latency jitter failed the gate: %v", rep.Failures)
 	}
 }
 
-// TestCheckCustomTolerances: tolerances committed in the baseline
-// override the defaults.
-func TestCheckCustomTolerances(t *testing.T) {
-	b := &Baseline{
-		Report:     baseReport(),
-		Tolerances: Tolerances{MaxP99Factor: 10},
-	}
-	cur := baseReport()
-	cur.P99 = 0.4 // 8×: fails default 2×, passes committed 10×
-	if rep := Check(b, &cur); !rep.OK() {
-		t.Fatalf("run within committed tolerances failed: %v", rep.Failures)
-	}
-}
-
-// TestCheckNoKneeInBaseline: a baseline without a sweep gates only
+// TestCheckNoKneeInBaseline: a parent run without a sweep gates only
 // on the reference-rate SLOs.
 func TestCheckNoKneeInBaseline(t *testing.T) {
-	b := &Baseline{Report: baseReport()}
-	b.Report.KneeRate = 0
-	cur := baseReport()
-	cur.KneeRate = 0
-	if rep := Check(b, &cur); !rep.OK() {
-		t.Fatalf("kneeless baseline failed: %v", rep.Failures)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "SLO_BASELINE.json")
-	want := &Baseline{Report: baseReport(), Tolerances: Tolerances{MaxKneeDrop: 0.5}}
-	if err := Save(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Report.ReferenceRate != want.Report.ReferenceRate ||
-		got.Tolerances.MaxKneeDrop != want.Tolerances.MaxKneeDrop {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("Load accepted a missing file")
-	}
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := Save(empty, &Baseline{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(empty); err == nil {
-		t.Error("Load accepted a baseline with no run")
+	parent, change := parentReport(), parentReport()
+	parent.KneeRate = 0
+	change.KneeRate = 0
+	if rep := Check(&parent, &change); !rep.OK() {
+		t.Fatalf("kneeless parent failed: %v", rep.Failures)
 	}
 }
