@@ -79,6 +79,7 @@ func TestServeMetricsGolden(t *testing.T) {
 	m := serve.NewMetrics()
 	m.QueueDepth = func() int { return 5 }
 	m.ArenaBytes = func() uint64 { return 23909824 }
+	m.WeightHugePageBytes = func() uint64 { return 18874368 }
 	m.BrownoutLevel = func() int { return 2 }
 	m.BrownoutRequests.With("1")
 

@@ -37,15 +37,22 @@ func (n *Network) ensurePool(extra int) *workerPool {
 
 // Close stops the Network's chunk workers and returns once they have
 // exited; whoever built the Network calls it when no forward pass is
-// running or will be started. It is idempotent. A forward pass on a
-// closed Network panics.
+// running or will be started. It drops the pooled scratches, taking
+// their bytes off ArenaBytes, as Release does for an Output released
+// after Close; an Output never released keeps counting. It is
+// idempotent. A forward pass on a closed Network panics.
 func (n *Network) Close() {
 	n.scratchMu.Lock()
 	closed := n.closed
 	n.closed = true
+	free := n.scratchFree
+	n.scratchFree = nil
 	n.scratchMu.Unlock()
 	if closed {
 		return
+	}
+	for _, s := range free {
+		s.drop()
 	}
 	n.poolMu.Lock()
 	defer n.poolMu.Unlock()
@@ -131,16 +138,12 @@ func newScratch(n *Network, nb int) *scratch {
 	s.primFn = s.primRange
 	s.predFn = s.predRange
 	s.bindKernels()
-	// A scratch whose Output is never released dies with that Output
-	// instead of returning to the pool; give its bytes back to the
-	// gauge when the collector reclaims it. Pooled scratches stay
-	// reachable from the Network, so their finalizers only run once the
-	// Network itself is gone.
-	runtime.SetFinalizer(s, func(s *scratch) {
-		s.net.arenaFloats.Add(^(uint64(s.arena.Size()) - 1))
-	})
 	return s
 }
+
+// drop takes the scratch's arena off the ArenaBytes gauge; the pool
+// forgets it and the collector reclaims it.
+func (s *scratch) drop() { s.net.arenaFloats.Add(^(uint64(s.arena.Size()) - 1)) }
 
 // alloc sizes (or re-sizes, on batch growth) every buffer for batches
 // up to nb, carving them out of one fresh arena slab. The pre-bound
@@ -325,6 +328,11 @@ func (o *Output) Release() {
 	o.scr = nil
 	n := s.net
 	n.scratchMu.Lock()
+	if n.closed {
+		n.scratchMu.Unlock()
+		s.drop()
+		return
+	}
 	//lint:ignore pimcaps/hotpathcheck the free-list grows to the steady-state scratch count and then never reallocates; there is no fixed bound to pre-size it to
 	n.scratchFree = append(n.scratchFree, s)
 	n.scratchMu.Unlock()
@@ -332,6 +340,14 @@ func (o *Output) Release() {
 
 // ArenaBytes reports the bytes held by this Network's forward-pass
 // scratch arenas (a high-water figure: arenas grow with the largest
-// batch seen and are retained by the pool). Serving exposes it as the
-// capsnet_arena_bytes gauge.
+// batch seen and are retained by the pool until Close). Serving
+// exposes it as the capsnet_arena_bytes gauge.
 func (n *Network) ArenaBytes() uint64 { return 4 * n.arenaFloats.Load() }
+
+// WeightHugePageBytes reports how many bytes of the capsule layer's W
+// the kernel backs with 2 MB pages now (tensor.HugePageBytes): read
+// back from the process's memory map, not counted when W was
+// allocated. It reads 0 off linux, with transparent huge pages off, and
+// for a W under 2 MB. Serving exposes it as the
+// capsnet_weight_hugepage_bytes gauge.
+func (n *Network) WeightHugePageBytes() uint64 { return tensor.HugePageBytes(n.Digit.Weights.Data()) }

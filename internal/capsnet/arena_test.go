@@ -1,8 +1,10 @@
 package capsnet
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -382,4 +384,51 @@ func TestArenaBytesPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCloseReturnsPooledArenas holds the gauge's lifetime without a
+// finalizer: Close takes every pooled scratch off ArenaBytes, an Output
+// still held at Close keeps counting until it is released, and its
+// release after Close takes it off too.
+func TestCloseReturnsPooledArenas(t *testing.T) {
+	net, err := New(TinyConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := arenaTestImages(net, 2, 5)
+	pooled := net.ForwardBatch(images, ExactMath{})
+	one := net.ArenaBytes()
+	held := net.ForwardBatch(images, ExactMath{})
+	pooled.Release()
+	if one == 0 || net.ArenaBytes() != 2*one {
+		t.Fatalf("ArenaBytes %d with two scratches of %d live", net.ArenaBytes(), one)
+	}
+	net.Close()
+	if got := net.ArenaBytes(); got != one {
+		t.Fatalf("ArenaBytes %d after Close with one Output held, want %d", got, one)
+	}
+	held.Release()
+	if got := net.ArenaBytes(); got != 0 {
+		t.Fatalf("ArenaBytes %d after the held Output's release, want 0", got)
+	}
+}
+
+// TestWeightOnHugePages checks that rp3872's 19.8 MB W gets at least
+// 16 MiB of 2 MB pages, read back from the process's memory map. It
+// needs linux with transparent huge pages in madvise or always mode.
+func TestWeightOnHugePages(t *testing.T) {
+	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil || bytes.Contains(mode, []byte("[never]")) {
+		t.Skipf("transparent huge pages unavailable (%q, %v)", bytes.TrimSpace(mode), err)
+	}
+	net, err := New(rp3872Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	got := net.WeightHugePageBytes()
+	if got < 16<<20 {
+		t.Errorf("WeightHugePageBytes %d of a %d-byte W, want at least 16 MiB", got, 4*net.Digit.Weights.Len())
+	}
+	t.Logf("%d of W's %d bytes on 2 MB pages", got, 4*net.Digit.Weights.Len())
 }

@@ -32,8 +32,8 @@ import (
 
 // aggregateRange performs Eq. 2 (s_j ← Σ_i c_ij·û_j|i) and Eq. 3
 // (v_j ← squash(s_j)) for samples [klo, khi) × high-level capsules
-// [jlo, jhi): the routing loop passes one sample and a run of its
-// capsules per call, the serial test reference the whole nb × nh grid.
+// [jlo, jhi): the routing loop passes a run of whole samples per call,
+// the serial test reference the whole nb × nh grid.
 // sd must be pre-zeroed for that rectangle. Per (k, j) the sum over i
 // ascends whatever the rectangle, and a term whose c_ij is ±0 is
 // skipped, in the Go loop and in aggregateRows (one sample's

@@ -127,6 +127,8 @@ type CapsLayer struct {
 }
 
 // NewCapsLayer creates a capsule layer with Xavier-initialized weights.
+// W is the operand every forward pass streams whole (Eq. 1), so it is
+// allocated on 2 MB pages where the host allows (tensor.AllocHugePaged).
 func NewCapsLayer(numIn, dimIn, numOut, dimOut, iterations int, rng *rand.Rand) *CapsLayer {
 	if numIn <= 0 || dimIn <= 0 || numOut <= 0 || dimOut <= 0 {
 		panic(fmt.Sprintf("capsnet: invalid CapsLayer geometry %d·%d → %d·%d", numIn, dimIn, numOut, dimOut))
@@ -135,7 +137,7 @@ func NewCapsLayer(numIn, dimIn, numOut, dimOut, iterations int, rng *rand.Rand) 
 		panic("capsnet: CapsLayer needs at least one routing iteration")
 	}
 	std := float32(math.Sqrt(2 / float64(dimIn+dimOut)))
-	w := tensor.New(numIn, numOut, dimIn, dimOut)
+	w := tensor.FromSlice(tensor.AllocHugePaged(numIn*numOut*dimIn*dimOut), numIn, numOut, dimIn, dimOut)
 	for i := range w.Data() {
 		w.Data()[i] = float32(rng.NormFloat64()) * std
 	}

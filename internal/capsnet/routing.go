@@ -133,32 +133,29 @@ func (r *routing) bindKernels() {
 	r.agreeFn = r.agreeRange
 }
 
-// softmaxRange performs Eq. 5 for rows [lo, hi) of the flattened
-// logit matrix (nb·nl rows per-sample, the first nl when shared).
+// softmaxRange performs Eq. 5 for a chunk: of the samples when every
+// sample has its own logits, of the one matrix's nl rows when the batch
+// shares it.
 //
 //pimcaps:hotpath
 func (r *routing) softmaxRange(_, lo, hi int) {
+	if !r.shared {
+		lo, hi = lo*r.nl, hi*r.nl
+	}
 	softmaxRows(r.math, r.c[lo*r.nh:hi*r.nh], r.b[lo*r.nh:hi*r.nh], hi-lo, r.nh)
 }
 
-// aggRange performs Eqs. 2–3 for outputs [lo, hi) of the flattened
-// nb·nh (k, j) grid: one aggregateRange call per sample row the chunk
-// touches, so each s_kj still sums i ascending from +0 wherever the
-// chunk edges fall.
+// aggRange performs Eqs. 2–3 for samples [lo, hi), every output j of
+// each, so each s_kj sums i ascending from +0 in one aggregateRows row.
 //
 //pimcaps:hotpath
 func (r *routing) aggRange(_, lo, hi int) {
-	for lo < hi {
-		k, jlo := lo/r.nh, lo%r.nh
-		jhi := min(r.nh, jlo+hi-lo)
-		aggregateRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, k, k+1, jlo, jhi)
-		lo += jhi - jlo
-	}
+	aggregateRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, lo, hi, 0, r.nh)
 }
 
-// agreeRange performs Eq. 4 for a chunk: of the nb·nl flattened rows
-// when every sample has its own logits, of the high-level capsules when
-// the batch shares one matrix (all samples, k ascending per entry).
+// agreeRange performs Eq. 4 for a chunk: of the samples when every
+// sample has its own logits, of the high-level capsules when the batch
+// shares one matrix (all samples, k ascending per entry).
 //
 //pimcaps:hotpath
 func (r *routing) agreeRange(w, lo, hi int) {
@@ -166,14 +163,19 @@ func (r *routing) agreeRange(w, lo, hi int) {
 		agreementRange(r.preds, r.v, r.b, 0, r.nl, r.nh, r.ch, 0, r.nb, lo, hi)
 		return
 	}
-	agreementRows(r.preds, r.v, r.b, r.agreeV[w], r.nl, r.nh, r.ch, lo, hi)
+	agreementRows(r.preds, r.v, r.b, r.agreeV[w], r.nl, r.nh, r.ch, lo*r.nl, hi*r.nl)
 }
 
-// run executes iterations of the routing procedure over d's workers,
-// each stage chunked over its flattened outputs, and reports whether
-// cancel stopped it between iterations (the state is then partial).
-// Every accumulation order is independent of where the chunk edges
-// fall, so results are bit-identical to a serial loop.
+// run executes iterations of the routing procedure over d's workers
+// and reports whether cancel stopped it between iterations (the state
+// is then partial). Each stage chunks over whole samples, except the
+// batch-shared matrix's softmax (its rows) and agreement (its
+// high-level capsules). So at batch 1 the per-sample stages run inline
+// on the caller: measured, a second worker's wake cost what its half
+// of the softmax or agreement saved, and an aggregate split by output
+// capsule ran slower on two cores than on one. Every accumulation
+// order is independent of where the chunk edges fall, so results are
+// bit-identical to a serial loop.
 //
 //pimcaps:hotpath
 func (r *routing) run(d *chunker, mode RoutingMode, iterations int, cancel CancelCheck, st StageTimer) (aborted bool) {
@@ -183,12 +185,12 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, cancel Cance
 	sd := r.s[:nb*nh*ch]
 	clear(bd) // logits start at zero, as a fresh tensor would
 
-	// softRows is the rows Eq. 5 computes (the shared matrix is
-	// sample 0's).
-	softRows := nb * nl
+	// The chunked units of Eqs. 5 and 4: samples, or the shared
+	// matrix's rows and high-level capsules.
+	softUnits, agreeUnits := nb, nb
 	r.shared = mode == RouteBatchShared
 	if r.shared {
-		softRows = nl
+		softUnits, agreeUnits = nl, nh
 	}
 
 	for it := 0; it < iterations; it++ {
@@ -207,7 +209,7 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, cancel Cance
 		if it == 0 {
 			firstIterationCoefficients(r.math, cd, bd, nh)
 		} else {
-			d.runChunks(softRows, r.softmaxFn)
+			d.runChunks(softUnits, r.softmaxFn)
 			if mode == RouteBatchShared {
 				for k := 1; k < nb; k++ {
 					copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
@@ -217,11 +219,11 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, cancel Cance
 		endStage(end)
 
 		// Step 5 (Eq. 2) + Step 6 (Eq. 3): weighted aggregation over L
-		// capsules and squash, chunked over the flattened nb·nh outputs
-		// (workers write disjoint s/v regions — see kernels.go).
+		// capsules and squash, chunked over the samples (workers write
+		// disjoint s/v regions — see kernels.go).
 		end = beginStage(st, StageRoutingAggregate, it)
 		clear(sd)
-		d.runChunks(nb*nh, r.aggFn)
+		d.runChunks(nb, r.aggFn)
 		endStage(end)
 
 		if it == iterations-1 {
@@ -231,16 +233,12 @@ func (r *routing) run(d *chunker, mode RoutingMode, iterations int, cancel Cance
 
 		// Step 7 (Eq. 4): agreement accumulation. Per-sample logits are
 		// disjoint entries with one increment each, so they chunk over
-		// the flattened rows as the softmax does; the paper's
-		// batch-shared Σ_k accumulates into one matrix, so it chunks
-		// over the high-level capsules, each (i, j) entry summing k
-		// ascending within one chunk.
+		// the samples as the softmax does; the paper's batch-shared Σ_k
+		// accumulates into one matrix, so it chunks over the high-level
+		// capsules, each (i, j) entry summing k ascending within one
+		// chunk.
 		end = beginStage(st, StageRoutingAgreement, it)
-		if r.shared {
-			d.runChunks(nh, r.agreeFn)
-		} else {
-			d.runChunks(softRows, r.agreeFn)
-		}
+		d.runChunks(agreeUnits, r.agreeFn)
 		endStage(end)
 		endStage(iterEnd)
 	}

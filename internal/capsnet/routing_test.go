@@ -386,11 +386,47 @@ func TestFlatRoutingChunksBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBatchOneRoutingRunsInline runs a batch-1 per-sample routing
+// loop on a two-worker chunker with no pool behind it: every stage
+// must run inline on the caller, since a send to the missing pool
+// panics. Under exact and PE math the result matches the serial
+// reference bit for bit.
+func TestBatchOneRoutingRunsInline(t *testing.T) {
+	const nl, nh, ch, iterations = 37, 10, 16, 3
+	for _, m := range []struct {
+		name string
+		math RoutingMath
+	}{{"exact", ExactMath{}}, {"pe", NewPEMath()}} {
+		t.Run(m.name, func(t *testing.T) {
+			preds := randPreds(rand.New(rand.NewSource(23)), 1, nl, nh, ch)
+			r := &routing{
+				preds: preds.Data(), b: make([]float32, nl*nh), c: make([]float32, nl*nh),
+				v: make([]float32, nh*ch), s: make([]float32, nh*ch),
+				nb: 1, nl: nl, nh: nh, ch: ch, math: m.math,
+				agreeV: [][]float32{make([]float32, agreeReplicaLen(nh, ch)), make([]float32, agreeReplicaLen(nh, ch))},
+			}
+			r.bindKernels()
+			if r.run(newChunker(nil, 2), RoutePerSample, iterations, nil, nil) {
+				t.Fatal("run reports an abort without a cancel hook")
+			}
+			wantC, wantB, wantV := serialRouting(preds, iterations, m.math, RoutePerSample)
+			for _, c := range []struct {
+				name      string
+				got, want []float32
+			}{{"v", r.v, wantV}, {"c", r.c, wantC}, {"b", r.b, wantB}} {
+				if at, ok := sameBits(c.got, c.want); !ok {
+					t.Errorf("%s[%d] = %v, want %v", c.name, at, c.got[at], c.want[at])
+				}
+			}
+		})
+	}
+}
+
 // TestAggRangeCoversEachOutputOnce runs aggRange over every chunk
-// [lo, hi) of the flattened nb·nh (k, j) grid with c = 1 and û = 1 on
-// s cleared beforehand, so each s_kj element it aggregates reads nl:
-// an output the split visits twice reads 2·nl, one it skips 0, and
-// anything but 0 outside the chunk is a stray write.
+// [lo, hi) of the nb samples with c = 1 and û = 1 on s cleared
+// beforehand, so each s_kj element it aggregates reads nl: an output
+// the chunk visits twice reads 2·nl, one it skips 0, and anything but
+// 0 outside the chunk's samples is a stray write.
 func TestAggRangeCoversEachOutputOnce(t *testing.T) {
 	const nl, ch = 3, 8
 	for _, tc := range []struct{ nb, nh int }{
@@ -409,14 +445,13 @@ func TestAggRangeCoversEachOutputOnce(t *testing.T) {
 			s: make([]float32, nb*nh*ch), v: make([]float32, nb*nh*ch),
 			nb: nb, nl: nl, nh: nh, ch: ch, math: ExactMath{},
 		}
-		n := nb * nh
-		for lo := 0; lo <= n; lo++ {
-			for hi := lo; hi <= n; hi++ {
+		for lo := 0; lo <= nb; lo++ {
+			for hi := lo; hi <= nb; hi++ {
 				clear(r.s)
 				r.aggRange(0, lo, hi)
-				for o := 0; o < n; o++ {
+				for o := 0; o < nb*nh; o++ {
 					want := float32(0)
-					if lo <= o && o < hi {
+					if lo <= o/nh && o/nh < hi {
 						want = nl
 					}
 					for d, x := range r.s[o*ch : (o+1)*ch] {

@@ -133,9 +133,10 @@ func NewWithMetrics(network *capsnet.Network, mathOps capsnet.RoutingMath, cfg C
 	})
 	network.Stages = rec
 	b.rec = rec
-	// Scrape-time gauge over the network's scratch-arena pool (callback
-	// pattern, like QueueDepth).
+	// Scrape-time gauges over the network's scratch-arena pool and its
+	// W's 2 MB pages (callback pattern, like QueueDepth).
 	m.ArenaBytes = network.ArenaBytes
+	m.WeightHugePageBytes = network.WeightHugePageBytes
 	s := newServer(network, cfg, b, m)
 	b.Start()
 	return s, nil
