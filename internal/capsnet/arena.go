@@ -231,7 +231,8 @@ const primChunkRows = 64
 // sample in the pass — one product of the channels' weight rows with
 // the whole batch's lowering, using worker w's im2col scratch — and
 // regroups and squashes its rows of praw straight into each sample's
-// u rows: the same kernel and epilogue as PrimaryCapsLayer.Forward.
+// u rows: the same kernel as ConvLayer.Forward and the epilogue
+// regroupSquash.
 // Chunking over channels rather than samples means each worker streams
 // only its share of the weights, once per pass, and a batch of one
 // still spreads over the workers primChunks allows.

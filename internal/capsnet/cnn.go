@@ -2,6 +2,7 @@ package capsnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"pimcapsnet/internal/tensor"
@@ -127,7 +128,7 @@ func (t *CNNTrainer) TrainBatch(images *tensor.Tensor, labels []int) (loss float
 		if tensor.ArgMax(logits) == labels[k] {
 			correct++
 		}
-		loss += -logf(probs[labels[k]] + 1e-12)
+		loss += -float32(math.Log(float64(probs[labels[k]] + 1e-12)))
 		dLogits := make([]float32, nc)
 		copy(dLogits, probs)
 		dLogits[labels[k]] -= 1

@@ -62,16 +62,6 @@ func (l *PrimaryCapsLayer) NumCaps(h, w int) int {
 	return l.Channels * oh * ow
 }
 
-// Forward maps a Cin×H×W activation tensor to L×CapsDim squashed
-// capsules.
-func (l *PrimaryCapsLayer) Forward(input *tensor.Tensor) *tensor.Tensor {
-	raw := tensor.Conv2D(input, l.Conv.Weights, l.Conv.Bias, l.Conv.Spec) // (ch·dim)×oh×ow
-	hw := raw.Dim(1) * raw.Dim(2)
-	out := tensor.New(l.Channels*hw, l.CapsDim)
-	regroupSquash(out.Data(), raw.Data(), l.Channels, l.CapsDim, hw, hw)
-	return out
-}
-
 // regroupSquash is the PrimaryCaps epilogue: it regroups a raw
 // (channels·capsDim)-row convolution output, rows ld floats apart, into
 // channels·hw capsules of capsDim contiguous values — capsule (c, p)
@@ -142,20 +132,6 @@ func NewCapsLayer(numIn, dimIn, numOut, dimOut, iterations int, rng *rand.Rand) 
 		w.Data()[i] = float32(rng.NormFloat64()) * std
 	}
 	return &CapsLayer{NumIn: numIn, DimIn: dimIn, NumOut: numOut, DimOut: dimOut, Iterations: iterations, Weights: w}
-}
-
-// Forward routes a batch of input capsules (B×NumIn×DimIn) to output
-// capsules (B×NumOut×DimOut) using mathOps for the routing special
-// functions. It returns the routing result, whose V field is the layer
-// output.
-func (l *CapsLayer) Forward(u *tensor.Tensor, mathOps RoutingMath) RoutingResult {
-	if u.Rank() != 3 || u.Dim(1) != l.NumIn || u.Dim(2) != l.DimIn {
-		panic(fmt.Sprintf("capsnet: CapsLayer input %v, want B×%d×%d", u.Shape(), l.NumIn, l.DimIn))
-	}
-	d := openChunker()
-	defer d.pool.close()
-	preds := predictionVectors(d, u, l.Weights)
-	return dynamicRouting(d, preds, l.Iterations, mathOps, l.Mode)
 }
 
 // FCLayer is a fully-connected layer with a selectable activation,

@@ -108,25 +108,6 @@ func TestReconstructWithoutDecoderPanics(t *testing.T) {
 	net.Reconstruct(out, 0, 0)
 }
 
-func TestPrimaryCapsOutputSquashed(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	l := NewPrimaryCapsLayer(4, 2, 8, 3, 1, rng)
-	in := tensor.New(4, 6, 6)
-	for i := range in.Data() {
-		in.Data()[i] = float32(rng.NormFloat64())
-	}
-	caps := l.Forward(in)
-	n := caps.Dim(0)
-	if n != l.NumCaps(6, 6) {
-		t.Fatalf("got %d caps, want %d", n, l.NumCaps(6, 6))
-	}
-	for i := 0; i < n; i++ {
-		if tensor.Norm(caps.Data()[i*8:(i+1)*8]) > 1.0000001 {
-			t.Fatalf("capsule %d not squashed", i)
-		}
-	}
-}
-
 func TestFCLayerActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	relu := NewFCLayer(4, 8, ActReLU, rng)

@@ -2,6 +2,7 @@ package capsnet
 
 import (
 	"fmt"
+	"math"
 
 	"pimcapsnet/internal/tensor"
 )
@@ -157,5 +158,5 @@ func Evaluate(net *Network, images *tensor.Tensor, labels []int, mathOps Routing
 }
 
 func sqrt32(x float32) float32 {
-	return float32(sqrtImpl(float64(x)))
+	return float32(math.Sqrt(float64(x)))
 }

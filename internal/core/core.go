@@ -308,7 +308,9 @@ func maxf(a, b float64) float64 {
 // (vote computation) once, then per iteration an M-step that fits each
 // parent's Gaussian (weighted mean and variance over the child votes,
 // plus a sigmoid activation) and an E-step that re-evaluates every
-// vote's responsibility (distance, exponential, normalization).
+// vote's responsibility (distance, exponential, normalization). The
+// counts are formulas over the benchmark's shapes: no functional EM
+// routing runs in this repository to produce or check them.
 func emOpMix(b workload.Benchmark) pe.OpCounts {
 	nb, nl, nh := float64(b.BatchSize), float64(b.NumL), float64(b.NumH)
 	ch := float64(b.DimH)
@@ -334,7 +336,8 @@ func emOpMix(b workload.Benchmark) pe.OpCounts {
 // emTraffic returns EM routing's algorithmic DRAM bytes per batch:
 // votes are produced once and re-read three times per iteration
 // (mean, variance, E-step), and the responsibility tensor (one scalar
-// per vote pair and batch element) is rewritten every iteration.
+// per vote pair and batch element) is rewritten every iteration. Like
+// emOpMix it is a formula, not a count taken from a running EM routing.
 func emTraffic(b workload.Benchmark) float64 {
 	vars := b.RPVars()
 	respBytes := float64(b.BatchSize*b.NumL*b.NumH) * workload.WordBytes

@@ -1,6 +1,8 @@
 // Package dataset generates seeded synthetic image-classification
 // datasets that stand in for MNIST, CIFAR10, EMNIST and SVHN (which
 // are unavailable in this offline environment; see DESIGN.md §2).
+// Every consumer starts from Tiny: Table 5's proxies resize it to
+// each benchmark's input and set its class count.
 //
 // Each class owns a smooth random prototype image; samples are the
 // prototype plus per-pixel Gaussian noise and a small random global
@@ -29,51 +31,9 @@ type Spec struct {
 	Seed int64
 }
 
-// Predefined dataset specs mirroring the shapes and class counts of
-// the paper's four dataset families (Table 1).
-func MNISTLike() Spec {
-	return Spec{Name: "mnist-like", Classes: 10, Channels: 1, H: 28, W: 28, Noise: 0.15, Seed: 101}
-}
-func CIFAR10Like() Spec {
-	return Spec{Name: "cifar10-like", Classes: 10, Channels: 3, H: 32, W: 32, Noise: 0.2, Seed: 102}
-}
-func EMNISTLettersLike() Spec {
-	return Spec{Name: "emnist-letters-like", Classes: 26, Channels: 1, H: 28, W: 28, Noise: 0.15, Seed: 103}
-}
-func EMNISTBalancedLike() Spec {
-	return Spec{Name: "emnist-balanced-like", Classes: 47, Channels: 1, H: 28, W: 28, Noise: 0.15, Seed: 104}
-}
-func EMNISTByClassLike() Spec {
-	return Spec{Name: "emnist-byclass-like", Classes: 62, Channels: 1, H: 28, W: 28, Noise: 0.15, Seed: 105}
-}
-func SVHNLike() Spec {
-	return Spec{Name: "svhn-like", Classes: 10, Channels: 3, H: 32, W: 32, Noise: 0.2, Seed: 106}
-}
-
 // Tiny returns a small dataset for unit tests and quick examples.
 func Tiny(classes int) Spec {
 	return Spec{Name: fmt.Sprintf("tiny-%d", classes), Classes: classes, Channels: 1, H: 12, W: 12, Noise: 0.1, Seed: 99}
-}
-
-// ByName returns the predefined spec for a dataset family name used in
-// Table 1 ("MNIST", "CIFAR10", "EMNIST Letter", "EMNIST Balanced",
-// "EMNIST By Class", "SVHN").
-func ByName(name string) (Spec, error) {
-	switch name {
-	case "MNIST":
-		return MNISTLike(), nil
-	case "CIFAR10":
-		return CIFAR10Like(), nil
-	case "EMNIST Letter":
-		return EMNISTLettersLike(), nil
-	case "EMNIST Balanced":
-		return EMNISTBalancedLike(), nil
-	case "EMNIST By Class":
-		return EMNISTByClassLike(), nil
-	case "SVHN":
-		return SVHNLike(), nil
-	}
-	return Spec{}, fmt.Errorf("dataset: unknown dataset %q", name)
 }
 
 // Dataset holds generated samples.
@@ -180,19 +140,6 @@ func (g *Generator) Generate(n int) *Dataset {
 	labels := make([]int, n)
 	for i := 0; i < n; i++ {
 		label := i % g.spec.Classes
-		labels[i] = label
-		g.Sample(images.Data()[i*imgLen:(i+1)*imgLen], label)
-	}
-	return &Dataset{Spec: g.spec, Images: images, Labels: labels}
-}
-
-// GenerateShuffled produces n samples with uniformly random labels.
-func (g *Generator) GenerateShuffled(n int) *Dataset {
-	imgLen := g.spec.Channels * g.spec.H * g.spec.W
-	images := tensor.New(n, g.spec.Channels, g.spec.H, g.spec.W)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		label := g.rng.Intn(g.spec.Classes)
 		labels[i] = label
 		g.Sample(images.Data()[i*imgLen:(i+1)*imgLen], label)
 	}

@@ -4,37 +4,6 @@ import (
 	"testing"
 )
 
-func TestPredefinedSpecs(t *testing.T) {
-	cases := []struct {
-		spec    Spec
-		classes int
-		ch      int
-	}{
-		{MNISTLike(), 10, 1},
-		{CIFAR10Like(), 10, 3},
-		{EMNISTLettersLike(), 26, 1},
-		{EMNISTBalancedLike(), 47, 1},
-		{EMNISTByClassLike(), 62, 1},
-		{SVHNLike(), 10, 3},
-	}
-	for _, c := range cases {
-		if c.spec.Classes != c.classes || c.spec.Channels != c.ch {
-			t.Fatalf("%s: classes=%d channels=%d, want %d/%d", c.spec.Name, c.spec.Classes, c.spec.Channels, c.classes, c.ch)
-		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"MNIST", "CIFAR10", "EMNIST Letter", "EMNIST Balanced", "EMNIST By Class", "SVHN"} {
-		if _, err := ByName(name); err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("imagenet"); err == nil {
-		t.Fatal("ByName must reject unknown datasets")
-	}
-}
-
 func TestGenerateShapesAndRange(t *testing.T) {
 	g := NewGenerator(Tiny(4))
 	ds := g.Generate(20)
@@ -106,21 +75,6 @@ func TestClassesAreSeparated(t *testing.T) {
 	}
 	if correct < 25 {
 		t.Fatalf("nearest-centroid only classifies %d/30 — classes not separated", correct)
-	}
-}
-
-func TestGenerateShuffledCoversClasses(t *testing.T) {
-	g := NewGenerator(Tiny(4))
-	ds := g.GenerateShuffled(200)
-	seen := map[int]bool{}
-	for _, l := range ds.Labels {
-		if l < 0 || l >= 4 {
-			t.Fatalf("label %d out of range", l)
-		}
-		seen[l] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("only %d classes seen in 200 shuffled samples", len(seen))
 	}
 }
 

@@ -27,39 +27,6 @@ func (d *Dataset) Rotated(deg float64) *Dataset {
 	return out
 }
 
-// Shifted returns a copy with every image translated by (dy, dx)
-// pixels, zero fill.
-func (d *Dataset) Shifted(dy, dx int) *Dataset {
-	out := &Dataset{
-		Spec:   d.Spec,
-		Images: tensor.New(d.Images.Shape()...),
-		Labels: append([]int(nil), d.Labels...),
-	}
-	c, h, w := d.Spec.Channels, d.Spec.H, d.Spec.W
-	imgLen := c * h * w
-	n := d.Images.Dim(0)
-	for k := 0; k < n; k++ {
-		src := d.Images.Data()[k*imgLen : (k+1)*imgLen]
-		dst := out.Images.Data()[k*imgLen : (k+1)*imgLen]
-		for ch := 0; ch < c; ch++ {
-			for y := 0; y < h; y++ {
-				sy := y - dy
-				if sy < 0 || sy >= h {
-					continue
-				}
-				for x := 0; x < w; x++ {
-					sx := x - dx
-					if sx < 0 || sx >= w {
-						continue
-					}
-					dst[ch*h*w+y*w+x] = src[ch*h*w+sy*w+sx]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // rotateInto rotates one C×H×W image by deg degrees with bilinear
 // interpolation.
 func rotateInto(dst, src []float32, c, h, w int, deg float64) {

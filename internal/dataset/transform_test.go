@@ -74,32 +74,6 @@ func TestRotated360Roundtrip(t *testing.T) {
 	}
 }
 
-func TestShifted(t *testing.T) {
-	g := NewGenerator(Tiny(2))
-	ds := g.Generate(2)
-	sh := ds.Shifted(2, 3)
-	// Pixel (y, x) of the shifted image equals pixel (y−2, x−3).
-	if got, want := sh.Images.At(0, 0, 5, 7), ds.Images.At(0, 0, 3, 4); got != want {
-		t.Fatalf("shift mapping wrong: %v vs %v", got, want)
-	}
-	// Vacated border is zero filled.
-	if sh.Images.At(0, 0, 0, 0) != 0 || sh.Images.At(0, 0, 11, 1) != 0 {
-		t.Fatal("vacated border not zero")
-	}
-	if !equalShapes(ds, sh) {
-		t.Fatal("shift changed shape")
-	}
-}
-
-func TestShiftedZeroIsIdentity(t *testing.T) {
-	g := NewGenerator(Tiny(2))
-	ds := g.Generate(2)
-	sh := ds.Shifted(0, 0)
-	if !ds.Images.Equal(sh.Images) {
-		t.Fatal("zero shift changed data")
-	}
-}
-
 func equalShapes(a, b *Dataset) bool {
 	sa, sb := a.Images.Shape(), b.Images.Shape()
 	if len(sa) != len(sb) {

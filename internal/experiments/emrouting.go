@@ -14,8 +14,10 @@ func init() {
 // is applied unchanged — same distribution, mapping and PE array —
 // with EM's operation mix and traffic. The paper claims its
 // "optimizations on Dynamic Routing ... can be easily applied to other
-// routing algorithms with simple adjustment"; this experiment
-// quantifies that claim.
+// routing algorithms with simple adjustment"; this table estimates
+// what that claim would buy. It is analytic: core.EMRPPIM takes EM's
+// operation mix and DRAM traffic from formulas (emOpMix, emTraffic),
+// and no functional EM routing runs behind them or checks them.
 func EMRouting() Table {
 	e := core.NewEngine()
 	t := Table{
